@@ -4,8 +4,8 @@ All artifacts are versioned JSON documents (see ``files``); result documents
 carry no timestamps, so a rerun with the same seeds reproduces them byte for
 byte. The environment variable ``FCMURP_SEED`` overrides every ``--seed``
 flag, which lets a whole pipeline be repinned without editing commands.
-Exit codes: 0 success, 2 usage, 3 missing or malformed artifact,
-4 infeasible.
+Exit codes: 0 success, 1 runtime failure (sampler error, selftest mismatch),
+2 usage, 3 missing or malformed artifact, 4 infeasible.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .detsolve import solve_deterministic_greedy
+from .detsolve import EXACT_TARGET_LIMIT, solve_deterministic_greedy
 from .files import (
     FORMAT_VERSION,
     ArtifactError,
@@ -59,7 +59,6 @@ from .recourse import (
 )
 from .stochsolve import (
     SAA_SAMPLE_LIMIT,
-    SAA_TARGET_LIMIT,
     SaaConfig,
     SaaReport,
     compute_vss,
@@ -89,6 +88,8 @@ def _translate_errors(fn):
             return fn(*args, **kwargs)
         except ArtifactError as exc:
             raise _ExitError(str(exc), 3) from None
+        except SamplerError as exc:
+            raise _ExitError(str(exc), 1) from None
         except RuntimeError as exc:
             raise _ExitError(str(exc), 4) from None
 
@@ -230,12 +231,9 @@ def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
     seed = _effective_seed(seed)
     instance = _read_instance(instance_path)
     qmap = _read_quadrants(quadrants_path)
-    try:
-        scen = sample_scenarios(
-            instance, qmap, seed=seed, count=count, distribution=distribution
-        )
-    except SamplerError as exc:
-        raise click.ClickException(str(exc))
+    scen = sample_scenarios(
+        instance, qmap, seed=seed, count=count, distribution=distribution
+    )
     write_document(scenarios_to_doc(scen), out)
     click.echo(f"wrote {out}: {count} scenarios, label {scen.label!r}")
 
@@ -302,10 +300,10 @@ def solve(
         )
         solution, meta = ev.routes, {"mode": "evp", "optimal": ev.optimal}
     elif mode == "saa":
-        if instance.n_targets > SAA_TARGET_LIMIT or sample_size > SAA_SAMPLE_LIMIT:
+        if instance.n_targets > EXACT_TARGET_LIMIT or sample_size > SAA_SAMPLE_LIMIT:
             raise click.UsageError(
                 f"--mode saa solves exactly and handles at most "
-                f"{SAA_TARGET_LIMIT} targets with --m at most {SAA_SAMPLE_LIMIT}; "
+                f"{EXACT_TARGET_LIMIT} targets with --m at most {SAA_SAMPLE_LIMIT}; "
                 "use --mode heuristic for larger runs"
             )
         config = SaaConfig(

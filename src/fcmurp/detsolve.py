@@ -28,7 +28,13 @@ __all__ = [
     "solve_deterministic_exact",
     "solve_deterministic_greedy",
     "branching_order",
+    "EXACT_TARGET_LIMIT",
 ]
+
+# Largest target count the exact searches (deterministic and sampled) are
+# used for; beyond it callers switch to the greedy solver or tabu search,
+# since the search is exponential in the target count.
+EXACT_TARGET_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,25 @@ class DetProblem:
     def exit_fuel(self) -> np.ndarray:
         """Cheapest fuel from each vertex to any depot under the active matrix."""
         return min_exit_fuel(self.fuel, self.instance.n_depots)
+
+    # Plain-list mirrors of the matrices for scalar hot loops: indexing a
+    # list of floats is several times cheaper than a numpy scalar lookup, and
+    # the values and the IEEE arithmetic on them are the same.
+    @cached_property
+    def cost_rows(self) -> list[list[float]]:
+        return self.cost.tolist()
+
+    @cached_property
+    def fuel_rows(self) -> list[list[float]]:
+        return self.fuel.tolist()
+
+    @cached_property
+    def exit_fuel_list(self) -> list[float]:
+        return self.exit_fuel.tolist()
+
+    @cached_property
+    def depot_range(self) -> range:
+        return self.instance.depot_indices
 
     @cached_property
     def entry_fuel(self) -> np.ndarray:
@@ -149,10 +174,10 @@ def optimal_depot_insertion(
     if not seq:
         raise ValueError("cannot route an empty target sequence")
     route = (0, *seq, 0)
-    fuel = problem.fuel
-    cost = problem.cost
+    fuel = problem.fuel_rows
+    cost = problem.cost_rows
     cap = inst.fuel_capacity
-    exit_fuel = problem.exit_fuel
+    exit_fuel = problem.exit_fuel_list
     nd = inst.n_depots
     last = len(route) - 1
     # node (p, d): depot d inserted on edge p; value = (cost delta, pattern)
@@ -173,17 +198,19 @@ def optimal_depot_insertion(
                 return
             nxt = route[pos + 1]
             vals = node_val[pos]
+            fuel_v = fuel[v]
+            cost_v = cost[v]
             for d in range(nd):
                 if d == v or d == nxt:
                     continue
-                if running + fuel[v, d] <= cap:
+                if running + fuel_v[d] <= cap:
                     cand = (
-                        value[0] + (cost[v, d] + cost[d, nxt]) - cost[v, nxt],
+                        value[0] + (cost_v[d] + cost[d][nxt]) - cost_v[nxt],
                         value[1] + ((pos, d),),
                     )
                     if vals[d] is None or cand < vals[d]:
                         vals[d] = cand
-            running = running + fuel[v, nxt]
+            running = running + fuel_v[nxt]
             pos += 1
 
     sweep((0.0, ()), 0, 0.0)
@@ -192,7 +219,7 @@ def optimal_depot_insertion(
         for d in range(nd):
             val = node_val[p][d]
             if val is not None:
-                sweep(val, p + 1, float(fuel[d, nxt]))
+                sweep(val, p + 1, fuel[d][nxt])
     if end_val is None:
         return None
     pattern = dict(end_val[1])
@@ -203,23 +230,24 @@ def optimal_depot_insertion(
         realized.append(route[p + 1])
     total = 0.0
     for a, b in zip(realized, realized[1:]):
-        total += cost[a, b]
-    return tuple(realized), float(total)
+        total += cost[a][b]
+    return tuple(realized), total
 
 
 def _min_arrival_step(
     problem: DetProblem, prev_best: float, prev_vertex: int, vertex: int
 ) -> float:
     """Lower bound on arrival fuel at ``vertex`` over all insertion patterns."""
-    fuel = problem.fuel
+    fuel = problem.fuel_rows
     cap = problem.instance.fuel_capacity
-    best = prev_best + fuel[prev_vertex, vertex]
-    for d in problem.instance.depot_indices:
+    fuel_prev = fuel[prev_vertex]
+    best = prev_best + fuel_prev[vertex]
+    for d in problem.depot_range:
         if d == prev_vertex or d == vertex:
             continue
-        if prev_best + fuel[prev_vertex, d] <= cap and fuel[d, vertex] < best:
-            best = float(fuel[d, vertex])
-    return float(best)
+        if prev_best + fuel_prev[d] <= cap and fuel[d][vertex] < best:
+            best = fuel[d][vertex]
+    return best
 
 
 def _branch_routes(
@@ -237,13 +265,14 @@ def _branch_routes(
     bare sequence cost by more than the budgeted insertion slack.
     """
     inst = problem.instance
-    cost = problem.cost
+    cost = problem.cost_rows
+    to_home = [row[0] for row in cost]
     cap = inst.fuel_capacity
-    exit_fuel = problem.exit_fuel
+    exit_fuel = problem.exit_fuel_list
     m = inst.vehicles
     order = branching_order(problem)
     rank = {t: i for i, t in enumerate(order)}
-    min_in = problem.min_incoming_cost
+    min_in = problem.min_incoming_cost.tolist()
     slack_unit = min(0.0, problem.min_insertion_delta)
     strengthened = config.strengthened_pruning
 
@@ -264,13 +293,13 @@ def _branch_routes(
 
     def completion_bound(acc: float, open_bare: float, open_seq, unvisited, m_rem: int) -> float:
         lb = acc + open_bare
-        ret_candidates = [float(cost[open_seq[-1], 0])]
+        ret_candidates = [to_home[open_seq[-1]]]
         for u in unvisited:
-            lb += float(min_in[u])
-            ret_candidates.append(float(cost[u, 0]))
+            lb += min_in[u]
+            ret_candidates.append(to_home[u])
         lb += min(ret_candidates)
         if m_rem and unvisited:
-            ret_min = min(float(cost[u, 0]) for u in unvisited)
+            ret_min = min(to_home[u] for u in unvisited)
             lb += m_rem * ret_min
         if slack_unit < 0.0:
             spots = len(open_seq) + 1 + len(unvisited) + m_rem
@@ -300,7 +329,7 @@ def _branch_routes(
                     continue
                 if strengthened and fuel_lb + exit_fuel[t] > cap:
                     continue
-                bare = open_bare + float(cost[last_v, t])
+                bare = open_bare + cost[last_v][t]
                 rest = unvisited - {t}
                 bound = completion_bound(acc, bare, open_seq + [t], rest, m_rem)
                 if bound > best_total + _BOUND_EPS:
@@ -337,7 +366,7 @@ def _branch_routes(
                     continue
                 if strengthened and entry_lb + exit_fuel[f] > cap:
                     continue
-                bare = float(cost[0, f])
+                bare = cost[0][f]
                 rest = unvisited - {f}
                 bound = completion_bound(acc2, bare, [f], rest, m_rem - 1)
                 if bound > best_total + _BOUND_EPS:
@@ -355,10 +384,10 @@ def _branch_routes(
             if strengthened and entry_lb + exit_fuel[f] > cap:
                 continue
             rest = targets - {f}
-            bound = completion_bound(0.0, float(cost[0, f]), [f], rest, m - 1)
+            bound = completion_bound(0.0, cost[0][f], [f], rest, m - 1)
             if bound > best_total + _BOUND_EPS:
                 continue
-            descend([f], rank[f], float(cost[0, f]), entry_lb, rest, m - 1, 0.0, [])
+            descend([f], rank[f], cost[0][f], entry_lb, rest, m - 1, 0.0, [])
     except _SearchLimit:
         optimal = False
     return best_routes, best_total, optimal, nodes

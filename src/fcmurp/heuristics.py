@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detsolve import (
+    EXACT_TARGET_LIMIT,
     BnBConfig,
     DetProblem,
     DetSolution,
@@ -42,10 +43,6 @@ __all__ = [
     "tabu_improve",
     "EXACT_TARGET_LIMIT",
 ]
-
-# Beyond this many targets the per-scenario subproblems switch to the greedy
-# solver; the exact search is exponential in the target count.
-EXACT_TARGET_LIMIT = 8
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-9
+# Triangle-inequality tolerance of ``is_metric``; solvers that rely on metric
+# costs budget it once per edge in their pruning slack.
+METRIC_TOL = 1e-9
 
 
 class RouteStructureError(ValueError):
@@ -48,7 +51,7 @@ def euclidean_matrix(coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(axis=2))
 
 
-def is_metric(matrix: np.ndarray, tol: float = 1e-9) -> bool:
+def is_metric(matrix: np.ndarray, tol: float = METRIC_TOL) -> bool:
     """True when the matrix satisfies the triangle inequality within tol."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .detsolve import (
+    _BOUND_EPS,
+    EXACT_TARGET_LIMIT,
     BnBConfig,
     DetProblem,
     DetSolution,
@@ -27,7 +29,7 @@ from .detsolve import (
     solve_deterministic_greedy,
 )
 from .instgen import QuadrantMap, sample_scenarios
-from .model import Instance, RouteSet, ScenarioSet, route_cost
+from .model import METRIC_TOL, Instance, RouteSet, ScenarioSet, route_cost
 from .recourse import (
     BestDepotTable,
     PenaltyPolicy,
@@ -54,8 +56,8 @@ __all__ = [
     "make_report",
 ]
 
-# Desk-scale guardrails for the exact sampled solver.
-SAA_TARGET_LIMIT = 8
+# Desk-scale guardrail for the exact sampled solver; its target limit is
+# detsolve's EXACT_TARGET_LIMIT.
 SAA_SAMPLE_LIMIT = 10
 
 
@@ -178,25 +180,39 @@ def _pattern_score(
 
     Minimizes realized first-stage cost plus probability-weighted recourse
     over all nominally feasible depot insertions; patterns leaving any
-    scenario unrecoverable are rejected. Requires metric costs so that the
-    first-stage cost alone is a valid pruning bound.
+    scenario unrecoverable are rejected. ``problem`` must be the instance's
+    own nominal problem (no overrides).
+
+    The search starts from the deterministic optimum and walks the patterns
+    depth first, pruning a prefix when its first-stage cost plus the bare
+    cost of the remaining edges exceeds the best value so far. Under metric
+    costs no depot insertion and no recourse detour is cheaper than the edge
+    it replaces, so the bound is admissible; its slack is ``_BOUND_EPS`` for
+    fold order plus the metric tolerance once per remaining edge (insertions)
+    and once per route edge (recourse). Only strict improvements replace the
+    incumbent, so pruned subtrees could never have changed the answer or its
+    tie-break.
     """
     base = optimal_depot_insertion(seq, problem)
     if base is None:
         return None
     route = (0, *seq, 0)
     last = len(route) - 1
-    fuel = problem.fuel
-    cost = instance.cost
+    fuel = problem.fuel_rows
+    cost = problem.cost_rows
     cap = instance.fuel_capacity
-    exit_fuel = problem.exit_fuel
+    exit_fuel = problem.exit_fuel_list
     nd = instance.n_depots
     probs = [s.probability for s in gamma]
+    suffix = [0.0] * (last + 1)
+    for pos in range(last - 1, -1, -1):
+        suffix[pos] = cost[route[pos]][route[pos + 1]] + suffix[pos + 1]
+    slack = [_BOUND_EPS + METRIC_TOL * ((last - pos) + last) for pos in range(last + 1)]
 
     def leaf_value(realized: tuple[int, ...]) -> Optional[float]:
         total = 0.0
         for a, b in zip(realized, realized[1:]):
-            total += float(cost[a, b])
+            total += cost[a][b]
         for k, s in enumerate(gamma):
             b = route_beta(realized, s, instance, tables[k])
             if not math.isfinite(b):
@@ -208,7 +224,7 @@ def _pattern_score(
 
     def dfs(pos: int, used: float, stage1: float, prefix: list[int]) -> None:
         nonlocal best_realized, best_score
-        if best_score is not None and stage1 > best_score + 1e-12:
+        if best_score is not None and stage1 + suffix[pos] > best_score + slack[pos]:
             return
         if pos == last:
             realized = tuple(prefix)
@@ -221,29 +237,26 @@ def _pattern_score(
             return
         v = route[pos]
         nxt = route[pos + 1]
+        fuel_v = fuel[v]
+        cost_v = cost[v]
         # fly the edge as planned
-        u2 = used + fuel[v, nxt]
+        u2 = used + fuel_v[nxt]
         if u2 <= cap and (nxt < nd or u2 + exit_fuel[nxt] <= cap):
             prefix.append(nxt)
-            dfs(pos + 1, 0.0 if nxt < nd else u2, stage1 + float(cost[v, nxt]), prefix)
+            dfs(pos + 1, 0.0 if nxt < nd else u2, stage1 + cost_v[nxt], prefix)
             prefix.pop()
         # or insert one refuel depot on the edge
         for d in range(nd):
             if d == v or d == nxt:
                 continue
-            if used + fuel[v, d] > cap:
+            if used + fuel_v[d] > cap:
                 continue
-            u3 = float(fuel[d, nxt])
+            u3 = fuel[d][nxt]
             if u3 > cap or (nxt >= nd and u3 + exit_fuel[nxt] > cap):
                 continue
             prefix.append(d)
             prefix.append(nxt)
-            dfs(
-                pos + 1,
-                0.0 if nxt < nd else u3,
-                stage1 + float(cost[v, d]) + float(cost[d, nxt]),
-                prefix,
-            )
+            dfs(pos + 1, 0.0 if nxt < nd else u3, stage1 + cost_v[d] + cost[d][nxt], prefix)
             prefix.pop()
             prefix.pop()
 
@@ -425,7 +438,7 @@ def solve_evp(
         fuel_override=None if mean_fuel is None else np.array(mean_fuel, dtype=float),
     )
     if engine == "auto":
-        engine = "exact" if instance.n_targets <= SAA_TARGET_LIMIT else "greedy"
+        engine = "exact" if instance.n_targets <= EXACT_TARGET_LIMIT else "greedy"
     if engine == "exact":
         sol = solve_deterministic_exact(problem, config)
     elif engine == "greedy":
@@ -489,19 +502,8 @@ def make_report(
         ub=ub,
         h=h,
         solution=solution,
-        vss=0.0,
-        vss_pct=0.0,
+        vss=None,
+        vss_pct=None,
     )
     vss, pct = compute_vss(report)
-    return SaaReport(
-        instance_name=instance_name,
-        ev=ev_solution.cost,
-        ev_optimal=ev_solution.optimal,
-        eev=eev,
-        lb=lb,
-        ub=ub,
-        h=h,
-        solution=solution,
-        vss=vss,
-        vss_pct=pct,
-    )
+    return replace(report, vss=vss, vss_pct=pct)

@@ -16,6 +16,7 @@ import numpy as np
 
 from fcmurp.detsolve import DetProblem, branching_order
 from fcmurp.model import Instance, RouteSet, Scenario, ScenarioSet
+from fcmurp.recourse import route_beta
 
 
 def recompute_weights(instance, delta, solutions):
@@ -111,6 +112,41 @@ def best_insertion(seq: Sequence[int], problem: DetProblem):
     for a, b in zip(realized, realized[1:]):
         total += float(problem.cost[a, b])
     return realized, total
+
+
+def best_pattern_by_enumeration(seq, instance: Instance, gamma: ScenarioSet, tables):
+    """Minimum sampled value of one route over every insertion pattern.
+
+    Keeps the nominally feasible patterns, drops any with an unrecoverable
+    scenario, and folds the value as the pattern search's leaves do: realized
+    edge costs left to right, then probability-weighted recourse scenario by
+    scenario. Returns (value, every realized route attaining it) or None.
+    """
+    problem = DetProblem(instance)
+    best_value = None
+    best_routes: list = []
+    for realized, _, _ in insertion_patterns(seq, problem):
+        if not walk_feasible(realized, instance.nominal_fuel, instance):
+            continue
+        value = 0.0
+        for a, b in zip(realized, realized[1:]):
+            value += float(instance.cost[a, b])
+        recoverable = True
+        for k, s in enumerate(gamma):
+            beta = route_beta(realized, s, instance, tables[k])
+            if math.isinf(beta):
+                recoverable = False
+                break
+            value += s.probability * beta
+        if not recoverable:
+            continue
+        if best_value is None or value < best_value:
+            best_value, best_routes = value, [realized]
+        elif value == best_value:
+            best_routes.append(realized)
+    if best_value is None:
+        return None
+    return best_value, tuple(best_routes)
 
 
 def route_set_candidates(problem: DetProblem):

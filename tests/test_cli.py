@@ -6,8 +6,11 @@ import os
 import pytest
 from click.testing import CliRunner
 
+import fcmurp.cli
+import fcmurp.stochsolve
 from fcmurp.cli import main
 from fcmurp.files import CSV_HEADER
+from fcmurp.instgen import SamplerError
 
 
 @pytest.fixture
@@ -278,6 +281,38 @@ def test_evaluate_scores_and_merges(runner, tmp_path):
     )
     assert mismatched.exit_code == 3
     assert "mixed-sample" in mismatched.output
+
+
+def test_sampler_errors_exit_1_with_a_one_line_message(runner, tmp_path, monkeypatch):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    evp = str(tmp_path / "evp")
+    assert runner.invoke(main, solve_args(src, evp, "evp")).exit_code == 0
+    message = "no acceptable congested draw in 3 tries"
+
+    def refuse(*args, **kwargs):
+        raise SamplerError(message)
+
+    monkeypatch.setattr(fcmurp.cli, "sample_scenarios", refuse)
+    monkeypatch.setattr(fcmurp.stochsolve, "sample_scenarios", refuse)
+    evaluate = [
+        "evaluate",
+        "--instance",
+        os.path.join(src, "instance.json"),
+        "--solution",
+        os.path.join(evp, "solution.json"),
+        "--quadrants",
+        os.path.join(src, "quadrants.json"),
+    ]
+    for args in (
+        solve_args(src, str(tmp_path / "saa"), "saa"),
+        solve_args(src, str(tmp_path / "heur"), "heuristic"),
+        evaluate,
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert res.output.splitlines()[-1] == f"Error: {message}"
+        assert "Traceback" not in res.output
 
 
 def test_report_renders_both_formats(runner, tmp_path):

@@ -1,5 +1,6 @@
 """Sampled two-stage solving, bound estimators, and the VSS pipeline."""
 
+import itertools
 import math
 import statistics
 
@@ -7,12 +8,18 @@ import numpy as np
 import pytest
 
 from conftest import make_case, make_scenarios, point_mass, square_instance
-from fcmurp.detsolve import DetSolution, solve_deterministic_exact
+from fcmurp.detsolve import (
+    DetProblem,
+    DetSolution,
+    optimal_depot_insertion,
+    solve_deterministic_exact,
+)
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, make_instance, route_cost
-from fcmurp.recourse import PenaltyPolicy, evaluate_recourse
+from fcmurp.recourse import PenaltyPolicy, evaluate_recourse, precompute_best_depot
 from fcmurp.stochsolve import (
     BoundEstimate,
     SaaConfig,
+    _pattern_score,
     SaaReport,
     compute_vss,
     evaluate_eev,
@@ -24,7 +31,7 @@ from fcmurp.stochsolve import (
     solve_evp,
     solve_saa_problem,
 )
-from oracles import enumerate_saa, recourse_by_enumeration
+from oracles import best_pattern_by_enumeration, enumerate_saa, recourse_by_enumeration
 
 
 def plan_value(routes, gamma, instance):
@@ -47,6 +54,66 @@ def test_sampled_solver_matches_double_enumeration():
         assert sol.optimal
         assert sol.value == pytest.approx(ref[1], abs=1e-9)
         assert sol.value == pytest.approx(plan_value(sol.routes, gamma, inst), abs=1e-12)
+
+
+def check_pattern_search(seq, inst, problem, gamma):
+    """Pattern search vs enumeration: exact value, attaining route, tie-break.
+
+    The search scores the deterministic optimum first and then accepts only
+    strict improvements in enumeration order, so among tied optima it keeps
+    the deterministic pattern if that ties, else the first one enumerated.
+    Returns the number of tied optima (0 when nothing is recoverable).
+    """
+    tables = tuple(precompute_best_depot(inst, s) for s in gamma)
+    got = _pattern_score(seq, inst, problem, gamma, tables)
+    ref = best_pattern_by_enumeration(seq, inst, gamma, tables)
+    if ref is None:
+        assert got is None
+        return 0
+    assert got is not None
+    realized, value = got
+    assert value == ref[0]
+    assert realized in ref[1]
+    base = optimal_depot_insertion(seq, problem)[0]
+    assert realized == (base if base in ref[1] else ref[1][0])
+    return len(ref[1])
+
+
+def test_pattern_search_matches_pattern_enumeration_exactly():
+    rng = np.random.default_rng(2024)
+    scored = 0
+    for seed, vehicles in ((5, 1), (9, 2), (21, 1), (33, 2)):
+        inst, qmap = make_case(seed=seed, n_targets=5, vehicles=vehicles)
+        problem = DetProblem(inst)
+        samples = [point_mass(inst)] + [
+            make_scenarios(inst, qmap, seed=seed + 100 * count, count=count)
+            for count in (1, 2, 3)
+        ]
+        for gamma in samples:
+            for length in (2, 3, 4):
+                seq = tuple(int(t) for t in rng.permutation(inst.target_indices)[:length])
+                scored += check_pattern_search(seq, inst, problem, gamma) > 0
+    assert scored > 0
+
+
+def test_pattern_search_keeps_the_tie_break_on_a_symmetric_layout():
+    # depot 1 at (0, 8) and home mirror each other about the edge between
+    # targets 2 and 3, so detours through either cost exactly the same
+    inst = make_instance(
+        target_coords=[(-3.0, 4.0), (3.0, 4.0), (0.0, -4.0)],
+        refuel_coords=[(0.0, 8.0)],
+        home_coord=(0.0, 0.0),
+        vehicles=1,
+        fuel_factor=1.6,
+    )
+    problem = DetProblem(inst)
+    ties = 0
+    for scale in (1.0, 1.2):
+        gamma = point_mass(inst, scale=scale)
+        for length in (2, 3):
+            for seq in itertools.permutations(inst.target_indices, length):
+                ties += check_pattern_search(seq, inst, problem, gamma) > 1
+    assert ties > 0
 
 
 def test_point_mass_sample_reduces_to_the_deterministic_problem():
