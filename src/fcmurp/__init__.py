@@ -61,7 +61,6 @@ from .stochsolve import (
     saa_lower_bound,
     saa_upper_bound,
     solve_evp,
-    evaluate_eev,
     compute_vss,
     make_report,
 )

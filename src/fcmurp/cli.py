@@ -45,22 +45,19 @@ from .files import (
 from .heuristics import TabuParams, construct_detailed, neighborhood, tabu_improve
 from .instgen import (
     GenConfig,
+    QuadrantMapError,
     SamplerError,
     assign_quadrants,
     generate_instance,
     sample_scenarios,
 )
-from .model import Instance, RouteSet, ScenarioSet
-from .recourse import (
-    PenaltyPolicy,
-    evaluate_recourse,
-    precompute_best_depot,
-    recourse_oracle,
-)
+from .model import Instance, RouteSet
+from .recourse import evaluate_recourse, recourse_oracle
 from .stochsolve import (
     SAA_SAMPLE_LIMIT,
     SaaConfig,
     SaaReport,
+    UpperBoundResult,
     compute_vss,
     gamma_seed,
     lambda_seed,
@@ -86,7 +83,7 @@ def _translate_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ArtifactError as exc:
+        except (ArtifactError, QuadrantMapError) as exc:
             raise _ExitError(str(exc), 3) from None
         except SamplerError as exc:
             raise _ExitError(str(exc), 1) from None
@@ -133,6 +130,7 @@ def _write_manifest(
     config: dict,
     seeds: dict,
     stages: dict,
+    counters: dict,
     started: str,
 ) -> None:
     doc = {
@@ -146,6 +144,7 @@ def _write_manifest(
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
         "stage_seconds": stages,
+        "counters": counters,
     }
     write_document(doc, os.path.join(out_dir, "manifest.json"))
 
@@ -161,18 +160,16 @@ def _dedup_routes(route_sets: Sequence[RouteSet]) -> list[RouteSet]:
     return out
 
 
-def _shared_policy(
-    instance: Instance, lam: ScenarioSet, candidates: Sequence[RouteSet]
-) -> PenaltyPolicy:
-    """One penalty over every candidate so penalized scores stay comparable."""
-    tables = [precompute_best_depot(instance, s) for s in lam]
-    observed = []
-    for cand in candidates:
-        for k, s in enumerate(lam):
-            plan = evaluate_recourse(cand, s, instance, tables[k])
-            if plan.feasible:
-                observed.append(plan.beta)
-    return PenaltyPolicy.from_betas(instance, observed)
+def _scoring_counters(lambda_size: int, scored: UpperBoundResult) -> dict:
+    """Deterministic work counters of the out-of-sample pass."""
+    shares = scored.recourse_shares
+    return {
+        "lambda_scenarios": lambda_size,
+        "scored_route_sets": len(shares),
+        "recourse_share": {"candidates": list(shares[:-1]), "ev": shares[-1]},
+        "penalized_scenarios": scored.penalized_scenarios,
+        "no_recourse": not any(shares),
+    }
 
 
 @click.group()
@@ -282,6 +279,7 @@ def solve(
     stages: dict = {}
     seeds: dict = {"base": seed}
     extras: dict = {}
+    counters: dict = {}
 
     if mode == "evp":
         with _timed(stages, "evp"):
@@ -325,19 +323,15 @@ def solve(
             ev = solve_evp(instance, engine=engine)
         click.echo(f"evaluating {len(candidates)} candidates on {lambda_size}", err=True)
         with _timed(stages, "upper_bound"):
-            policy = _shared_policy(instance, lam, list(candidates) + [ev.routes])
-            ub = saa_upper_bound(candidates, lam, instance, policy)
-            eev = saa_upper_bound([ev.routes], lam, instance, policy)
+            ub = saa_upper_bound(candidates, lam, instance, reference=ev.routes)
         report = make_report(
-            name, ev, eev.estimate, ub.routes, lb=lb.estimate, ub=ub.estimate
+            name, ev, ub.reference, ub.routes, lb=lb.estimate, ub=ub.estimate
         )
         solution, meta = ub.routes, {"mode": "saa", "candidate_index": ub.index}
         seeds["gamma"] = list(lb.gamma_seeds)
         seeds["lambda"] = lambda_seed(seed)
-        extras = {
-            "penalty": policy.nu,
-            "penalized_scenarios": ub.penalized_scenarios + eev.penalized_scenarios,
-        }
+        extras = {"penalty": ub.penalty}
+        counters = _scoring_counters(lambda_size, ub)
     else:
         params = TabuParams(
             iterations=iterations, stall_limit=stall_limit, tenure=tenure
@@ -371,17 +365,13 @@ def solve(
             ev = solve_evp(instance, engine=engine)
         click.echo(f"evaluating {len(candidates)} candidates on {lambda_size}", err=True)
         with _timed(stages, "upper_bound"):
-            policy = _shared_policy(instance, lam, list(candidates) + [ev.routes])
-            best = saa_upper_bound(candidates, lam, instance, policy)
-            eev = saa_upper_bound([ev.routes], lam, instance, policy)
-        report = make_report(name, ev, eev.estimate, best.routes, h=best.estimate)
+            best = saa_upper_bound(candidates, lam, instance, reference=ev.routes)
+        report = make_report(name, ev, best.reference, best.routes, h=best.estimate)
         solution, meta = best.routes, {"mode": "heuristic", "candidate_index": best.index}
         seeds["gamma"] = gamma_seeds
         seeds["lambda"] = lambda_seed(seed)
-        extras = {
-            "penalty": policy.nu,
-            "penalized_scenarios": best.penalized_scenarios + eev.penalized_scenarios,
-        }
+        extras = {"penalty": best.penalty}
+        counters = _scoring_counters(lambda_size, best)
 
     solution_path = os.path.join(out, "solution.json")
     result_path = os.path.join(out, "result.json")
@@ -402,7 +392,7 @@ def solve(
         "name": name,
         **extras,
     }
-    _write_manifest(out, "solve", config_echo, seeds, stages, started)
+    _write_manifest(out, "solve", config_echo, seeds, stages, counters, started)
     click.echo(f"EV = {report.ev!r}")
     if report.eev is not None:
         click.echo(f"EEV = {report.eev.mean!r}")
@@ -440,7 +430,7 @@ def evaluate(
     """Score a solution out of sample; optionally merge into a result file."""
     seed = _effective_seed(seed)
     instance = _read_instance(instance_path)
-    routes, _ = solution_from_doc(read_document(solution_path, kind="solution"))
+    routes, _ = solution_from_doc(read_document(solution_path, kind="solution"), instance)
     if scenarios_path is not None:
         lam = scenarios_from_doc(read_document(scenarios_path, kind="scenario_set"))
     else:

@@ -17,7 +17,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instgen import QuadrantMap
-from .model import Instance, RouteSet, Scenario, ScenarioSet
+from .model import (
+    Instance,
+    RouteSet,
+    RouteStructureError,
+    Scenario,
+    ScenarioSet,
+    check_route_structure,
+    validate_instance,
+)
 from .stochsolve import BoundEstimate, SaaReport
 
 __all__ = [
@@ -117,8 +125,9 @@ def instance_to_doc(instance: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Instance:
+    """Rebuild an instance; fatal validation issues are artifact errors."""
     try:
-        return Instance(
+        instance = Instance(
             vertices=tuple(doc["vertices"]),
             n_refuel=int(doc["n_refuel"]),
             coordinates=_from_matrix(doc["coordinates"]),
@@ -130,8 +139,13 @@ def instance_from_doc(doc: dict) -> Instance:
             grid=None if doc.get("grid") is None else float(doc["grid"]),
             metric=bool(doc["metric"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed instance document: {exc}") from None
+    issues = validate_instance(instance)
+    if issues.fatal:
+        fatal = "; ".join(i.message for i in issues.issues if i.fatal)
+        raise ArtifactError(f"invalid instance document: {fatal}")
+    return instance
 
 
 def quadrants_to_doc(qmap: QuadrantMap) -> dict:
@@ -195,11 +209,19 @@ def solution_to_doc(routes: RouteSet, meta: Optional[dict] = None) -> dict:
     return doc
 
 
-def solution_from_doc(doc: dict) -> tuple[RouteSet, dict]:
+def solution_from_doc(
+    doc: dict, instance: Optional[Instance] = None
+) -> tuple[RouteSet, dict]:
+    """Rebuild a solution; with ``instance``, its route structure is checked."""
     try:
         routes = RouteSet(tuple(tuple(int(v) for v in r) for r in doc["routes"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed solution document: {exc}") from None
+    if instance is not None:
+        try:
+            check_route_structure(routes, instance)
+        except RouteStructureError as exc:
+            raise ArtifactError(f"solution does not fit the instance: {exc}") from None
     return routes, doc.get("meta", {})
 
 

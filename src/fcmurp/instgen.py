@@ -4,14 +4,17 @@ All randomness flows through numpy's seeded 64-bit PCG64 generator. Substreams
 are derived per purpose (coordinates, quadrant roles, each scenario) from a
 ``SeedSequence`` over ``(seed, stream tag, ...)`` so results do not depend on
 evaluation order or thread count. Gamma variates come from the generator's
-built-in sampler (Marsaglia-Tsang for shape >= 1).
+built-in sampler (Marsaglia-Tsang for shape >= 1). The scenario sampler
+draws them in blocks of ``standard_gamma`` and multiplies each by its edge's
+scale, which on PCG64 equals one ``gamma(shape, scale)`` call per draw, bit
+for bit; a scenario owns its substream, so unused variates at the end of a
+block change nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +24,7 @@ __all__ = [
     "GenConfig",
     "QuadrantMap",
     "SamplerError",
+    "QuadrantMapError",
     "generate_instance",
     "assign_quadrants",
     "sample_scenarios",
@@ -39,6 +43,10 @@ MEAN = "mean"
 
 class SamplerError(RuntimeError):
     """Conditional sampling failed to accept a draw within the retry budget."""
+
+
+class QuadrantMapError(ValueError):
+    """A quadrant map that does not label the instance's vertices."""
 
 
 def _substream(*key: int) -> np.random.Generator:
@@ -173,25 +181,30 @@ def _edge_label(qmap: QuadrantMap, i: int, j: int) -> str:
     return MEAN
 
 
-def _conditional_gamma(
-    rng: np.random.Generator,
-    shape: float,
-    scale: float,
-    mean: float,
-    label: str,
-) -> float:
-    if label == MEAN:
-        return mean
-    for _ in range(REJECTION_LIMIT):
-        draw = float(rng.gamma(shape, scale))
-        if label == CONGESTED and draw >= mean:
-            return draw
-        if label == SPARSE and draw <= mean:
-            return draw
-    raise SamplerError(
-        f"no acceptable {label} draw in {REJECTION_LIMIT} tries "
-        f"(shape={shape}, scale={scale}, mean={mean})"
-    )
+def _gamma_edges(
+    instance: Instance, qmap: QuadrantMap, gamma_scale_ratio: float
+) -> tuple[np.ndarray, np.ndarray, list[tuple[bool, float, float]]]:
+    """Non-neutral directed edges in row-major order.
+
+    Returns their row and column indices and, per edge, whether it is
+    congested (else sparse), its mean and its gamma scale.
+    """
+    mean_rows = instance.nominal_fuel.tolist()
+    rows, cols, specs = [], [], []
+    for i, row in enumerate(mean_rows):
+        for j, mean in enumerate(row):
+            if i == j:
+                continue
+            label = _edge_label(qmap, i, j)
+            if label == MEAN:
+                continue
+            scale = gamma_scale_ratio * mean
+            if scale < 0:
+                raise ValueError(f"negative gamma scale {scale!r} on edge ({i}, {j})")
+            rows.append(i)
+            cols.append(j)
+            specs.append((label == CONGESTED, mean, scale))
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), specs
 
 
 def sample_scenarios(
@@ -206,33 +219,62 @@ def sample_scenarios(
 ) -> ScenarioSet:
     """Draw equiprobable fuel scenarios correlated by quadrant role.
 
-    Every directed edge touching the congested quadrant is conditioned at or
-    above its mean, edges touching only sparse-or-neutral quadrants at or
-    below it, and purely neutral edges consume exactly the mean. Each
-    scenario uses its own substream of ``seed`` so the set is reproducible
-    regardless of sampling order.
+    An edge is labelled by its endpoints' quadrant roles: every directed
+    edge with a congested endpoint is rejection-sampled at or above its
+    mean, edges with a sparse but no congested endpoint at or below it, and
+    purely neutral edges consume exactly the mean. Draws are gamma with
+    shape ``gamma_shape`` and scale ``gamma_scale_ratio`` times the edge's
+    nominal fuel; each try consumes one variate, at most ``REJECTION_LIMIT``
+    per edge, edges taken in row-major order. Each scenario uses its own
+    substream of ``seed``, so the set is reproducible regardless of sampling
+    order. Variates are drawn in blocks of standard gamma and scaled one by
+    one, which reproduces per-draw ``rng.gamma`` calls bit for bit.
     """
     if count < 1:
         raise ValueError("need at least one scenario")
     if distribution not in ("gamma", "point-mass"):
         raise ValueError(f"unsupported distribution {distribution!r}")
     n = instance.n_vertices
+    if len(qmap.vertex_labels) != n:
+        raise QuadrantMapError(
+            f"quadrant map labels {len(qmap.vertex_labels)} vertices, "
+            f"instance has {n}"
+        )
     mean_fuel = instance.nominal_fuel
+    if distribution == "gamma":
+        rows, cols, specs = _gamma_edges(instance, qmap, gamma_scale_ratio)
+    else:
+        rows, cols, specs = None, None, []
+    block_size = 3 * len(specs)
+    limit = REJECTION_LIMIT
     prob = 1.0 / count
     scenarios = []
     for sid in range(count):
         fuel = np.array(mean_fuel, dtype=float)
-        if distribution == "gamma":
+        if specs:
             rng = _substream(seed, _STREAM_SCENARIO, sid)
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    edge_label = _edge_label(qmap, i, j)
-                    mean = float(mean_fuel[i, j])
-                    fuel[i, j] = _conditional_gamma(
-                        rng, gamma_shape, gamma_scale_ratio * mean, mean, edge_label
-                    )
+            block = rng.standard_gamma(gamma_shape, size=block_size).tolist()
+            k = 0
+            values = []
+            for congested, mean, scale in specs:
+                tries = 0
+                while True:
+                    if k == block_size:
+                        block = rng.standard_gamma(gamma_shape, size=block_size).tolist()
+                        k = 0
+                    value = block[k] * scale
+                    k += 1
+                    if (value >= mean) if congested else (value <= mean):
+                        break
+                    tries += 1
+                    if tries >= limit:
+                        role = CONGESTED if congested else SPARSE
+                        raise SamplerError(
+                            f"no acceptable {role} draw in {limit} tries "
+                            f"(shape={gamma_shape}, scale={scale}, mean={mean})"
+                        )
+                values.append(value)
+            fuel[rows, cols] = values
         scenarios.append(Scenario(id=sid, probability=prob, fuel=fuel))
     if not label:
         label = f"{distribution}:seed={seed}:count={count}"

@@ -118,6 +118,11 @@ class Instance:
         return self.vertices.index(vertex_id)
 
     @cached_property
+    def cost_rows(self) -> list[list[float]]:
+        """``cost`` as list rows, for scalar hot loops (same floats)."""
+        return self.cost.tolist()
+
+    @cached_property
     def min_exit_fuel(self) -> np.ndarray:
         """Per-vertex cheapest nominal fuel to reach any depot."""
         return min_exit_fuel(self.nominal_fuel, self.n_depots)
@@ -352,7 +357,14 @@ def validate_instance(
         off = ~np.eye(n, dtype=bool)
         if not np.all(mat[off] > 0):
             issues.append(ValidationIssue(f"{name} has non-positive off-diagonal entries"))
-    if instance.cost.shape == (n, n) and instance.nominal_fuel.shape == (n, n):
+    coords_ok = instance.coordinates.shape == (n, 2)
+    if not coords_ok:
+        issues.append(
+            ValidationIssue(
+                f"coordinates shape {instance.coordinates.shape} != ({n}, 2)", fatal=True
+            )
+        )
+    if coords_ok and instance.cost.shape == (n, n) and instance.nominal_fuel.shape == (n, n):
         lam = recompute_lambda(instance)
         if abs(lam - instance.lam) > 1e-6:
             issues.append(

@@ -7,13 +7,16 @@ Edges already touching a depot are flown as planned. ``evaluate_recourse``
 solves this exactly with a per-leg shortest-path DP; ``recourse_oracle``
 re-derives the same answer by enumerating every keep/detour subset and exists
 purely as a cross-check. Both accumulate fuel and cost strictly left to right
-along each route so that agreement is exact, not approximate.
+along each route so that agreement is exact, not approximate. The DP reads
+list rows cached on the instance and the best-depot table; the oracle walks
+the numpy matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,16 +43,28 @@ class BestDepotTable:
 
     ``depot[i, j]`` is the depot index minimizing ``fuel[i, d] + fuel[d, j]``
     under one scenario's realization, ties going to the smallest index;
-    ``through_fuel`` holds the minimized value.
+    ``through_fuel`` holds the minimized value and ``fuel`` is the
+    realization itself. The evaluators read the cached list rows
+    (``depot_rows``, ``fuel_rows``), which hold the same numbers as the
+    arrays.
     """
 
     scenario_id: int
     depot: np.ndarray
     through_fuel: np.ndarray
+    fuel: np.ndarray
 
     def __post_init__(self) -> None:
         self.depot.flags.writeable = False
         self.through_fuel.flags.writeable = False
+
+    @cached_property
+    def depot_rows(self) -> list[list[int]]:
+        return self.depot.tolist()
+
+    @cached_property
+    def fuel_rows(self) -> list[list[float]]:
+        return self.fuel.tolist()
 
 
 @dataclass(frozen=True)
@@ -88,18 +103,19 @@ def precompute_best_depot(instance: Instance, scenario: Scenario) -> BestDepotTa
     through = f[:, :nd].T[:, :, None] + f[:nd, :][:, None, :]
     depot = through.argmin(axis=0).astype(np.int64)
     value = through.min(axis=0)
-    return BestDepotTable(scenario_id=scenario.id, depot=depot, through_fuel=value)
+    return BestDepotTable(scenario_id=scenario.id, depot=depot, through_fuel=value, fuel=f)
 
 
-def _detour_increment(cost: np.ndarray, i: int, d: int, j: int) -> float:
-    return (cost[i, d] + cost[d, j]) - cost[i, j]
+def _detour_increment(cost, i: int, d: int, j: int) -> float:
+    """Extra cost of flying i -> d -> j instead of i -> j (rows or array)."""
+    return (cost[i][d] + cost[d][j]) - cost[i][j]
 
 
 def _plan_beta(
     routes: RouteSet,
     detours: Sequence[tuple[int, int]],
     depots: dict[tuple[int, int], int],
-    cost: np.ndarray,
+    cost,
 ) -> float:
     """Left-to-right sum of detour increments over the whole plan."""
     total = 0.0
@@ -114,10 +130,10 @@ def _leg_best(
     route: tuple[int, ...],
     a: int,
     b: int,
-    fuel: np.ndarray,
-    cost: np.ndarray,
+    fuel: list[list[float]],
+    cost: list[list[float]],
     cap: float,
-    dep_of: np.ndarray,
+    dep_of: list[list[int]],
     nd: int,
 ):
     """Cheapest detour pattern for one depot-to-depot leg, or None.
@@ -125,7 +141,8 @@ def _leg_best(
     Shortest path over reset points: the leg's opening depot plus one
     optional mid-edge depot per target-to-target edge. Fuel along every arc
     is accumulated edge by edge in route order so feasibility decisions match
-    the enumeration oracle bit for bit.
+    the enumeration oracle bit for bit. ``fuel``, ``cost`` and ``dep_of`` are
+    list rows of the realization, the instance costs and the best-depot table.
     """
     cands = [p for p in range(a, b) if route[p] >= nd and route[p + 1] >= nd]
     cand_pos = {p: idx for idx, p in enumerate(cands)}
@@ -143,26 +160,36 @@ def _leg_best(
                     end_val = value
                 return
             v, nxt = route[pos], route[pos + 1]
+            fuel_v = fuel[v]
             idx = cand_pos.get(pos)
             if idx is not None:
-                d = dep_of[v, nxt]
-                if running + fuel[v, d] <= cap:
+                d = dep_of[v][nxt]
+                if running + fuel_v[d] <= cap:
+                    cost_v = cost[v]
+                    # the detour increment, same fold as _detour_increment
                     cand = (
-                        value[0] + _detour_increment(cost, v, d, nxt),
+                        value[0] + ((cost_v[d] + cost[d][nxt]) - cost_v[nxt]),
                         value[1] + (pos,),
                     )
                     if node_val[idx] is None or cand < node_val[idx]:
                         node_val[idx] = cand
-            running = running + fuel[v, nxt]
+            running = running + fuel_v[nxt]
             pos += 1
 
     sweep((0.0, ()), a, 0.0)
     for idx, p in enumerate(cands):
         if node_val[idx] is None:
             continue
-        d = dep_of[route[p], route[p + 1]]
-        sweep(node_val[idx], p + 1, float(fuel[d, route[p + 1]]))
+        d = dep_of[route[p]][route[p + 1]]
+        sweep(node_val[idx], p + 1, fuel[d][route[p + 1]])
     return end_val
+
+
+def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, list]:
+    """Fuel and best-depot rows for one scenario under a given table."""
+    if table.fuel is scenario.fuel:
+        return table.fuel_rows, table.depot_rows
+    return scenario.fuel.tolist(), table.depot_rows
 
 
 def evaluate_recourse(
@@ -186,11 +213,10 @@ def evaluate_recourse(
         )
     if table is None:
         table = precompute_best_depot(instance, scenario)
-    fuel = scenario.fuel
-    cost = instance.cost
+    fuel, dep_of = _rows(scenario, table)
+    cost = instance.cost_rows
     cap = instance.fuel_capacity
     nd = instance.n_depots
-    dep_of = table.depot
     detours: list[tuple[int, int]] = []
     depots: dict[tuple[int, int], int] = {}
     for r, route in enumerate(routes.routes):
@@ -202,7 +228,7 @@ def evaluate_recourse(
             for p in leg[1]:
                 key = (r, p)
                 detours.append(key)
-                depots[key] = int(dep_of[route[p], route[p + 1]])
+                depots[key] = dep_of[route[p]][route[p + 1]]
     ordered = tuple(sorted(detours))
     beta = _plan_beta(routes, ordered, depots, cost)
     return RecoursePlan(scenario.id, ordered, depots, beta, True)
@@ -251,14 +277,15 @@ def route_beta(
     """
     if table is None:
         table = precompute_best_depot(instance, scenario)
-    fuel = scenario.fuel
+    fuel, dep_of = _rows(scenario, table)
+    cost = instance.cost_rows
     cap = instance.fuel_capacity
     nd = instance.n_depots
     route = tuple(route)
     stops = [p for p, v in enumerate(route) if v < nd]
     total = 0.0
     for a, b in zip(stops, stops[1:]):
-        leg = _leg_best(route, a, b, fuel, instance.cost, cap, table.depot, nd)
+        leg = _leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
         if leg is None:
             return math.inf
         total += leg[0]

@@ -5,7 +5,7 @@ recourse cost over a scenario sample. ``solve_saa_problem`` searches route
 sets exactly, jointly optimizing each route's depot-insertion pattern against
 the sampled objective; replication means give a statistical lower bound and
 out-of-sample evaluation an upper bound. The mean-value pipeline (EV, EEV,
-VSS) reuses the same evaluation machinery.
+VSS) scores its routes in the same out-of-sample pass.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "saa_lower_bound",
     "saa_upper_bound",
     "solve_evp",
-    "evaluate_eev",
     "compute_vss",
     "make_report",
 ]
@@ -146,11 +145,25 @@ class LowerBoundResult:
 
 @dataclass(frozen=True)
 class UpperBoundResult:
+    """Out-of-sample scores from one pass over the evaluation sample.
+
+    ``routes``/``estimate``/``index`` describe the cheapest candidate and
+    ``reference`` the optional reference route set (for instance the
+    mean-value solution, giving EEV). ``penalized_scenarios`` counts the
+    scenarios charged ``penalty`` for the chosen candidate plus the
+    reference. ``recourse_shares`` holds, per scored route set (candidates
+    in order, then the reference), the share of scenarios whose plan detours
+    or that no plan recovers.
+    """
+
     routes: RouteSet
     estimate: BoundEstimate
     per_candidate: tuple[float, ...]
     index: int
     penalized_scenarios: int
+    penalty: float
+    reference: Optional[BoundEstimate]
+    recourse_shares: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -359,65 +372,58 @@ def saa_lower_bound(
     return LowerBoundResult(estimate=estimate, solutions=solutions, gamma_seeds=seeds)
 
 
-def _candidate_values(
-    routes: RouteSet,
-    lam: ScenarioSet,
-    instance: Instance,
-    tables: Sequence[BestDepotTable],
-    nu: float,
-) -> tuple[list[float], int]:
-    stage1 = route_cost(routes, instance)
-    values = []
-    penalized = 0
-    for k, s in enumerate(lam):
-        plan = evaluate_recourse(routes, s, instance, tables[k])
-        if plan.feasible:
-            values.append(stage1 + plan.beta)
-        else:
-            values.append(stage1 + nu)
-            penalized += 1
-    return values, penalized
-
-
 def saa_upper_bound(
     candidates: Sequence[RouteSet],
     lam: ScenarioSet,
     instance: Instance,
     policy: Optional[PenaltyPolicy] = None,
+    reference: Optional[RouteSet] = None,
 ) -> UpperBoundResult:
     """Out-of-sample cost of each candidate; returns the argmin.
 
-    Per-scenario values are first-stage cost plus that scenario's recourse
-    cost, so the estimate mean is the sampled expectation. Scenarios no
-    detour plan can recover are charged the penalty and counted.
+    One pass over ``lam``: each scenario's best-depot table is built once,
+    every candidate (and ``reference``, when given) gets one recourse
+    evaluation against it, and the table is dropped. Per-scenario values are
+    first-stage cost plus that scenario's recourse cost, so each estimate
+    mean is the sampled expectation. Scenarios no detour plan can recover are
+    charged the penalty and counted; without an explicit ``policy`` the
+    penalty is calibrated on every finite recourse cost of the same pass, so
+    candidate and reference scores stay comparable.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    tables = tuple(precompute_best_depot(instance, s) for s in lam)
+    scored = [*candidates, *([] if reference is None else [reference])]
+    betas: list[list[float]] = [[] for _ in scored]
+    needs_recourse = [0] * len(scored)
+    for s in lam:
+        table = precompute_best_depot(instance, s)
+        for r, routes in enumerate(scored):
+            plan = evaluate_recourse(routes, s, instance, table)
+            betas[r].append(plan.beta)
+            needs_recourse[r] += bool(plan.detoured_edges) or not plan.feasible
     if policy is None:
-        observed: list[float] = []
-        for cand in candidates:
-            for k, s in enumerate(lam):
-                plan = evaluate_recourse(cand, s, instance, tables[k])
-                if plan.feasible:
-                    observed.append(plan.beta)
-        policy = PenaltyPolicy.from_betas(instance, observed)
-    best = None
-    per_candidate = []
-    for idx, cand in enumerate(candidates):
-        values, penalized = _candidate_values(cand, lam, instance, tables, policy.nu)
-        estimate = BoundEstimate.from_values(values, rigorous=True, label=lam.label)
-        per_candidate.append(estimate.mean)
-        key = (estimate.mean, cand.canonical().routes)
-        if best is None or key < best[0]:
-            best = (key, idx, cand, estimate, penalized)
-    _, index, routes, estimate, penalized = best
+        policy = PenaltyPolicy.from_betas(instance, [b for row in betas for b in row])
+    estimates = []
+    penalized = []
+    for routes, row in zip(scored, betas):
+        stage1 = route_cost(routes, instance)
+        values = [stage1 + b if math.isfinite(b) else stage1 + policy.nu for b in row]
+        estimates.append(BoundEstimate.from_values(values, rigorous=True, label=lam.label))
+        penalized.append(sum(not math.isfinite(b) for b in row))
+    # cheapest mean, ties to the smallest canonical route set, then the first
+    index = min(
+        range(len(candidates)),
+        key=lambda i: (estimates[i].mean, candidates[i].canonical().routes),
+    )
     return UpperBoundResult(
-        routes=routes,
-        estimate=estimate,
-        per_candidate=tuple(per_candidate),
+        routes=candidates[index],
+        estimate=estimates[index],
+        per_candidate=tuple(e.mean for e in estimates[: len(candidates)]),
         index=index,
-        penalized_scenarios=penalized,
+        penalized_scenarios=penalized[index] + (0 if reference is None else penalized[-1]),
+        penalty=policy.nu,
+        reference=None if reference is None else estimates[-1],
+        recourse_shares=tuple(k / len(lam) for k in needs_recourse),
     )
 
 
@@ -448,16 +454,6 @@ def solve_evp(
     if sol is None:
         raise RuntimeError("mean-value problem is infeasible")
     return sol
-
-
-def evaluate_eev(
-    routes: RouteSet,
-    lam: ScenarioSet,
-    instance: Instance,
-    policy: Optional[PenaltyPolicy] = None,
-) -> BoundEstimate:
-    """Out-of-sample cost of the mean-value solution."""
-    return saa_upper_bound([routes], lam, instance, policy).estimate
 
 
 def compute_vss(report: SaaReport) -> tuple[float, float]:

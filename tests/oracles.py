@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from fcmurp import instgen
 from fcmurp.detsolve import DetProblem, branching_order
 from fcmurp.model import Instance, RouteSet, Scenario, ScenarioSet
 from fcmurp.recourse import route_beta
@@ -340,3 +341,51 @@ def enumerate_saa(
             if best is None or value < best[1]:
                 best = (realized_set.routes, value)
     return best
+
+
+def sample_scenarios_by_draw(
+    instance: Instance,
+    qmap,
+    seed: int,
+    count: int,
+    gamma_shape: float = 4.0,
+    gamma_scale_ratio: float = 0.25,
+    distribution: str = "gamma",
+) -> ScenarioSet:
+    """Reference sampler: one ``rng.gamma(shape, scale)`` call per try.
+
+    Same streams, edge order, acceptance rule and retry budget as
+    ``instgen.sample_scenarios``, written edge by edge and draw by draw.
+    """
+    n = instance.n_vertices
+    mean_fuel = instance.nominal_fuel
+    scenarios = []
+    for sid in range(count):
+        fuel = np.array(mean_fuel, dtype=float)
+        if distribution == "gamma":
+            rng = instgen._substream(seed, instgen._STREAM_SCENARIO, sid)
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    ends = (qmap.vertex_labels[i], qmap.vertex_labels[j])
+                    if instgen.CONGESTED in ends:
+                        label = instgen.CONGESTED
+                    elif instgen.SPARSE in ends:
+                        label = instgen.SPARSE
+                    else:
+                        continue
+                    mean = float(mean_fuel[i, j])
+                    scale = gamma_scale_ratio * mean
+                    for _ in range(instgen.REJECTION_LIMIT):
+                        draw = float(rng.gamma(gamma_shape, scale))
+                        if draw >= mean if label == instgen.CONGESTED else draw <= mean:
+                            break
+                    else:
+                        raise instgen.SamplerError(
+                            f"no acceptable {label} draw in {instgen.REJECTION_LIMIT} "
+                            f"tries (shape={gamma_shape}, scale={scale}, mean={mean})"
+                        )
+                    fuel[i, j] = draw
+        scenarios.append(Scenario(id=sid, probability=1.0 / count, fuel=fuel))
+    return ScenarioSet(tuple(scenarios), label=f"{distribution}:seed={seed}:count={count}")

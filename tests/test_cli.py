@@ -315,6 +315,106 @@ def test_sampler_errors_exit_1_with_a_one_line_message(runner, tmp_path, monkeyp
         assert "Traceback" not in res.output
 
 
+def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src, targets=5, vehicles=2).exit_code == 0
+    counters = []
+    for k in range(2):
+        out = str(tmp_path / f"heur{k}")
+        args = solve_args(
+            src, out, "heuristic", **{"--iterations": "10", "--stall-limit": "5"}
+        )
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        manifest = read_json(os.path.join(out, "manifest.json"))
+        counters.append(manifest["counters"])
+        assert set(manifest["stage_seconds"]).isdisjoint(manifest["counters"])
+        assert "penalized_scenarios" not in manifest["config"]
+        result = read_json(os.path.join(out, "result.json"))
+        assert "counters" not in result and "no_recourse" not in result
+    assert counters[0] == counters[1]
+    block = counters[0]
+    assert block["lambda_scenarios"] == 30
+    shares = block["recourse_share"]
+    assert block["scored_route_sets"] == len(shares["candidates"]) + 1
+    for share in (*shares["candidates"], shares["ev"]):
+        assert 0.0 <= share <= 1.0 and (share * 30).is_integer()
+    assert block["no_recourse"] == (not any(shares["candidates"]) and not shares["ev"])
+
+
+def test_solve_flags_runs_where_no_scenario_needs_recourse(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    # a generous tank: every sampled scenario is flown as planned
+    assert gen(runner, src, extra=("--fuel-factor", "20")).exit_code == 0
+    out = str(tmp_path / "saa")
+    res = runner.invoke(main, solve_args(src, out, "saa"))
+    assert res.exit_code == 0, res.output
+    counters = read_json(os.path.join(out, "manifest.json"))["counters"]
+    assert counters["no_recourse"] is True
+    assert counters["recourse_share"]["ev"] == 0.0
+    assert counters["penalized_scenarios"] == 0
+
+
+def invoke_one_line_error(runner, args, code):
+    res = runner.invoke(main, args)
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    assert len(res.output.splitlines()) == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    return res.output
+
+
+def test_evaluate_refuses_a_solution_of_another_instance(runner, tmp_path):
+    small = str(tmp_path / "small")
+    big = str(tmp_path / "big")
+    assert gen(runner, small).exit_code == 0
+    assert gen(runner, big, targets=6, vehicles=3).exit_code == 0
+    evp = str(tmp_path / "evp")
+    assert runner.invoke(main, solve_args(small, evp, "evp")).exit_code == 0
+    args = [
+        "evaluate",
+        "--instance", os.path.join(big, "instance.json"),
+        "--solution", os.path.join(evp, "solution.json"),
+        "--quadrants", os.path.join(big, "quadrants.json"),
+        "--lambda", "5",
+    ]
+    output = invoke_one_line_error(runner, args, 3)
+    assert "solution does not fit the instance" in output
+
+
+def test_solve_refuses_a_truncated_cost_matrix(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    path = os.path.join(src, "instance.json")
+    for cut in ("row", "entry"):
+        doc = read_json(path)
+        if cut == "row":
+            doc["cost"] = doc["cost"][:-1]
+        else:
+            doc["cost"][-1] = doc["cost"][-1][:-1]
+        bad = os.path.join(src, f"bad-{cut}.json")
+        with open(bad, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        args = solve_args(src, str(tmp_path / "out"), "saa", **{"--instance": bad})
+        output = invoke_one_line_error(runner, args, 3)
+        assert "instance document" in output
+
+
+def test_solve_refuses_a_quadrant_map_of_another_instance(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    other = str(tmp_path / "other")
+    assert gen(runner, src).exit_code == 0
+    assert gen(runner, other, targets=6, vehicles=2).exit_code == 0
+    args = solve_args(
+        src,
+        str(tmp_path / "out"),
+        "heuristic",
+        **{"--quadrants": os.path.join(other, "quadrants.json")},
+    )
+    output = invoke_one_line_error(runner, args, 3)
+    assert "quadrant map labels 11 vertices, instance has 9" in output
+
+
 def test_report_renders_both_formats(runner, tmp_path):
     src = str(tmp_path / "inst")
     assert gen(runner, src).exit_code == 0

@@ -1,20 +1,27 @@
 """Instance generator and quadrant-correlated scenario sampler."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_case
+from fcmurp import instgen
 from fcmurp.instgen import (
     CONGESTED,
     MEAN,
     SPARSE,
     GenConfig,
+    QuadrantMapError,
+    SamplerError,
     assign_quadrants,
     generate_instance,
     quadrant_of,
     sample_scenarios,
 )
 from fcmurp.model import recompute_lambda, validate_instance
+from oracles import sample_scenarios_by_draw
 
 
 def test_generate_instance_shape_and_capacity():
@@ -143,3 +150,91 @@ def test_gamma_moments_small_sample():
     draws = rng.gamma(4.0, 0.25 * mean, size=200_000)
     assert abs(draws.mean() - mean) / mean < 0.02
     assert abs(draws.std() - 0.5 * mean) / (0.5 * mean) < 0.05
+
+
+def assert_same_fuel(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.id == b.id and a.probability == b.probability
+        assert a.fuel.tobytes() == b.fuel.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed,n_targets,vehicles",
+    [(4, 5, 2), (7, 5, 1), (2, 8, 3), (11, 8, 2), (12, 20, 3), (21, 20, 2)],
+)
+def test_batched_sampler_matches_per_draw_oracle(seed, n_targets, vehicles):
+    inst, qmap = make_case(seed=seed, n_targets=n_targets, vehicles=vehicles)
+    for sample_seed, count in ((seed + 100, 1), (seed * 1_000_003 + 999_983, 50)):
+        got = sample_scenarios(inst, qmap, seed=sample_seed, count=count)
+        assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, sample_seed, count))
+    point = sample_scenarios(inst, qmap, seed=3, count=2, distribution="point-mass")
+    assert_same_fuel(
+        point, sample_scenarios_by_draw(inst, qmap, 3, 2, distribution="point-mass")
+    )
+
+
+def test_batched_sampler_matches_the_oracle_off_the_default_shape():
+    inst, qmap = make_case(seed=4, n_targets=6, vehicles=2)
+    for shape, ratio in ((2.0, 0.5), (9.0, 1.0 / 9.0), (4.5, 0.3)):
+        got = sample_scenarios(
+            inst, qmap, seed=8, count=20, gamma_shape=shape, gamma_scale_ratio=ratio
+        )
+        want = sample_scenarios_by_draw(
+            inst, qmap, 8, 20, gamma_shape=shape, gamma_scale_ratio=ratio
+        )
+        assert_same_fuel(got, want)
+
+
+def test_rejection_limit_error_matches_the_oracle(monkeypatch):
+    inst, qmap = make_case(seed=4, n_targets=8, vehicles=2)
+    monkeypatch.setattr(instgen, "REJECTION_LIMIT", 1)
+    with pytest.raises(SamplerError) as lib:
+        sample_scenarios(inst, qmap, seed=5, count=3)
+    with pytest.raises(SamplerError) as ref:
+        sample_scenarios_by_draw(inst, qmap, 5, 3)
+    assert str(lib.value) == str(ref.value)
+    assert str(lib.value).startswith("no acceptable ")
+    assert " draw in 1 tries (shape=4.0, scale=" in str(lib.value)
+
+
+def test_sampler_refuses_a_quadrant_map_of_another_instance():
+    inst, qmap = make_case(seed=4, n_targets=5, vehicles=2)
+    short = dataclasses.replace(qmap, vertex_labels=qmap.vertex_labels[:-1])
+    with pytest.raises(QuadrantMapError, match="labels 9 vertices, instance has 10"):
+        sample_scenarios(inst, short, seed=1, count=2)
+
+
+def poisson_cdf_below(k: int, x: float) -> float:
+    """P(Poisson(x) < k), which is the regularized upper gamma Q(k, x)."""
+    return math.exp(-x) * math.fsum(x**i / math.factorial(i) for i in range(k))
+
+
+def test_sampler_conditional_means_match_the_closed_form():
+    # shape k = 4, scale mean / 4: a draw is mean * G / 4 with G ~ Gamma(4, 1),
+    # congested edges keep G >= 4 and sparse ones G <= 4, so
+    # E[G | G >= k] = k Q(k+1, k) / Q(k, k) and E[G | G <= k] the lower analogue
+    k = 4
+    upper = poisson_cdf_below(k + 1, k) / poisson_cdf_below(k, k)
+    lower = (1.0 - poisson_cdf_below(k + 1, k)) / (1.0 - poisson_cdf_below(k, k))
+    assert upper == pytest.approx(1.451, abs=5e-4)
+    assert lower == pytest.approx(0.655, abs=5e-4)
+    inst, qmap = make_case(seed=2, n_targets=8, vehicles=3)
+    scen = sample_scenarios(inst, qmap, seed=41, count=400)
+    nominal = inst.nominal_fuel
+    ratios = {CONGESTED: [], SPARSE: [], MEAN: []}
+    n = inst.n_vertices
+    for s in scen:
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                ends = (qmap.vertex_labels[i], qmap.vertex_labels[j])
+                role = CONGESTED if CONGESTED in ends else SPARSE if SPARSE in ends else MEAN
+                ratios[role].append(s.fuel[i, j] / nominal[i, j])
+    assert ratios[MEAN] and set(ratios[MEAN]) == {1.0}
+    for role, expected in ((CONGESTED, upper), (SPARSE, lower)):
+        sample = np.array(ratios[role])
+        assert sample.size >= 5_000
+        standard_error = sample.std(ddof=1) / math.sqrt(sample.size)
+        assert abs(sample.mean() - expected) < 4.0 * standard_error, role

@@ -22,7 +22,6 @@ from fcmurp.stochsolve import (
     _pattern_score,
     SaaReport,
     compute_vss,
-    evaluate_eev,
     gamma_seed,
     lambda_seed,
     make_report,
@@ -287,9 +286,18 @@ def test_eev_is_the_single_candidate_out_of_sample_cost():
     inst, qmap = make_case(seed=13, n_targets=4, vehicles=2)
     lam = make_scenarios(inst, qmap, seed=lambda_seed(5), count=25)
     evp = solve_evp(inst)
-    est = evaluate_eev(evp.routes, lam, inst)
-    ub = saa_upper_bound([evp.routes], lam, inst)
-    assert est == ub.estimate
+    alone = saa_upper_bound([evp.routes], lam, inst)
+    assert alone.reference is None
+    joint = saa_upper_bound([evp.routes], lam, inst, reference=evp.routes)
+    assert joint.reference == alone.estimate == joint.estimate
+    assert joint.penalty == alone.penalty
+    assert joint.recourse_shares == alone.recourse_shares * 2
+    # a reference changes neither the candidates' scores nor the choice
+    alt = solve_saa_problem(inst, make_scenarios(inst, qmap, seed=gamma_seed(5, 0), count=3))
+    scored = saa_upper_bound([alt.routes], lam, inst, reference=evp.routes)
+    assert scored.penalized_scenarios == 0
+    assert scored.reference == alone.estimate
+    assert scored.estimate == saa_upper_bound([alt.routes], lam, inst).estimate
 
 
 def test_evp_engines_agree_and_validate():
