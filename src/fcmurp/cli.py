@@ -42,7 +42,13 @@ from .files import (
     write_document,
     write_text,
 )
-from .heuristics import TabuParams, construct_detailed, neighborhood, tabu_improve
+from .heuristics import (
+    TabuParams,
+    TabuResult,
+    construct_detailed,
+    neighborhood,
+    tabu_improve,
+)
 from .instgen import (
     GenConfig,
     QuadrantMapError,
@@ -169,6 +175,19 @@ def _scoring_counters(lambda_size: int, scored: UpperBoundResult) -> dict:
         "recourse_share": {"candidates": list(shares[:-1]), "ev": shares[-1]},
         "penalized_scenarios": scored.penalized_scenarios,
         "no_recourse": not any(shares),
+    }
+
+
+def _tabu_counters(result: TabuResult) -> dict:
+    """Deterministic work counters of one replication's tabu search."""
+    return {
+        "iterations": result.iterations,
+        "moves": result.moves,
+        "stagnant": result.stagnant,
+        "resets": result.resets,
+        "aspirations": result.aspirations,
+        "sequences": result.sequences,
+        "infeasible_sequences": result.infeasible_sequences,
     }
 
 
@@ -338,6 +357,7 @@ def solve(
         )
         candidates = []
         gamma_seeds = []
+        tabu_rows = []
         with _timed(stages, "search"):
             for k in range(replications):
                 gseed = gamma_seed(seed, k)
@@ -345,6 +365,7 @@ def solve(
                 delta = sample_scenarios(instance, qmap, seed=gseed, count=sample_size)
                 built = construct_detailed(instance, delta, engine=engine)
                 improved = tabu_improve(built.routes, delta, params, instance)
+                tabu_rows.append(_tabu_counters(improved))
                 if improved.warning:
                     click.echo(f"replication {k}: {improved.warning}", err=True)
                 if improved.feasible:
@@ -371,7 +392,8 @@ def solve(
         seeds["gamma"] = gamma_seeds
         seeds["lambda"] = lambda_seed(seed)
         extras = {"penalty": best.penalty}
-        counters = _scoring_counters(lambda_size, best)
+        counters = {**_scoring_counters(lambda_size, best), "tabu": tabu_rows}
+    counters["ev_solve"] = {"nodes": ev.nodes, "optimal": ev.optimal}
 
     solution_path = os.path.join(out, "solution.json")
     result_path = os.path.join(out, "result.json")

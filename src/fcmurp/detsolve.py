@@ -27,6 +27,8 @@ __all__ = [
     "optimal_depot_insertion",
     "solve_deterministic_exact",
     "solve_deterministic_greedy",
+    "solve_deterministic",
+    "resolve_engine",
     "branching_order",
     "EXACT_TARGET_LIMIT",
 ]
@@ -88,6 +90,31 @@ class DetProblem:
     @cached_property
     def depot_range(self) -> range:
         return self.instance.depot_indices
+
+    @cached_property
+    def detour_options(self) -> list[list[tuple[float, tuple[tuple[int, float, float], ...]]]]:
+        """Per edge (v, w): the direct cost and the depot detours off it.
+
+        Each detour is ``(d, fuel[v][d], cost[v][d] + cost[d][w])`` for a depot
+        ``d`` other than ``v`` and ``w``, sorted by the fuel to reach it, so a
+        sweep can stop at the first depot out of reach.
+        """
+        cost = self.cost_rows
+        fuel = self.fuel_rows
+        depots = self.depot_range
+        table = []
+        for v, (cost_v, fuel_v) in enumerate(zip(cost, fuel)):
+            row = []
+            for w, direct in enumerate(cost_v):
+                detours = [
+                    (d, fuel_v[d], cost_v[d] + cost[d][w])
+                    for d in depots
+                    if d != v and d != w
+                ]
+                detours.sort(key=lambda option: option[1])
+                row.append((direct, tuple(detours)))
+            table.append(row)
+        return table
 
     @cached_property
     def entry_fuel(self) -> np.ndarray:
@@ -169,6 +196,16 @@ def optimal_depot_insertion(
     capacity and each target is reached with enough fuel left to exit to some
     depot. Returns the realized route and its cost, or None when no insertion
     pattern works.
+
+    One left-to-right sweep over route positions carries resource labels
+    (cost delta, insertion pattern, fuel burnt since the last refuel), as in
+    a resource-constrained shortest path. At each position a label dies when
+    its fuel exceeds the capacity or, at a target, leaves no reserve to exit;
+    a live label is offered to every depot within reach on the next edge and
+    then flies the edge. Each depot on an edge keeps the lexicographically
+    smallest (delta, pattern) offered to it, which is final once the position
+    is done and refuels a new label on the far side of the detour. Ties go
+    to the lexicographically smallest pattern of (edge, depot) pairs.
     """
     inst = problem.instance
     if not seq:
@@ -176,57 +213,56 @@ def optimal_depot_insertion(
     route = (0, *seq, 0)
     fuel = problem.fuel_rows
     cost = problem.cost_rows
+    options = problem.detour_options
     cap = inst.fuel_capacity
     exit_fuel = problem.exit_fuel_list
     nd = inst.n_depots
     last = len(route) - 1
-    # node (p, d): depot d inserted on edge p; value = (cost delta, pattern)
-    node_val: list[list] = [[None] * nd for _ in range(last)]
-    end_val = None
-
-    def sweep(value, pos: int, running: float) -> None:
-        nonlocal end_val
-        while True:
-            v = route[pos]
+    labels = [(0.0, (), 0.0)]
+    for pos in range(last):
+        v = route[pos]
+        nxt = route[pos + 1]
+        direct, detours = options[v][nxt]
+        reserve = exit_fuel[v] if v >= nd else None
+        step = fuel[v][nxt]
+        slots: list = [None] * nd
+        advanced = []
+        for delta, pattern, running in labels:
             if running > cap:
-                return
-            if v >= nd and running + exit_fuel[v] > cap:
-                return
-            if pos == last:
-                if end_val is None or value < end_val:
-                    end_val = value
-                return
-            nxt = route[pos + 1]
-            vals = node_val[pos]
-            fuel_v = fuel[v]
-            cost_v = cost[v]
-            for d in range(nd):
-                if d == v or d == nxt:
-                    continue
-                if running + fuel_v[d] <= cap:
-                    cand = (
-                        value[0] + (cost_v[d] + cost[d][nxt]) - cost_v[nxt],
-                        value[1] + ((pos, d),),
-                    )
-                    if vals[d] is None or cand < vals[d]:
-                        vals[d] = cand
-            running = running + fuel_v[nxt]
-            pos += 1
-
-    sweep((0.0, ()), 0, 0.0)
-    for p in range(last):
-        nxt = route[p + 1]
+                continue
+            if reserve is not None and running + reserve > cap:
+                continue
+            for d, to_depot, via in detours:
+                if running + to_depot > cap:
+                    break
+                # same fold as delta + (cost[v][d] + cost[d][nxt]) - cost[v][nxt]
+                value = (delta + via) - direct
+                slot = slots[d]
+                if slot is None or value < slot[0]:
+                    slots[d] = (value, pattern + ((pos, d),))
+                elif value == slot[0]:
+                    extended = pattern + ((pos, d),)
+                    if extended < slot[1]:
+                        slots[d] = (value, extended)
+            advanced.append((delta, pattern, running + step))
         for d in range(nd):
-            val = node_val[p][d]
-            if val is not None:
-                sweep(val, p + 1, fuel[d][nxt])
-    if end_val is None:
+            slot = slots[d]
+            if slot is not None:
+                advanced.append((slot[0], slot[1], fuel[d][nxt]))
+        if not advanced:
+            return None
+        labels = advanced
+    end = None
+    for delta, pattern, running in labels:
+        if running <= cap and (end is None or (delta, pattern) < end):
+            end = (delta, pattern)
+    if end is None:
         return None
-    pattern = dict(end_val[1])
+    inserted = dict(end[1])
     realized: list[int] = [0]
     for p in range(last):
-        if p in pattern:
-            realized.append(pattern[p])
+        if p in inserted:
+            realized.append(inserted[p])
         realized.append(route[p + 1])
     total = 0.0
     for a, b in zip(realized, realized[1:]):
@@ -513,3 +549,27 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
         optimal=False,
         nodes=0,
     )
+
+
+def resolve_engine(engine: str, instance: Instance) -> str:
+    """The deterministic engine to run: "auto" solves exactly up to
+    ``EXACT_TARGET_LIMIT`` targets and greedily beyond it."""
+    if engine == "auto":
+        return "exact" if instance.n_targets <= EXACT_TARGET_LIMIT else "greedy"
+    if engine in ("exact", "greedy"):
+        return engine
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def solve_deterministic(
+    problem: DetProblem | Instance,
+    engine: str = "auto",
+    config: Optional[BnBConfig] = None,
+) -> Optional[DetSolution]:
+    """Solve with the named engine ("auto", "exact" or "greedy"); ``config``
+    only applies to the exact engine."""
+    if isinstance(problem, Instance):
+        problem = DetProblem(problem)
+    if resolve_engine(engine, problem.instance) == "exact":
+        return solve_deterministic_exact(problem, config)
+    return solve_deterministic_greedy(problem)

@@ -11,6 +11,7 @@ penalty for scenarios no detour plan can recover.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,9 +21,9 @@ from .detsolve import (
     EXACT_TARGET_LIMIT,
     BnBConfig,
     DetProblem,
-    DetSolution,
     optimal_depot_insertion,
-    solve_deterministic_exact,
+    resolve_engine,
+    solve_deterministic,
     solve_deterministic_greedy,
 )
 from .model import Instance, RouteSet, ScenarioSet, nominal_feasibility, route_cost
@@ -112,16 +113,6 @@ class TabuList:
         return len(self._expiry)
 
 
-def _dispatch_engine(
-    problem: DetProblem, engine: str, config: Optional[BnBConfig]
-) -> Optional[DetSolution]:
-    if engine == "exact":
-        return solve_deterministic_exact(problem, config)
-    if engine == "greedy":
-        return solve_deterministic_greedy(problem)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 def _used_edges(routes: RouteSet) -> set[tuple[int, int]]:
     # indicator semantics: an edge flown twice still counts once
     edges: set[tuple[int, int]] = set()
@@ -175,13 +166,12 @@ def construct_detailed(
     """
     if len(delta) == 0:
         raise ValueError("construction needs at least one scenario")
-    if engine == "auto":
-        engine = "exact" if instance.n_targets <= EXACT_TARGET_LIMIT else "greedy"
+    engine = resolve_engine(engine, instance)
     ordered = _scenario_order(delta)
     solutions: list[tuple[int, Optional[RouteSet]]] = []
     for s in ordered:
         problem = DetProblem(instance, fuel_override=np.array(s.fuel))
-        sol = _dispatch_engine(problem, engine, config)
+        sol = solve_deterministic(problem, engine, config)
         solutions.append((s.id, None if sol is None else sol.routes))
     weights = construction_weights(instance, delta, solutions)
     final_problem = DetProblem(
@@ -189,7 +179,7 @@ def construct_detailed(
         cost_override=weights.weighted_cost.copy(),
         fuel_override=weights.expected_fuel.copy(),
     )
-    final = _dispatch_engine(final_problem, engine, config)
+    final = solve_deterministic(final_problem, engine, config)
 
     routes, fallback = None, "none"
     if final is not None:
@@ -265,6 +255,11 @@ def construct(
     return construct_detailed(instance, delta, config, engine).routes
 
 
+# One memoized bare sequence: realized route, first-stage cost, and its
+# recourse cost per scenario (inf where the scenario is unrecoverable).
+RouteScore = tuple[tuple[int, ...], float, tuple[float, ...]]
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """One candidate under the penalized two-stage objective."""
@@ -281,12 +276,16 @@ class Evaluation:
 
 
 class TwoStageEvaluator:
-    """Penalized two-stage objective with per-route memoization.
+    """Penalized two-stage objective with one memo per bare sequence.
 
-    Depot insertion and per-route recourse are cached by bare sequence and
-    realized route, which keeps repeated neighborhood scans cheap. The
-    penalty is calibrated once (largest recourse cost seen at calibration
-    plus twice all home round trips) and then held fixed.
+    The memo maps a bare target sequence to its realized route (the optimal
+    depot insertion under nominal fuel), that route's first-stage cost and
+    its recourse cost in every scenario of ``delta``, or to None when no
+    insertion exists. Scores fold first-stage costs and recourse sums over
+    the routes in route order, so a route set costs the same however its
+    routes reached the memo. The penalty is calibrated once (largest
+    recourse cost seen at calibration plus twice all home round trips) and
+    then held fixed.
     """
 
     def __init__(
@@ -301,42 +300,68 @@ class TwoStageEvaluator:
             precompute_best_depot(instance, s) for s in delta
         )
         self._problem = DetProblem(instance)
-        self._insert: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]] = {}
-        self._beta: dict[tuple[tuple[int, ...], int], float] = {}
+        self._probabilities = tuple(s.probability for s in delta)
+        self._memo: dict[tuple[int, ...], Optional[RouteScore]] = {}
         self.policy: Optional[PenaltyPolicy] = (
             None if penalty is None else PenaltyPolicy(nu=penalty, rule="user supplied")
         )
 
-    def insert(self, seq: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], float]]:
-        if seq not in self._insert:
-            self._insert[seq] = optimal_depot_insertion(seq, self._problem)
-        return self._insert[seq]
+    @property
+    def sequences(self) -> int:
+        """Distinct bare sequences inserted so far."""
+        return len(self._memo)
 
-    def route_betas(self, route: tuple[int, ...]) -> list[float]:
-        out = []
-        for k, s in enumerate(self.delta):
-            key = (route, s.id)
-            if key not in self._beta:
-                self._beta[key] = route_beta(route, s, self.instance, self.tables[k])
-            out.append(self._beta[key])
-        return out
+    @property
+    def infeasible_sequences(self) -> int:
+        """Inserted sequences that no depot insertion makes feasible."""
+        return sum(entry is None for entry in self._memo.values())
+
+    def route(self, seq: tuple[int, ...]) -> Optional[RouteScore]:
+        """Realized route, first-stage cost and per-scenario recourse of one
+        bare sequence; None when it cannot be made nominally feasible."""
+        if seq in self._memo:
+            return self._memo[seq]
+        ins = optimal_depot_insertion(seq, self._problem)
+        entry = None
+        if ins is not None:
+            realized, stage1 = ins
+            betas = tuple(
+                route_beta(realized, s, self.instance, table)
+                for s, table in zip(self.delta, self.tables)
+            )
+            entry = (realized, stage1, betas)
+        self._memo[seq] = entry
+        return entry
+
+    def fold(self, entries: Sequence[RouteScore]) -> tuple[float, tuple[float, ...]]:
+        """First-stage cost and per-scenario recourse sums, in route order."""
+        stage1 = 0.0
+        betas = (0.0,) * len(self._probabilities)
+        for _, cost, route_betas in entries:
+            stage1 += cost
+            betas = tuple(map(operator.add, betas, route_betas))
+        return stage1, betas
+
+    def objective(self, stage1: float, betas: Sequence[float]) -> float:
+        """Penalized objective: the penalty replaces unrecoverable scenarios."""
+        nu = self.policy.nu
+        objective = stage1
+        for p, b in zip(self._probabilities, betas):
+            objective += p * (b if math.isfinite(b) else nu)
+        return objective
 
     def parts(
         self, bare: Sequence[tuple[int, ...]]
     ) -> Optional[tuple[tuple[tuple[int, ...], ...], float, tuple[float, ...]]]:
         """Realized routes, first-stage cost, per-scenario recourse sums."""
-        realized = []
-        stage1 = 0.0
-        betas = [0.0] * len(self.delta)
+        entries = []
         for seq in bare:
-            ins = self.insert(tuple(seq))
-            if ins is None:
+            entry = self.route(tuple(seq))
+            if entry is None:
                 return None
-            realized.append(ins[0])
-            stage1 += ins[1]
-            for k, b in enumerate(self.route_betas(ins[0])):
-                betas[k] = betas[k] + b
-        return tuple(realized), float(stage1), tuple(betas)
+            entries.append(entry)
+        stage1, betas = self.fold(entries)
+        return tuple(e[0] for e in entries), stage1, betas
 
     def calibrate(self, bare: Sequence[tuple[int, ...]]) -> None:
         parts = self.parts(bare)
@@ -351,17 +376,12 @@ class TwoStageEvaluator:
         if parts is None:
             return None
         realized, stage1, betas = parts
-        nu = self.policy.nu
-        objective = stage1
-        for k, s in enumerate(self.delta):
-            term = betas[k] if math.isfinite(betas[k]) else nu
-            objective += s.probability * term
         return Evaluation(
             bare=tuple(tuple(q) for q in bare),
             routes=RouteSet(realized),
             stage1=stage1,
             betas=betas,
-            objective=float(objective),
+            objective=self.objective(stage1, betas),
         )
 
 
@@ -404,6 +424,13 @@ def neighborhood(current: RouteSet, instance: Instance) -> list[RouteSet]:
 
 @dataclass(frozen=True)
 class TabuResult:
+    """Best solution of a tabu run, its move log and its work counters.
+
+    ``sequences`` counts the distinct bare sequences the run inserted and
+    ``infeasible_sequences`` those no depot insertion could make feasible;
+    the other counters are read off the move log.
+    """
+
     routes: RouteSet
     objective: float
     stage1: float
@@ -412,6 +439,62 @@ class TabuResult:
     iterations: int
     move_log: tuple[tuple, ...]
     warning: Optional[str]
+    sequences: int
+    infeasible_sequences: int
+
+    def _count(self, kind: str) -> int:
+        return sum(row[1] == kind for row in self.move_log)
+
+    @property
+    def moves(self) -> int:
+        return self._count("move")
+
+    @property
+    def stagnant(self) -> int:
+        return self._count("stagnant")
+
+    @property
+    def resets(self) -> int:
+        return self._count("reset")
+
+    @property
+    def aspirations(self) -> int:
+        return sum(bool(row[4]) for row in self.move_log)
+
+
+def _swap_objective(
+    evaluator: TwoStageEvaluator,
+    bare: tuple[tuple[int, ...], ...],
+    entries: list[RouteScore],
+    where: dict[int, tuple[int, int]],
+    t1: int,
+    t2: int,
+) -> Optional[float]:
+    """Objective after swapping two targets, re-scoring only changed routes.
+
+    Changed routes are inserted in increasing route index and the first one
+    without a feasible insertion ends the move, as a full evaluation of the
+    swapped route set would; unchanged routes keep their memoized scores.
+    """
+    r1, i1 = where[t1]
+    r2, i2 = where[t2]
+    trial = list(entries)
+    if r1 == r2:
+        seq = list(bare[r1])
+        seq[i1], seq[i2] = t2, t1
+        changed = ((r1, seq),)
+    else:
+        seq1 = list(bare[r1])
+        seq1[i1] = t2
+        seq2 = list(bare[r2])
+        seq2[i2] = t1
+        changed = ((r1, seq1), (r2, seq2)) if r1 < r2 else ((r2, seq2), (r1, seq1))
+    for r, seq in changed:
+        entry = evaluator.route(tuple(seq))
+        if entry is None:
+            return None
+        trial[r] = entry
+    return evaluator.objective(*evaluator.fold(trial))
 
 
 def tabu_improve(
@@ -429,6 +512,11 @@ def tabu_improve(
     improvements; the current solution resets to it after ceil(sqrt(k))
     non-improving iterations, and the search stops after the stall limit.
 
+    A swap changes one route (both targets on it) or two; the scan re-scores
+    only those from the evaluator's memo and folds the objective over all
+    routes exactly as a full evaluation does, so the chosen moves, objectives
+    and inserted sequences are those of evaluating every neighbor in full.
+
     Move log rows are (iteration, kind, move, objective, aspiration) with
     kind one of "move", "stagnant", "reset".
     """
@@ -441,6 +529,7 @@ def tabu_improve(
     if current is None:
         raise ValueError("initial routes cannot be made nominally feasible")
     best = current
+    pairs = list(_target_pairs(instance))
     tabu = TabuList()
     log: list[tuple] = []
     since_improve = 0
@@ -448,31 +537,34 @@ def tabu_improve(
     iterations = 0
     for k in range(1, params.iterations + 1):
         iterations = k
-        chosen = None  # (objective, move, evaluation, aspiration)
+        bare = current.bare
+        entries = [evaluator.route(seq) for seq in bare]
+        where = {t: (r, i) for r, seq in enumerate(bare) for i, t in enumerate(seq)}
+        chosen = None  # (objective, move, aspiration)
         fallback = None
-        for move in _target_pairs(instance):
-            t1, t2 = move
-            ev = evaluator.evaluate(_swap_targets(current.bare, t1, t2))
-            if ev is None:
+        for move in pairs:
+            objective = _swap_objective(evaluator, bare, entries, where, *move)
+            if objective is None:
                 continue
             is_tabu = tabu.active(move, k)
-            aspires = ev.objective < best.objective
+            aspires = objective < best.objective
             if is_tabu and not aspires:
                 continue
-            cand = (ev.objective, move)
-            if ev.objective < current.objective:
-                if chosen is None or cand < (chosen[0], chosen[1]):
-                    chosen = (ev.objective, move, ev, is_tabu and aspires)
+            cand = (objective, move)
+            if objective < current.objective:
+                if chosen is None or cand < chosen[:2]:
+                    chosen = (objective, move, is_tabu and aspires)
             if not is_tabu:
-                if fallback is None or cand < (fallback[0], fallback[1]):
-                    fallback = (ev.objective, move, ev, False)
+                if fallback is None or cand < fallback[:2]:
+                    fallback = (objective, move, False)
         if chosen is None:
             chosen = fallback
         improved = False
         if chosen is None:
             log.append((k, "stagnant", None, current.objective, False))
         else:
-            _, move, ev, aspiration = chosen
+            _, move, aspiration = chosen
+            ev = evaluator.evaluate(_swap_targets(bare, *move))
             current = ev
             tabu.add(move, k, tenure)
             log.append((k, "move", move, ev.objective, aspiration))
@@ -503,4 +595,6 @@ def tabu_improve(
         iterations=iterations,
         move_log=tuple(log),
         warning=warning,
+        sequences=evaluator.sequences,
+        infeasible_sequences=evaluator.infeasible_sequences,
     )

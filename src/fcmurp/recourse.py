@@ -4,12 +4,13 @@ Given first-stage routes and one fuel realization, the recourse decision is
 which target-to-target edges to replace by a detour through the realization's
 best refuel depot for that edge (the depot minimizing entry-plus-exit fuel).
 Edges already touching a depot are flown as planned. ``evaluate_recourse``
-solves this exactly with a per-leg shortest-path DP; ``recourse_oracle``
-re-derives the same answer by enumerating every keep/detour subset and exists
-purely as a cross-check. Both accumulate fuel and cost strictly left to right
-along each route so that agreement is exact, not approximate. The DP reads
-list rows cached on the instance and the best-depot table; the oracle walks
-the numpy matrices.
+solves this exactly with a per-leg shortest-path DP, one left-to-right sweep
+of (cost, detours, fuel since refuel) labels over each depot-to-depot leg;
+``recourse_oracle`` re-derives the same answer by enumerating every
+keep/detour subset and exists purely as a cross-check. Both accumulate fuel
+and cost strictly left to right along each route so that agreement is exact,
+not approximate. The DP reads list rows cached on the instance and the
+best-depot table; the oracle walks the numpy matrices.
 """
 
 from __future__ import annotations
@@ -138,51 +139,56 @@ def _leg_best(
 ):
     """Cheapest detour pattern for one depot-to-depot leg, or None.
 
-    Shortest path over reset points: the leg's opening depot plus one
-    optional mid-edge depot per target-to-target edge. Fuel along every arc
-    is accumulated edge by edge in route order so feasibility decisions match
-    the enumeration oracle bit for bit. ``fuel``, ``cost`` and ``dep_of`` are
-    list rows of the realization, the instance costs and the best-depot table.
+    One left-to-right sweep over the leg's positions carries labels (detour
+    cost, detoured positions, fuel burnt since the last refuel); a label dies
+    once its fuel exceeds the capacity. On a target-to-target edge each live
+    label within reach of the edge's best depot offers a detour through it;
+    the lexicographically smallest (cost, positions) offer refuels a new
+    label on the far side. Fuel is accumulated edge by edge in route order so
+    feasibility decisions match the enumeration oracle bit for bit. ``fuel``,
+    ``cost`` and ``dep_of`` are list rows of the realization, the instance
+    costs and the best-depot table. Returns ``(cost, positions)``.
     """
-    cands = [p for p in range(a, b) if route[p] >= nd and route[p + 1] >= nd]
-    cand_pos = {p: idx for idx, p in enumerate(cands)}
-    node_val: list = [None] * len(cands)
-    end_val = None
-
-    def sweep(value, pos: int, running: float) -> None:
-        # value applies at arrival to route[pos] with fuel `running` since reset
-        nonlocal end_val
-        while True:
-            if running > cap:
-                return
-            if pos == b:
-                if end_val is None or value < end_val:
-                    end_val = value
-                return
-            v, nxt = route[pos], route[pos + 1]
-            fuel_v = fuel[v]
-            idx = cand_pos.get(pos)
-            if idx is not None:
-                d = dep_of[v][nxt]
-                if running + fuel_v[d] <= cap:
-                    cost_v = cost[v]
-                    # the detour increment, same fold as _detour_increment
-                    cand = (
-                        value[0] + ((cost_v[d] + cost[d][nxt]) - cost_v[nxt]),
-                        value[1] + (pos,),
-                    )
-                    if node_val[idx] is None or cand < node_val[idx]:
-                        node_val[idx] = cand
-            running = running + fuel_v[nxt]
-            pos += 1
-
-    sweep((0.0, ()), a, 0.0)
-    for idx, p in enumerate(cands):
-        if node_val[idx] is None:
-            continue
-        d = dep_of[route[p]][route[p + 1]]
-        sweep(node_val[idx], p + 1, fuel[d][route[p + 1]])
-    return end_val
+    labels = [(0.0, (), 0.0)]
+    for pos in range(a, b):
+        v = route[pos]
+        nxt = route[pos + 1]
+        fuel_v = fuel[v]
+        step = fuel_v[nxt]
+        offer = None
+        advanced = []
+        if v >= nd and nxt >= nd:
+            d = dep_of[v][nxt]
+            to_depot = fuel_v[d]
+            cost_v = cost[v]
+            # the detour increment, same fold as _detour_increment
+            inc = (cost_v[d] + cost[d][nxt]) - cost_v[nxt]
+            for value, pattern, running in labels:
+                if running > cap:
+                    continue
+                if running + to_depot <= cap:
+                    cand = value + inc
+                    if offer is None or cand < offer[0]:
+                        offer = (cand, pattern + (pos,))
+                    elif cand == offer[0]:
+                        extended = pattern + (pos,)
+                        if extended < offer[1]:
+                            offer = (cand, extended)
+                advanced.append((value, pattern, running + step))
+            if offer is not None:
+                advanced.append((offer[0], offer[1], fuel[d][nxt]))
+        else:
+            for value, pattern, running in labels:
+                if running <= cap:
+                    advanced.append((value, pattern, running + step))
+        if not advanced:
+            return None
+        labels = advanced
+    end = None
+    for value, pattern, running in labels:
+        if running <= cap and (end is None or (value, pattern) < end):
+            end = (value, pattern)
+    return end
 
 
 def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, list]:

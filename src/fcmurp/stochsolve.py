@@ -19,13 +19,12 @@ import numpy as np
 
 from .detsolve import (
     _BOUND_EPS,
-    EXACT_TARGET_LIMIT,
     BnBConfig,
     DetProblem,
     DetSolution,
     _branch_routes,
     optimal_depot_insertion,
-    solve_deterministic_exact,
+    solve_deterministic,
     solve_deterministic_greedy,
 )
 from .instgen import QuadrantMap, sample_scenarios
@@ -443,14 +442,7 @@ def solve_evp(
         instance,
         fuel_override=None if mean_fuel is None else np.array(mean_fuel, dtype=float),
     )
-    if engine == "auto":
-        engine = "exact" if instance.n_targets <= EXACT_TARGET_LIMIT else "greedy"
-    if engine == "exact":
-        sol = solve_deterministic_exact(problem, config)
-    elif engine == "greedy":
-        sol = solve_deterministic_greedy(problem)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    sol = solve_deterministic(problem, engine, config)
     if sol is None:
         raise RuntimeError("mean-value problem is infeasible")
     return sol

@@ -36,6 +36,19 @@ def square_instance(vehicles: int = 1, fuel_factor: float = 2.25) -> Instance:
     )
 
 
+def mirrored_instance() -> Instance:
+    """Exact tie layout: depot 1 at (0, 8) and home mirror each other about
+    the edge between targets 2 and 3, so detours through either cost exactly
+    the same."""
+    return make_instance(
+        target_coords=[(-3.0, 4.0), (3.0, 4.0), (0.0, -4.0)],
+        refuel_coords=[(0.0, 8.0)],
+        home_coord=(0.0, 0.0),
+        vehicles=1,
+        fuel_factor=1.6,
+    )
+
+
 def point_mass(instance: Instance, scale: float = 1.0, sid: int = 0) -> ScenarioSet:
     """Single certain scenario at ``scale`` times the nominal matrix."""
     fuel = np.array(instance.nominal_fuel, dtype=float) * scale

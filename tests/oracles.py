@@ -16,6 +16,14 @@ import numpy as np
 
 from fcmurp import instgen
 from fcmurp.detsolve import DetProblem, branching_order
+from fcmurp.heuristics import (
+    TabuList,
+    TabuParams,
+    TabuResult,
+    TwoStageEvaluator,
+    _swap_targets,
+    _target_pairs,
+)
 from fcmurp.model import Instance, RouteSet, Scenario, ScenarioSet
 from fcmurp.recourse import route_beta
 
@@ -389,3 +397,207 @@ def sample_scenarios_by_draw(
                     fuel[i, j] = draw
         scenarios.append(Scenario(id=sid, probability=1.0 / count, fuel=fuel))
     return ScenarioSet(tuple(scenarios), label=f"{distribution}:seed={seed}:count={count}")
+
+
+def depot_insertion_by_sweep(seq: Sequence[int], problem: DetProblem):
+    """Node-by-node formulation of ``optimal_depot_insertion``.
+
+    One sweep from the start and one from every (edge, depot) node, each
+    run to the end of the route once the nodes before it are final. The
+    label sweep in the library must return the same realized route and the
+    same cost, bit for bit.
+    """
+    inst = problem.instance
+    if not seq:
+        raise ValueError("cannot route an empty target sequence")
+    route = (0, *seq, 0)
+    fuel = problem.fuel_rows
+    cost = problem.cost_rows
+    cap = inst.fuel_capacity
+    exit_fuel = problem.exit_fuel_list
+    nd = inst.n_depots
+    last = len(route) - 1
+    # node (p, d): depot d inserted on edge p; value = (cost delta, pattern)
+    node_val: list[list] = [[None] * nd for _ in range(last)]
+    end_val = None
+
+    def sweep(value, pos: int, running: float) -> None:
+        nonlocal end_val
+        while True:
+            v = route[pos]
+            if running > cap:
+                return
+            if v >= nd and running + exit_fuel[v] > cap:
+                return
+            if pos == last:
+                if end_val is None or value < end_val:
+                    end_val = value
+                return
+            nxt = route[pos + 1]
+            vals = node_val[pos]
+            fuel_v = fuel[v]
+            cost_v = cost[v]
+            for d in range(nd):
+                if d == v or d == nxt:
+                    continue
+                if running + fuel_v[d] <= cap:
+                    cand = (
+                        value[0] + (cost_v[d] + cost[d][nxt]) - cost_v[nxt],
+                        value[1] + ((pos, d),),
+                    )
+                    if vals[d] is None or cand < vals[d]:
+                        vals[d] = cand
+            running = running + fuel_v[nxt]
+            pos += 1
+
+    sweep((0.0, ()), 0, 0.0)
+    for p in range(last):
+        nxt = route[p + 1]
+        for d in range(nd):
+            val = node_val[p][d]
+            if val is not None:
+                sweep(val, p + 1, fuel[d][nxt])
+    if end_val is None:
+        return None
+    pattern = dict(end_val[1])
+    realized: list[int] = [0]
+    for p in range(last):
+        if p in pattern:
+            realized.append(pattern[p])
+        realized.append(route[p + 1])
+    total = 0.0
+    for a, b in zip(realized, realized[1:]):
+        total += cost[a][b]
+    return tuple(realized), total
+
+
+def leg_best_by_sweep(route, a, b, fuel, cost, cap, dep_of, nd):
+    """Node-by-node formulation of ``recourse._leg_best`` (same arguments).
+
+    One sweep from the leg's opening depot and one from every mid-edge
+    detour node; returns ``(cost, positions)`` or None.
+    """
+    cands = [p for p in range(a, b) if route[p] >= nd and route[p + 1] >= nd]
+    cand_pos = {p: idx for idx, p in enumerate(cands)}
+    node_val: list = [None] * len(cands)
+    end_val = None
+
+    def sweep(value, pos: int, running: float) -> None:
+        # value applies at arrival to route[pos] with fuel `running` since reset
+        nonlocal end_val
+        while True:
+            if running > cap:
+                return
+            if pos == b:
+                if end_val is None or value < end_val:
+                    end_val = value
+                return
+            v, nxt = route[pos], route[pos + 1]
+            fuel_v = fuel[v]
+            idx = cand_pos.get(pos)
+            if idx is not None:
+                d = dep_of[v][nxt]
+                if running + fuel_v[d] <= cap:
+                    cost_v = cost[v]
+                    cand = (
+                        value[0] + ((cost_v[d] + cost[d][nxt]) - cost_v[nxt]),
+                        value[1] + (pos,),
+                    )
+                    if node_val[idx] is None or cand < node_val[idx]:
+                        node_val[idx] = cand
+            running = running + fuel_v[nxt]
+            pos += 1
+
+    sweep((0.0, ()), a, 0.0)
+    for idx, p in enumerate(cands):
+        if node_val[idx] is None:
+            continue
+        d = dep_of[route[p]][route[p + 1]]
+        sweep(node_val[idx], p + 1, fuel[d][route[p + 1]])
+    return end_val
+
+
+def tabu_by_full_evaluation(
+    initial: RouteSet, delta: ScenarioSet, params: TabuParams, instance: Instance
+) -> TabuResult:
+    """``tabu_improve`` with every neighbor evaluated as a whole route set.
+
+    Same selection, tabu, aspiration, reset and stall rules; each swap goes
+    through ``TwoStageEvaluator.evaluate`` instead of re-scoring only the
+    routes it changes, so the result, including the memo counters, must be
+    equal to the library's.
+    """
+    tenure = params.resolved_tenure(instance.n_targets)
+    evaluator = TwoStageEvaluator(instance, delta, penalty=params.penalty)
+    bare0 = initial.bare_sequences(instance)
+    if evaluator.policy is None:
+        evaluator.calibrate(bare0)
+    current = evaluator.evaluate(bare0)
+    if current is None:
+        raise ValueError("initial routes cannot be made nominally feasible")
+    best = current
+    tabu = TabuList()
+    log: list[tuple] = []
+    since_improve = 0
+    since_reset = 0
+    iterations = 0
+    for k in range(1, params.iterations + 1):
+        iterations = k
+        chosen = None  # (objective, move, evaluation, aspiration)
+        fallback = None
+        for move in _target_pairs(instance):
+            t1, t2 = move
+            ev = evaluator.evaluate(_swap_targets(current.bare, t1, t2))
+            if ev is None:
+                continue
+            is_tabu = tabu.active(move, k)
+            aspires = ev.objective < best.objective
+            if is_tabu and not aspires:
+                continue
+            cand = (ev.objective, move)
+            if ev.objective < current.objective:
+                if chosen is None or cand < (chosen[0], chosen[1]):
+                    chosen = (ev.objective, move, ev, is_tabu and aspires)
+            if not is_tabu:
+                if fallback is None or cand < (fallback[0], fallback[1]):
+                    fallback = (ev.objective, move, ev, False)
+        if chosen is None:
+            chosen = fallback
+        improved = False
+        if chosen is None:
+            log.append((k, "stagnant", None, current.objective, False))
+        else:
+            _, move, ev, aspiration = chosen
+            current = ev
+            tabu.add(move, k, tenure)
+            log.append((k, "move", move, ev.objective, aspiration))
+            if ev.feasible and ev.objective < best.objective:
+                best = ev
+                improved = True
+        if improved:
+            since_improve = 0
+            since_reset = 0
+        else:
+            since_improve += 1
+            since_reset += 1
+        if since_improve >= params.stall_limit:
+            break
+        if since_reset >= math.ceil(math.sqrt(k)):
+            current = best
+            since_reset = 0
+            log.append((k, "reset", None, current.objective, False))
+    warning = None
+    if not best.feasible:
+        warning = "no recoverable solution found; returning best penalized candidate"
+    return TabuResult(
+        routes=best.routes,
+        objective=best.objective,
+        stage1=best.stage1,
+        betas=best.betas,
+        feasible=best.feasible,
+        iterations=iterations,
+        move_log=tuple(log),
+        warning=warning,
+        sequences=evaluator.sequences,
+        infeasible_sequences=evaluator.infeasible_sequences,
+    )

@@ -340,6 +340,42 @@ def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
     for share in (*shares["candidates"], shares["ev"]):
         assert 0.0 <= share <= 1.0 and (share * 30).is_integer()
     assert block["no_recourse"] == (not any(shares["candidates"]) and not shares["ev"])
+    rows = block["tabu"]
+    assert len(rows) == 2
+    for row in rows:
+        assert set(row) == {
+            "iterations",
+            "moves",
+            "stagnant",
+            "resets",
+            "aspirations",
+            "sequences",
+            "infeasible_sequences",
+        }
+        assert 1 <= row["iterations"] <= 10
+        assert row["moves"] + row["stagnant"] == row["iterations"]
+        assert 0 <= row["infeasible_sequences"] < row["sequences"]
+    assert set(block["ev_solve"]) == {"nodes", "optimal"}
+
+
+def test_solve_manifest_counts_the_ev_search(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src, targets=5, vehicles=2).exit_code == 0
+    for mode in ("evp", "saa"):
+        blocks = []
+        for k in range(2):
+            out = str(tmp_path / f"{mode}{k}")
+            res = runner.invoke(main, solve_args(src, out, mode))
+            assert res.exit_code == 0, res.output
+            manifest = read_json(os.path.join(out, "manifest.json"))
+            blocks.append(manifest["counters"])
+            assert set(manifest["stage_seconds"]).isdisjoint(manifest["counters"])
+            assert "counters" not in read_json(os.path.join(out, "result.json"))
+        assert blocks[0] == blocks[1]
+        ev_solve = blocks[0]["ev_solve"]
+        assert ev_solve["optimal"] is True
+        assert ev_solve["nodes"] > 0
+        assert "tabu" not in blocks[0]
 
 
 def test_solve_flags_runs_where_no_scenario_needs_recourse(runner, tmp_path):

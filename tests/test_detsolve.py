@@ -7,18 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_case
+from conftest import make_case, make_scenarios, mirrored_instance
 from fcmurp.detsolve import (
+    EXACT_TARGET_LIMIT,
     BnBConfig,
     DetProblem,
     branching_order,
     optimal_depot_insertion,
+    resolve_engine,
+    solve_deterministic,
     solve_deterministic_exact,
     solve_deterministic_greedy,
 )
+from fcmurp.heuristics import construction_weights
 from fcmurp.instgen import GenConfig, generate_instance
 from fcmurp.model import RouteSet, nominal_feasibility, route_cost
-from oracles import best_insertion, enumerate_deterministic
+from oracles import best_insertion, depot_insertion_by_sweep, enumerate_deterministic
 
 
 def exact_cases(count, start=0, max_targets=5, max_vehicles=2):
@@ -59,8 +63,11 @@ def test_insertion_dp_matches_enumeration():
     for inst in exact_cases(8):
         problem = DetProblem(inst)
         targets = list(inst.target_indices)
-        for size in (1, 2, 3):
-            for seq in itertools.permutations(targets[: size + 1], size):
+        for size in (1, 2, 3, 4):
+            # a 4-target sequence has 6^5 patterns: check every 24th order
+            stride = 24 if size == 4 else 1
+            orders = itertools.permutations(targets[: size + 1], size)
+            for seq in itertools.islice(orders, 0, None, stride):
                 fast = optimal_depot_insertion(seq, problem)
                 slow = best_insertion(seq, problem)
                 checked += 1
@@ -71,6 +78,56 @@ def test_insertion_dp_matches_enumeration():
                     assert fast[0] == slow[0]
                     assert fast[1] == slow[1]
     assert checked > 100
+
+
+def discounted_problem(inst, qmap, seed):
+    """Construction's final problem: usage-discounted costs, expected fuel."""
+    delta = make_scenarios(inst, qmap, seed=seed, count=3)
+    solutions = []
+    for s in delta:
+        sol = solve_deterministic_greedy(DetProblem(inst, fuel_override=np.array(s.fuel)))
+        solutions.append((s.id, None if sol is None else sol.routes))
+    weights = construction_weights(inst, delta, solutions)
+    return DetProblem(
+        inst,
+        cost_override=weights.weighted_cost.copy(),
+        fuel_override=weights.expected_fuel.copy(),
+    )
+
+
+def test_insertion_labels_match_the_node_sweep_bit_for_bit():
+    rng = np.random.default_rng(44)
+    found = missing = 0
+    discounted = 0
+    for seed, n in ((3, 5), (5, 8), (7, 12), (12, 20)):
+        inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3)
+        nominal = np.array(inst.nominal_fuel)
+        problems = [
+            DetProblem(inst),
+            discounted_problem(inst, qmap, seed),
+            DetProblem(inst, fuel_override=nominal * 1.6),
+            DetProblem(inst, fuel_override=nominal * 100.0),
+        ]
+        discounted += problems[1].min_insertion_delta < 0.0
+        targets = np.array(inst.target_indices)
+        for problem in problems:
+            for _ in range(80):
+                length = int(rng.integers(1, min(n, 9) + 1))
+                seq = tuple(int(t) for t in rng.permutation(targets)[:length])
+                got = optimal_depot_insertion(seq, problem)
+                assert got == depot_insertion_by_sweep(seq, problem)
+                found += got is not None
+                missing += got is None
+    mirrored = mirrored_instance()
+    for scale in (1.0, 1.2, 1.5):
+        problem = DetProblem(mirrored, fuel_override=np.array(mirrored.nominal_fuel) * scale)
+        for length in (1, 2, 3):
+            for seq in itertools.permutations(mirrored.target_indices, length):
+                assert optimal_depot_insertion(seq, problem) == depot_insertion_by_sweep(
+                    seq, problem
+                )
+    assert discounted == 4
+    assert found > 600 and missing > 80
 
 
 def test_insertion_rejects_empty_sequence():
@@ -217,3 +274,19 @@ def test_exact_enumeration_agreement_property(seed):
         return
     assert sol.cost == ref[1]
     assert sol.routes.canonical().routes == tuple(sorted(ref[0]))
+
+
+def test_engine_rule_is_one_target_limit():
+    small, _ = make_case(seed=6, n_targets=EXACT_TARGET_LIMIT, vehicles=2)
+    large, _ = make_case(seed=6, n_targets=EXACT_TARGET_LIMIT + 1, vehicles=2)
+    assert resolve_engine("auto", small) == "exact"
+    assert resolve_engine("auto", large) == "greedy"
+    assert resolve_engine("greedy", small) == "greedy"
+    with pytest.raises(ValueError, match="unknown engine 'simplex'"):
+        resolve_engine("simplex", small)
+    with pytest.raises(ValueError, match="unknown engine 'simplex'"):
+        solve_deterministic(small, "simplex")
+    inst, _ = make_case(seed=6, n_targets=4, vehicles=2)
+    exact = solve_deterministic(inst)
+    assert exact == solve_deterministic_exact(DetProblem(inst))
+    assert solve_deterministic(inst, "greedy") == solve_deterministic_greedy(inst)

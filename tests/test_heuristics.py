@@ -21,7 +21,7 @@ from fcmurp.heuristics import (
 from fcmurp.instgen import GenConfig, generate_instance
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, nominal_feasibility, route_cost
 from fcmurp.recourse import PenaltyPolicy, evaluate_recourse
-from oracles import recompute_weights
+from oracles import recompute_weights, tabu_by_full_evaluation
 
 
 def low_fuel_delta(instance, scale=0.4):
@@ -337,3 +337,42 @@ def test_tabu_improves_on_a_poor_start():
     ev.calibrate(bare)
     assert res.objective <= ev.evaluate(bare).objective
     assert nominal_feasibility(res.routes, inst)[0]
+
+
+def test_tabu_scan_matches_full_evaluation():
+    # (seed, targets, fuel factor, scale of scenario 0's fuel, penalty)
+    cases = (
+        (2, 8, 1.0, 1.0, None),
+        (5, 8, 1.0, 1.0, 400.0),
+        (14, 8, 2.25, 2.2, None),
+        (3, 20, 1.05, 1.0, None),
+        (3, 20, 1.0, 1.0, None),
+        (12, 20, 2.25, 1.0, 600.0),
+    )
+    results = []
+    penalized_starts = 0
+    for seed, n, fuel_factor, scale, penalty in cases:
+        inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3, fuel_factor=fuel_factor)
+        sampled = make_scenarios(inst, qmap, seed=seed + 1, count=3)
+        delta = ScenarioSet(
+            tuple(
+                Scenario(id=s.id, probability=s.probability, fuel=s.fuel * (scale if s.id == 0 else 1.0))
+                for s in sampled
+            ),
+            label=f"scaled:{scale}",
+        )
+        start = solve_deterministic_greedy(inst).routes
+        params = TabuParams(iterations=30, stall_limit=30, penalty=penalty)
+        got = tabu_improve(start, delta, params, inst)
+        assert got == tabu_by_full_evaluation(start, delta, params, inst)
+        results.append(got)
+        ev = TwoStageEvaluator(inst, delta)
+        ev.calibrate(start.bare_sequences(inst))
+        penalized_starts += not ev.evaluate(start.bare_sequences(inst)).feasible
+    assert penalized_starts >= 1
+    assert any(not r.feasible for r in results)
+    assert any(r.infeasible_sequences for r in results)
+    assert any(r.aspirations for r in results) and any(r.resets for r in results)
+    for r in results:
+        assert r.moves + r.stagnant == r.iterations
+        assert r.infeasible_sequences < r.sequences

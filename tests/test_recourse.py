@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_case, point_mass, square_instance
-from fcmurp.detsolve import solve_deterministic_greedy
+from conftest import make_case, mirrored_instance, point_mass, square_instance
+from fcmurp import recourse
+from fcmurp.detsolve import DetProblem, optimal_depot_insertion, solve_deterministic_greedy
 from fcmurp.instgen import sample_scenarios
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, nominal_feasibility, route_cost
 from fcmurp.recourse import (
@@ -20,7 +21,7 @@ from fcmurp.recourse import (
     recourse_oracle,
     route_beta,
 )
-from oracles import recourse_by_enumeration, segments_feasible
+from oracles import leg_best_by_sweep, recourse_by_enumeration, segments_feasible
 
 
 def scaled(instance, factor, sid=0):
@@ -73,6 +74,51 @@ def test_dp_matches_independent_enumeration():
         else:
             assert fast.feasible
             assert fast.beta == ref
+
+
+def kernel_cases():
+    """(instance, routes, scenario) at 5 to 20 targets, sampled fuel at 1.0x
+    and 1.6x, a hopeless tank, and the mirrored tie layout."""
+    for seed, n in ((3, 5), (5, 8), (7, 12), (12, 20)):
+        inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3)
+        routes = solve_deterministic_greedy(inst).routes
+        for s in sample_scenarios(inst, qmap, seed=seed, count=8):
+            for factor in (1.0, 1.6):
+                yield inst, routes, Scenario(id=s.id, probability=1.0, fuel=s.fuel * factor)
+        yield inst, routes, scaled(inst, 100.0)
+    inst = mirrored_instance()
+    problem = DetProblem(inst)
+    for seq in ((2, 3, 4), (3, 2, 4), (4, 2, 3), (2, 4, 3)):
+        routes = RouteSet((optimal_depot_insertion(seq, problem)[0],))
+        for factor in (1.0, 1.2, 1.5, 2.0):
+            yield inst, routes, scaled(inst, factor)
+
+
+def test_leg_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
+    cases = list(kernel_cases())
+    plans = []
+    legs = 0
+    for inst, routes, scen in cases:
+        table = precompute_best_depot(inst, scen)
+        args = (table.fuel_rows, inst.cost_rows, inst.fuel_capacity, table.depot_rows)
+        nd = inst.n_depots
+        for route in routes.routes:
+            stops = [p for p, v in enumerate(route) if v < nd]
+            for a, b in zip(stops, stops[1:]):
+                got = recourse._leg_best(route, a, b, *args, nd)
+                assert got == leg_best_by_sweep(route, a, b, *args, nd)
+                legs += 1
+        plans.append(evaluate_recourse(routes, scen, inst, table))
+    monkeypatch.setattr(recourse, "_leg_best", leg_best_by_sweep)
+    for (inst, routes, scen), plan in zip(cases, plans):
+        ref = evaluate_recourse(routes, scen, inst)
+        assert plan.detoured_edges == ref.detoured_edges
+        assert plan.inserted_depots == ref.inserted_depots
+        assert plan.beta == ref.beta
+        assert plan.feasible == ref.feasible
+    assert legs > 200
+    assert sum(bool(p.detoured_edges) for p in plans) > 10
+    assert sum(not p.feasible for p in plans) > 4
 
 
 def test_point_mass_on_feasible_routes_needs_no_detour():

@@ -7,7 +7,13 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import make_case, make_scenarios, point_mass, square_instance
+from conftest import (
+    make_case,
+    make_scenarios,
+    mirrored_instance,
+    point_mass,
+    square_instance,
+)
 from fcmurp.detsolve import (
     DetProblem,
     DetSolution,
@@ -96,15 +102,7 @@ def test_pattern_search_matches_pattern_enumeration_exactly():
 
 
 def test_pattern_search_keeps_the_tie_break_on_a_symmetric_layout():
-    # depot 1 at (0, 8) and home mirror each other about the edge between
-    # targets 2 and 3, so detours through either cost exactly the same
-    inst = make_instance(
-        target_coords=[(-3.0, 4.0), (3.0, 4.0), (0.0, -4.0)],
-        refuel_coords=[(0.0, 8.0)],
-        home_coord=(0.0, 0.0),
-        vehicles=1,
-        fuel_factor=1.6,
-    )
+    inst = mirrored_instance()
     problem = DetProblem(inst)
     ties = 0
     for scale in (1.0, 1.2):
