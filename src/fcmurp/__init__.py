@@ -26,7 +26,6 @@ from .recourse import (
     evaluate_recourse,
     recourse_oracle,
     realized_routes,
-    penalized_objective,
 )
 from .detsolve import (
     DetProblem,
@@ -43,7 +42,6 @@ from .heuristics import (
     TabuResult,
     TwoStageEvaluator,
     construction_weights,
-    construct,
     construct_detailed,
     neighborhood,
     tabu_improve,

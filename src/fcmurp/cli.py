@@ -350,7 +350,12 @@ def solve(
         seeds["gamma"] = list(lb.gamma_seeds)
         seeds["lambda"] = lambda_seed(seed)
         extras = {"penalty": ub.penalty}
-        counters = _scoring_counters(lambda_size, ub)
+        counters = {
+            **_scoring_counters(lambda_size, ub),
+            "saa_replications": [
+                {"nodes": s.nodes, "optimal": s.optimal} for s in lb.solutions
+            ],
+        }
     else:
         params = TabuParams(
             iterations=iterations, stall_limit=stall_limit, tenure=tenure

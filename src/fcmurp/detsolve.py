@@ -18,7 +18,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import Instance, RouteSet, min_entry_fuel, min_exit_fuel
+from .model import (
+    Instance,
+    RouteSet,
+    min_detour_increment,
+    min_entry_fuel,
+    min_exit_fuel,
+)
 
 __all__ = [
     "DetProblem",
@@ -132,20 +138,30 @@ class DetProblem:
     def min_insertion_delta(self) -> float:
         """Smallest possible cost delta of a single depot insertion.
 
-        Non-negative for metric costs; with overrides it can go negative, in
-        which case completion bounds must budget one insertion per edge.
+        ``model.min_detour_increment`` of the active costs. Non-negative for
+        metric costs; with overrides it can go negative, in which case
+        completion bounds must budget one insertion per edge.
         """
-        cost = self.cost
-        n = self.instance.n_vertices
-        best = math.inf
-        for d in self.instance.depot_indices:
-            via = cost[:, d][:, None] + cost[d, :][None, :] - cost
-            mask = ~np.eye(n, dtype=bool)
-            mask[d, :] = False
-            mask[:, d] = False
-            if mask.any():
-                best = min(best, float(via[mask].min()))
-        return best
+        return min_detour_increment(self.cost, self.instance.n_depots)
+
+    @cached_property
+    def label_slack_unit(self) -> float:
+        """Per-problem factor of the insertion sweep's dominance margin.
+
+        ``optimal_depot_insertion`` drops a label only when its delta exceeds
+        a dominating label's by more than ``slack = unit * L * (L + 1)`` on a
+        route of L edges. A dropped label must end strictly worse than its
+        dominator after every remaining fold, so the slack has to cover the
+        worst rounding drift of those folds. Let C be the largest |cost|. A
+        delta sums at most L increments of at most 3C each, so with rounding
+        every |delta| and every |delta + via| stays below B = 4(L + 1)C. One
+        ``(x + via) - direct`` step rounds twice per label, each time by at
+        most u|result| with u = 2**-53, so it shrinks the gap between two
+        labels by at most 4uB; at most L steps remain, a drift of at most
+        16uL(L + 1)C. Twice that, the unit 32uC, also covers the rounding of
+        ``best + slack`` in the test itself.
+        """
+        return 32.0 * 2.0**-53 * float(np.abs(self.cost).max())
 
 
 @dataclass(frozen=True)
@@ -198,7 +214,7 @@ def optimal_depot_insertion(
     pattern works.
 
     One left-to-right sweep over route positions carries resource labels
-    (cost delta, insertion pattern, fuel burnt since the last refuel), as in
+    (fuel burnt since the last refuel, cost delta, insertion pattern), as in
     a resource-constrained shortest path. At each position a label dies when
     its fuel exceeds the capacity or, at a target, leaves no reserve to exit;
     a live label is offered to every depot within reach on the next edge and
@@ -206,19 +222,77 @@ def optimal_depot_insertion(
     smallest (delta, pattern) offered to it, which is final once the position
     is done and refuels a new label on the far side of the detour. Ties go
     to the lexicographically smallest pattern of (edge, depot) pairs.
+
+    Two rules skip work whose answer is forced, and leave every answer and
+    its tie-break as the full sweep would:
+
+    - *Bare route.* When ``problem.min_insertion_delta >= 0.0`` and the
+      route flown without insertions passes the sweep's checks, the bare
+      route is returned without a sweep. Every insertion delta starts at
+      ``via - direct >= 0.0`` and rounding is monotone, so no label ends
+      below 0.0, and on a tie the empty pattern is the smallest.
+    - *Dominance.* After each position the labels are sorted by fuel, and a
+      label is dropped when its delta exceeds the smallest delta of a kept
+      label (which has at most its fuel) by more than a slack (see
+      ``DetProblem.label_slack_unit``). The kept label can make every move
+      the dropped one can, and since the slack outlasts the rounding drift
+      of the remaining folds it stays strictly cheaper, so the dropped
+      label's pattern could never have won a tie either.
     """
     inst = problem.instance
     if not seq:
         raise ValueError("cannot route an empty target sequence")
     route = (0, *seq, 0)
     fuel = problem.fuel_rows
+    cap = inst.fuel_capacity
+    exit_fuel = problem.exit_fuel_list
+    nd = inst.n_depots
+    if problem.min_insertion_delta >= 0.0 and _bare_route_fits(route, fuel, cap, exit_fuel, nd):
+        realized = route
+    else:
+        realized = _insertion_sweep(route, problem)
+        if realized is None:
+            return None
     cost = problem.cost_rows
+    total = 0.0
+    for a, b in zip(realized, realized[1:]):
+        total += cost[a][b]
+    return realized, total
+
+
+def _bare_route_fits(
+    route: tuple[int, ...],
+    fuel: list[list[float]],
+    cap: float,
+    exit_fuel: list[float],
+    nd: int,
+) -> bool:
+    """Whether the insertion sweep keeps the insertion-free label to the end.
+
+    The same checks in the same order: at each position the capacity, the
+    exit reserve at a target, then the left-folded fuel of the next edge.
+    """
+    running = 0.0
+    for pos in range(len(route) - 1):
+        v = route[pos]
+        if running > cap or (v >= nd and running + exit_fuel[v] > cap):
+            return False
+        running += fuel[v][route[pos + 1]]
+    return running <= cap
+
+
+def _insertion_sweep(route: tuple[int, ...], problem: DetProblem) -> Optional[tuple[int, ...]]:
+    """The label sweep of ``optimal_depot_insertion``: the realized route of
+    the best pattern, or None."""
+    inst = problem.instance
+    fuel = problem.fuel_rows
     options = problem.detour_options
     cap = inst.fuel_capacity
     exit_fuel = problem.exit_fuel_list
     nd = inst.n_depots
     last = len(route) - 1
-    labels = [(0.0, (), 0.0)]
+    slack = problem.label_slack_unit * last * (last + 1)
+    labels = [(0.0, 0.0, ())]
     for pos in range(last):
         v = route[pos]
         nxt = route[pos + 1]
@@ -227,11 +301,12 @@ def optimal_depot_insertion(
         step = fuel[v][nxt]
         slots: list = [None] * nd
         advanced = []
-        for delta, pattern, running in labels:
+        # labels are sorted by fuel: once one dies, so do all after it
+        for running, delta, pattern in labels:
             if running > cap:
-                continue
+                break
             if reserve is not None and running + reserve > cap:
-                continue
+                break
             for d, to_depot, via in detours:
                 if running + to_depot > cap:
                     break
@@ -244,16 +319,25 @@ def optimal_depot_insertion(
                     extended = pattern + ((pos, d),)
                     if extended < slot[1]:
                         slots[d] = (value, extended)
-            advanced.append((delta, pattern, running + step))
+            advanced.append((running + step, delta, pattern))
         for d in range(nd):
             slot = slots[d]
             if slot is not None:
-                advanced.append((slot[0], slot[1], fuel[d][nxt]))
+                advanced.append((fuel[d][nxt], slot[0], slot[1]))
         if not advanced:
             return None
-        labels = advanced
+        advanced.sort()
+        labels = []
+        bound = math.inf
+        for label in advanced:
+            delta = label[1]
+            if delta > bound:
+                continue
+            labels.append(label)
+            if delta + slack < bound:
+                bound = delta + slack
     end = None
-    for delta, pattern, running in labels:
+    for running, delta, pattern in labels:
         if running <= cap and (end is None or (delta, pattern) < end):
             end = (delta, pattern)
     if end is None:
@@ -264,10 +348,7 @@ def optimal_depot_insertion(
         if p in inserted:
             realized.append(inserted[p])
         realized.append(route[p + 1])
-    total = 0.0
-    for a, b in zip(realized, realized[1:]):
-        total += cost[a][b]
-    return tuple(realized), total
+    return tuple(realized)
 
 
 def _min_arrival_step(

@@ -38,7 +38,6 @@ __all__ = [
     "Evaluation",
     "TabuResult",
     "construction_weights",
-    "construct",
     "construct_detailed",
     "neighborhood",
     "tabu_improve",
@@ -243,16 +242,6 @@ def _best_feasible_fallback(
         raise RuntimeError("construction found no nominally feasible routes")
     scored.sort(key=lambda x: (x[0], x[1]))
     return scored[0][2]
-
-
-def construct(
-    instance: Instance,
-    delta: ScenarioSet,
-    config: Optional[BnBConfig] = None,
-    engine: str = "auto",
-) -> RouteSet:
-    """Scenario-weighted construction; see ``construct_detailed``."""
-    return construct_detailed(instance, delta, config, engine).routes
 
 
 # One memoized bare sequence: realized route, first-stage cost, and its

@@ -28,6 +28,7 @@ __all__ = [
     "make_instance",
     "euclidean_matrix",
     "is_metric",
+    "min_detour_increment",
     "validate_instance",
     "route_cost",
     "nominal_feasibility",
@@ -123,6 +124,11 @@ class Instance:
         return self.cost.tolist()
 
     @cached_property
+    def min_detour_increment(self) -> float:
+        """``min_detour_increment`` of ``cost``: the cheapest mid-edge detour."""
+        return min_detour_increment(self.cost, self.n_depots)
+
+    @cached_property
     def min_exit_fuel(self) -> np.ndarray:
         """Per-vertex cheapest nominal fuel to reach any depot."""
         return min_exit_fuel(self.nominal_fuel, self.n_depots)
@@ -131,6 +137,31 @@ class Instance:
     def min_entry_fuel(self) -> np.ndarray:
         """Per-vertex cheapest nominal fuel from any depot."""
         return min_entry_fuel(self.nominal_fuel, self.n_depots)
+
+
+def min_detour_increment(cost: np.ndarray, n_depots: int) -> float:
+    """Smallest extra cost of flying v -> d -> w instead of v -> w.
+
+    The minimum of ``(cost[v][d] + cost[d][w]) - cost[v][w]``, folded in that
+    order, over ordered pairs ``v != w`` and depots ``d`` other than both;
+    inf when no such detour exists. Non-negative for metric costs. When it
+    is, no detour can pay: every detour label of the insertion DP and of the
+    recourse leg DP starts at one of these increments, IEEE rounding is
+    monotone, so every later fold stays at or above 0.0, and the detour-free
+    label (value 0.0, the empty pattern) wins every comparison, ties
+    included. Both DPs then skip their sweep when the detour-free route is
+    fuel feasible.
+    """
+    n = cost.shape[0]
+    best = math.inf
+    for d in range(n_depots):
+        via = cost[:, d][:, None] + cost[d, :][None, :] - cost
+        mask = ~np.eye(n, dtype=bool)
+        mask[d, :] = False
+        mask[:, d] = False
+        if mask.any():
+            best = min(best, float(via[mask].min()))
+    return best
 
 
 def min_exit_fuel(fuel: np.ndarray, n_depots: int) -> np.ndarray:

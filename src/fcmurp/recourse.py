@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Instance, RecoursePlan, RouteSet, Scenario, ScenarioSet, route_cost
+from .model import Instance, RecoursePlan, RouteSet, Scenario
 
 __all__ = [
     "BestDepotTable",
@@ -31,7 +31,6 @@ __all__ = [
     "evaluate_recourse",
     "route_beta",
     "recourse_oracle",
-    "penalized_objective",
     "realized_routes",
 ]
 
@@ -191,6 +190,22 @@ def _leg_best(
     return end
 
 
+def _direct_leg_fits(
+    route: tuple[int, ...], a: int, b: int, fuel: list[list[float]], cap: float
+) -> bool:
+    """Whether ``_leg_best`` keeps the detour-free label of a leg to its end.
+
+    The same check in the same order: at each position the capacity, then
+    the left-folded realized fuel of the next edge.
+    """
+    running = 0.0
+    for p in range(a, b):
+        if running > cap:
+            return False
+        running += fuel[route[p]][route[p + 1]]
+    return running <= cap
+
+
 def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, list]:
     """Fuel and best-depot rows for one scenario under a given table."""
     if table.fuel is scenario.fuel:
@@ -210,6 +225,12 @@ def evaluate_recourse(
     altered; only mid-edge depot detours may be spliced in, at most one per
     edge. Returns an infeasible plan with infinite cost when some leg cannot
     be recovered.
+
+    Direct-leg shortcut: when ``instance.min_detour_increment >= 0.0`` and a
+    leg flown as planned fits the tank, the leg is taken as planned without
+    running its DP. Every detour increment is then at least 0.0 and rounding
+    is monotone, so no detour pattern costs less than 0.0, and on a tie the
+    DP keeps the empty pattern; its answer is ``(0.0, ())`` either way.
     """
     n = instance.n_vertices
     if scenario.fuel.shape != (n, n):
@@ -223,11 +244,14 @@ def evaluate_recourse(
     cost = instance.cost_rows
     cap = instance.fuel_capacity
     nd = instance.n_depots
+    direct_wins = instance.min_detour_increment >= 0.0
     detours: list[tuple[int, int]] = []
     depots: dict[tuple[int, int], int] = {}
     for r, route in enumerate(routes.routes):
         stops = [p for p, v in enumerate(route) if v < nd]
         for a, b in zip(stops, stops[1:]):
+            if direct_wins and _direct_leg_fits(route, a, b, fuel, cap):
+                continue
             leg = _leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
             if leg is None:
                 return RecoursePlan(scenario.id, (), {}, math.inf, False)
@@ -278,8 +302,10 @@ def route_beta(
 ) -> float:
     """Minimum recourse cost of a single route, inf when unrecoverable.
 
-    Same per-leg DP as ``evaluate_recourse`` but summed per route, which lets
-    search code cache contributions route by route.
+    Same per-leg DP as ``evaluate_recourse``, with the same direct-leg
+    shortcut (a leg that fits as planned adds 0.0 when no detour increment
+    is negative), but summed per route, which lets search code cache
+    contributions route by route.
     """
     if table is None:
         table = precompute_best_depot(instance, scenario)
@@ -287,10 +313,13 @@ def route_beta(
     cost = instance.cost_rows
     cap = instance.fuel_capacity
     nd = instance.n_depots
+    direct_wins = instance.min_detour_increment >= 0.0
     route = tuple(route)
     stops = [p for p, v in enumerate(route) if v < nd]
     total = 0.0
     for a, b in zip(stops, stops[1:]):
+        if direct_wins and _direct_leg_fits(route, a, b, fuel, cap):
+            continue
         leg = _leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
         if leg is None:
             return math.inf
@@ -365,28 +394,3 @@ def realized_routes(routes: RouteSet, plan: RecoursePlan) -> tuple[tuple[int, ..
             seq.append(route[p + 1])
         out.append(tuple(seq))
     return tuple(out)
-
-
-def penalized_objective(
-    routes: RouteSet,
-    scenarios: ScenarioSet,
-    instance: Instance,
-    policy: PenaltyPolicy,
-    tables: Optional[Sequence[BestDepotTable]] = None,
-) -> float:
-    """First-stage cost plus probability-weighted recourse, penalty for
-    unrecoverable scenarios."""
-    total = route_cost(routes, instance)
-    for k, scenario in enumerate(scenarios):
-        table = tables[k] if tables is not None else None
-        plan = evaluate_recourse(routes, scenario, instance, table)
-        if plan.feasible:
-            if plan.beta >= policy.nu:
-                raise ValueError(
-                    f"penalty {policy.nu} does not dominate observed recourse "
-                    f"cost {plan.beta} (scenario {scenario.id})"
-                )
-            total += scenario.probability * plan.beta
-        else:
-            total += scenario.probability * policy.nu
-    return float(total)

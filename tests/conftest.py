@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,21 @@ def mirrored_instance() -> Instance:
         vehicles=1,
         fuel_factor=1.6,
     )
+
+
+def off_triangle_instance() -> Instance:
+    """A generated 8-target instance with refuel depot 1 pulled off the
+    triangle inequality: every cost and nominal fuel into or out of it is
+    cut to 0.3x, so depot 1 is often the best-fuel depot of an edge, some
+    detours through it cost less than the direct edge, and
+    ``min_detour_increment`` is negative."""
+    inst, _ = make_case(seed=5, n_targets=8, vehicles=3)
+    cost = np.array(inst.cost)
+    fuel = np.array(inst.nominal_fuel)
+    for mat in (cost, fuel):
+        mat[1, :] *= 0.3
+        mat[:, 1] *= 0.3
+    return dataclasses.replace(inst, cost=cost, nominal_fuel=fuel, metric=False)
 
 
 def point_mass(instance: Instance, scale: float = 1.0, sid: int = 0) -> ScenarioSet:

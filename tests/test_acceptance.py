@@ -24,7 +24,6 @@ from fcmurp.detsolve import (
 from fcmurp.heuristics import (
     TabuParams,
     TwoStageEvaluator,
-    construct,
     construct_detailed,
     tabu_improve,
 )
@@ -168,7 +167,7 @@ def test_criterion_5_vss_positivity_trend():
         candidates = []
         for k in range(2):
             delta = make_scenarios(inst, qmap, seed=gamma_seed(seed, k), count=3)
-            built = construct(inst, delta)
+            built = construct_detailed(inst, delta).routes
             improved = tabu_improve(
                 built, delta, TabuParams(iterations=60, stall_limit=30), inst
             )
@@ -215,7 +214,7 @@ def test_criterion_7_tabu_discipline():
         inst, qmap = make_case(seed=seed, n_targets=20, vehicles=3)
         delta = make_scenarios(inst, qmap, seed=gamma_seed(seed, 0), count=3)
         run_start = time.perf_counter()
-        start_routes = construct(inst, delta)
+        start_routes = construct_detailed(inst, delta).routes
         res = tabu_improve(start_routes, delta, params, inst)
         run_elapsed = time.perf_counter() - run_start
         worst = max(worst, run_elapsed)

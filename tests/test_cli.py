@@ -376,6 +376,14 @@ def test_solve_manifest_counts_the_ev_search(runner, tmp_path):
         assert ev_solve["optimal"] is True
         assert ev_solve["nodes"] > 0
         assert "tabu" not in blocks[0]
+        if mode == "saa":
+            rows = blocks[0]["saa_replications"]
+            assert len(rows) == 2
+            for row in rows:
+                assert set(row) == {"nodes", "optimal"}
+                assert row["nodes"] > 0 and row["optimal"] is True
+        else:
+            assert "saa_replications" not in blocks[0]
 
 
 def test_solve_flags_runs_where_no_scenario_needs_recourse(runner, tmp_path):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_case, make_scenarios, mirrored_instance
+from conftest import make_case, make_scenarios, mirrored_instance, off_triangle_instance
+from fcmurp import detsolve
 from fcmurp.detsolve import (
     EXACT_TARGET_LIMIT,
     BnBConfig,
@@ -21,7 +22,7 @@ from fcmurp.detsolve import (
 )
 from fcmurp.heuristics import construction_weights
 from fcmurp.instgen import GenConfig, generate_instance
-from fcmurp.model import RouteSet, nominal_feasibility, route_cost
+from fcmurp.model import RouteSet, make_instance, nominal_feasibility, route_cost
 from oracles import best_insertion, depot_insertion_by_sweep, enumerate_deterministic
 
 
@@ -95,10 +96,19 @@ def discounted_problem(inst, qmap, seed):
     )
 
 
-def test_insertion_labels_match_the_node_sweep_bit_for_bit():
+def test_insertion_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
+    shortcuts = []
+    check = detsolve._bare_route_fits
+
+    def counted(*args):
+        shortcuts.append(check(*args))
+        return shortcuts[-1]
+
+    monkeypatch.setattr(detsolve, "_bare_route_fits", counted)
     rng = np.random.default_rng(44)
     found = missing = 0
     discounted = 0
+    cases = []
     for seed, n in ((3, 5), (5, 8), (7, 12), (12, 20)):
         inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3)
         nominal = np.array(inst.nominal_fuel)
@@ -109,8 +119,20 @@ def test_insertion_labels_match_the_node_sweep_bit_for_bit():
             DetProblem(inst, fuel_override=nominal * 100.0),
         ]
         discounted += problems[1].min_insertion_delta < 0.0
+        cases.append((inst, problems))
+    # a depot off the triangle inequality: insertions can pay on their own
+    off_triangle = off_triangle_instance()
+    off_nominal = np.array(off_triangle.nominal_fuel)
+    off_problems = [
+        DetProblem(off_triangle),
+        DetProblem(off_triangle, fuel_override=off_nominal * 1.6),
+    ]
+    cases.append((off_triangle, off_problems))
+    for inst, problems in cases:
+        n = inst.n_targets
         targets = np.array(inst.target_indices)
         for problem in problems:
+            checks = len(shortcuts)
             for _ in range(80):
                 length = int(rng.integers(1, min(n, 9) + 1))
                 seq = tuple(int(t) for t in rng.permutation(targets)[:length])
@@ -118,6 +140,8 @@ def test_insertion_labels_match_the_node_sweep_bit_for_bit():
                 assert got == depot_insertion_by_sweep(seq, problem)
                 found += got is not None
                 missing += got is None
+            # the shortcut is only tried where no insertion can pay
+            assert (len(shortcuts) > checks) == (problem.min_insertion_delta >= 0.0)
     mirrored = mirrored_instance()
     for scale in (1.0, 1.2, 1.5):
         problem = DetProblem(mirrored, fuel_override=np.array(mirrored.nominal_fuel) * scale)
@@ -126,8 +150,76 @@ def test_insertion_labels_match_the_node_sweep_bit_for_bit():
                 assert optimal_depot_insertion(seq, problem) == depot_insertion_by_sweep(
                     seq, problem
                 )
+    assert off_triangle.min_detour_increment < 0.0
     assert discounted == 4
     assert found > 600 and missing > 80
+    # the bare route both fits and fails often enough to test each branch
+    assert shortcuts.count(True) > 100 and shortcuts.count(False) > 100
+
+
+def one_ulp_tie_problem(scale):
+    """Two labels one ulp apart that tie after a later fold.
+
+    Home 0, refuel depots 1 and 2, targets 3 and 4, route 0-3-4-0, tank 10.
+    The bare route dies at target 3 (9.5 burnt, no reserve left), so the
+    first edge must detour: through depot 2 the delta is exactly 2.0, through
+    depot 1 it is 2.0 + 2**-51, one ulp more, at the same fuel. Edge 3-4 is
+    too long to fly direct, and its detours add 8.0 - 1.0 to both; at 10.0
+    the ulp is rounded away, so both labels tie and depot 1's pattern, the
+    smaller one, must win. A dominance rule without rounding slack drops the
+    depot-1 label at the first edge and returns the depot-2 route instead.
+    Costs are multiplied by a power of two ``scale``, which keeps every
+    value exact up to the same rounding, so a slack that does not grow
+    with the costs fails at the larger scales.
+    """
+    inst = make_instance(
+        target_coords=[(3.0, 0.0), (4.0, 0.0)],
+        refuel_coords=[(1.0, 0.0), (2.0, 0.0)],
+        home_coord=(0.0, 0.0),
+        vehicles=1,
+        fuel_capacity=10.0,
+    )
+    cost = np.full((5, 5), 4.0)
+    np.fill_diagonal(cost, 0.0)
+    cost[0, 3] = cost[3, 4] = 1.0
+    cost[0, 1] = cost[0, 2] = 1.0
+    cost[1, 3] = 2.0 + 2.0**-51
+    cost[2, 3] = 2.0
+    fuel = np.ones((5, 5))
+    np.fill_diagonal(fuel, 0.0)
+    fuel[0, 3] = fuel[3, 4] = 9.5
+    return DetProblem(inst, cost_override=cost * scale, fuel_override=fuel)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**20, 2.0**40])
+def test_insertion_keeps_a_label_that_ties_only_after_rounding(scale):
+    problem = one_ulp_tie_problem(scale)
+    got = optimal_depot_insertion((3, 4), problem)
+    assert got == depot_insertion_by_sweep((3, 4), problem)
+    assert got[0] == (0, 1, 3, 0, 4, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    scale=st.sampled_from([1.0, 1e3, 1e6]),
+    factor=st.sampled_from([1.0, 1.6]),
+)
+def test_insertion_matches_the_sweep_on_non_metric_costs(seed, scale, factor):
+    # small integer costs nudged by a few ulps, so labels tie or nearly tie
+    inst, _ = make_case(seed=seed % 50, n_targets=6, vehicles=2)
+    rng = np.random.default_rng(seed)
+    n = inst.n_vertices
+    nudge = 1.0 + rng.choice([0.0, 0.0, 2.0**-52, -(2.0**-53), 2.0**-51], size=(n, n))
+    cost = scale * rng.integers(1, 6, size=(n, n)) * nudge
+    problem = DetProblem(
+        inst, cost_override=cost, fuel_override=np.array(inst.nominal_fuel) * factor
+    )
+    targets = np.array(inst.target_indices)
+    for _ in range(15):
+        length = int(rng.integers(1, n - inst.n_depots + 1))
+        seq = tuple(int(t) for t in rng.permutation(targets)[:length])
+        assert optimal_depot_insertion(seq, problem) == depot_insertion_by_sweep(seq, problem)
 
 
 def test_insertion_rejects_empty_sequence():

@@ -12,7 +12,6 @@ from fcmurp.heuristics import (
     TabuList,
     TabuParams,
     TwoStageEvaluator,
-    construct,
     construct_detailed,
     construction_weights,
     neighborhood,
@@ -92,7 +91,6 @@ def test_construct_returns_routes_and_uses_exact_engine_on_small_cases():
     assert res.engine == "exact"
     assert res.fallback == "none"
     assert nominal_feasibility(res.routes, inst)[0]
-    assert construct(inst, delta) == res.routes
 
 
 def test_construct_switches_to_greedy_beyond_the_exact_limit():
@@ -122,13 +120,13 @@ def test_construct_falls_back_to_scenario_solutions_when_final_solve_fails():
 def test_construct_rejects_an_empty_scenario_set():
     inst = square_instance()
     with pytest.raises(ValueError):
-        construct(inst, ScenarioSet((), label="empty"))
+        construct_detailed(inst, ScenarioSet((), label="empty"))
 
 
 def test_unknown_engine_is_rejected():
     inst = square_instance()
     with pytest.raises(ValueError):
-        construct(inst, point_mass(inst), engine="simplex")
+        construct_detailed(inst, point_mass(inst), engine="simplex")
 
 
 def test_evaluator_requires_calibration_before_scoring():
@@ -141,7 +139,7 @@ def test_evaluator_requires_calibration_before_scoring():
 def test_evaluator_matches_recourse_and_insertion_modules():
     inst, qmap = make_case(seed=14, n_targets=5, vehicles=2)
     delta = make_scenarios(inst, qmap, seed=7, count=3)
-    start = construct(inst, delta)
+    start = construct_detailed(inst, delta).routes
     bare = start.bare_sequences(inst)
     ev = TwoStageEvaluator(inst, delta)
     ev.calibrate(bare)
@@ -193,7 +191,7 @@ def test_neighborhood_counts_follow_target_pairs():
 
 def test_neighborhood_swaps_are_involutions():
     inst, qmap = make_case(seed=14, n_targets=5, vehicles=2)
-    start = construct(inst, make_scenarios(inst, qmap, seed=7, count=2))
+    start = construct_detailed(inst, make_scenarios(inst, qmap, seed=7, count=2)).routes
     for nb in neighborhood(start, inst):
         back = [v.bare_sequences(inst) for v in neighborhood(nb, inst)]
         assert start.bare_sequences(inst) in back
@@ -235,7 +233,7 @@ def test_tabu_list_expires_moves():
 def tabu_setup(seed=14, n=6, m=2, count=3, scenario_seed=7):
     inst, qmap = make_case(seed=seed, n_targets=n, vehicles=m)
     delta = make_scenarios(inst, qmap, seed=scenario_seed, count=count)
-    return inst, delta, construct(inst, delta)
+    return inst, delta, construct_detailed(inst, delta).routes
 
 
 def test_tabu_moves_respect_the_tenure_without_aspiration():
@@ -330,7 +328,7 @@ def test_tabu_rejects_an_uninsertable_start():
 def test_tabu_improves_on_a_poor_start():
     inst, qmap = make_case(seed=21, n_targets=6, vehicles=2)
     delta = make_scenarios(inst, qmap, seed=3, count=3)
-    start = construct(inst, delta)
+    start = construct_detailed(inst, delta).routes
     res = tabu_improve(start, delta, TabuParams(iterations=80, stall_limit=40), inst)
     ev = TwoStageEvaluator(inst, delta)
     bare = start.bare_sequences(inst)

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_case, mirrored_instance, point_mass, square_instance
+from conftest import (
+    make_case,
+    mirrored_instance,
+    off_triangle_instance,
+    point_mass,
+    square_instance,
+)
 from fcmurp import recourse
 from fcmurp.detsolve import DetProblem, optimal_depot_insertion, solve_deterministic_greedy
-from fcmurp.instgen import sample_scenarios
-from fcmurp.model import RouteSet, Scenario, ScenarioSet, nominal_feasibility, route_cost
+from fcmurp.instgen import assign_quadrants, sample_scenarios
+from fcmurp.model import RouteSet, Scenario, nominal_feasibility
 from fcmurp.recourse import (
     ORACLE_EDGE_CAP,
     PenaltyPolicy,
     evaluate_recourse,
-    penalized_objective,
     precompute_best_depot,
     realized_routes,
     recourse_oracle,
@@ -78,7 +83,8 @@ def test_dp_matches_independent_enumeration():
 
 def kernel_cases():
     """(instance, routes, scenario) at 5 to 20 targets, sampled fuel at 1.0x
-    and 1.6x, a hopeless tank, and the mirrored tie layout."""
+    and 1.6x, a hopeless tank, the mirrored tie layout, and a depot pulled
+    off the triangle inequality, where detours can pay on their own."""
     for seed, n in ((3, 5), (5, 8), (7, 12), (12, 20)):
         inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3)
         routes = solve_deterministic_greedy(inst).routes
@@ -92,33 +98,68 @@ def kernel_cases():
         routes = RouteSet((optimal_depot_insertion(seq, problem)[0],))
         for factor in (1.0, 1.2, 1.5, 2.0):
             yield inst, routes, scaled(inst, factor)
+    # routes planned on the metric original fly past depot 1, so recourse
+    # detours through it can pay even on legs that fit as planned
+    inst = off_triangle_instance()
+    routes = solve_deterministic_greedy(make_case(seed=5, n_targets=8, vehicles=3)[0]).routes
+    for s in sample_scenarios(inst, assign_quadrants(inst, 5), seed=5, count=8):
+        yield inst, routes, s
+    for factor in (1.0, 1.6, 100.0):
+        yield inst, routes, scaled(inst, factor)
 
 
 def test_leg_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
+    fits = []
+    check = recourse._direct_leg_fits
+
+    def counted(*args):
+        fits.append(check(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(recourse, "_direct_leg_fits", counted)
     cases = list(kernel_cases())
     plans = []
-    legs = 0
+    betas = []
+    legs = voluntary = 0
     for inst, routes, scen in cases:
         table = precompute_best_depot(inst, scen)
         args = (table.fuel_rows, inst.cost_rows, inst.fuel_capacity, table.depot_rows)
         nd = inst.n_depots
+        as_planned = True
         for route in routes.routes:
             stops = [p for p, v in enumerate(route) if v < nd]
             for a, b in zip(stops, stops[1:]):
                 got = recourse._leg_best(route, a, b, *args, nd)
                 assert got == leg_best_by_sweep(route, a, b, *args, nd)
+                as_planned &= check(route, a, b, table.fuel_rows, inst.fuel_capacity)
                 legs += 1
+        checks = len(fits)
         plans.append(evaluate_recourse(routes, scen, inst, table))
+        betas.append([route_beta(r, scen, inst, table) for r in routes.routes])
+        # the direct-leg shortcut is only tried where no detour can pay
+        assert (len(fits) > checks) == (inst.min_detour_increment >= 0.0)
+        if inst.min_detour_increment < 0.0 and as_planned and plans[-1].detoured_edges:
+            voluntary += 1
+    # the reference runs every leg through the node sweep, shortcut off
     monkeypatch.setattr(recourse, "_leg_best", leg_best_by_sweep)
-    for (inst, routes, scen), plan in zip(cases, plans):
+    monkeypatch.setattr(recourse, "_direct_leg_fits", lambda *args: False)
+    for (inst, routes, scen), plan, beta in zip(cases, plans, betas):
         ref = evaluate_recourse(routes, scen, inst)
         assert plan.detoured_edges == ref.detoured_edges
         assert plan.inserted_depots == ref.inserted_depots
         assert plan.beta == ref.beta
         assert plan.feasible == ref.feasible
+        assert beta == [route_beta(r, scen, inst) for r in routes.routes]
+        if inst.min_detour_increment < 0.0:
+            assert plan.beta == recourse_by_enumeration(routes, scen, inst)
     assert legs > 200
     assert sum(bool(p.detoured_edges) for p in plans) > 10
     assert sum(not p.feasible for p in plans) > 4
+    # off the triangle, plans detour on legs that fit as planned, where a
+    # shortcut would have flown them direct
+    assert voluntary > 0
+    # the shortcut both fires and falls through to the DP
+    assert fits.count(True) > 100 and fits.count(False) > 100
 
 
 def test_point_mass_on_feasible_routes_needs_no_detour():
@@ -219,35 +260,6 @@ def test_penalty_policy_dominates_observed_betas():
     )
     assert policy.nu == 11.5 + round_trips
     assert PenaltyPolicy.from_betas(inst, []).nu == round_trips
-
-
-def test_penalized_objective_mixes_beta_and_penalty():
-    inst, qmap = make_case(seed=8, n_targets=5, vehicles=2)
-    routes = solve_deterministic_greedy(inst).routes
-    good = point_mass(inst, scale=1.0, sid=0).scenarios[0]
-    bad = scaled(inst, 50.0, sid=1)
-    scen = ScenarioSet(
-        (
-            Scenario(id=0, probability=0.5, fuel=np.array(good.fuel)),
-            Scenario(id=1, probability=0.5, fuel=np.array(bad.fuel)),
-        )
-    )
-    policy = PenaltyPolicy.from_betas(inst, [0.0])
-    value = penalized_objective(routes, scen, inst, policy)
-    stage1 = route_cost(routes, inst)
-    assert value == pytest.approx(stage1 + 0.5 * 0.0 + 0.5 * policy.nu)
-
-
-def test_penalized_objective_rejects_dominated_penalty():
-    inst, _ = make_case(seed=1, n_targets=6, vehicles=2)
-    routes = solve_deterministic_greedy(inst).routes
-    s = scaled(inst, 1.4)
-    plan = evaluate_recourse(routes, s, inst)
-    assert plan.feasible and plan.beta > 0
-    scen = ScenarioSet((Scenario(id=0, probability=1.0, fuel=np.array(s.fuel)),))
-    tiny = PenaltyPolicy(nu=plan.beta / 2, rule="test")
-    with pytest.raises(ValueError, match="dominate"):
-        penalized_objective(routes, scen, inst, tiny)
 
 
 @settings(max_examples=40, deadline=None)
