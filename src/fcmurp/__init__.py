@@ -43,7 +43,6 @@ from .heuristics import (
     TwoStageEvaluator,
     construction_weights,
     construct_detailed,
-    neighborhood,
     tabu_improve,
 )
 from .stochsolve import (

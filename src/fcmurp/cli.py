@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .detsolve import EXACT_TARGET_LIMIT, solve_deterministic_greedy
+from .detsolve import EXACT_TARGET_LIMIT, optimal_depot_insertion, solve_deterministic_greedy
 from .files import (
     FORMAT_VERSION,
     ArtifactError,
@@ -45,8 +45,9 @@ from .files import (
 from .heuristics import (
     TabuParams,
     TabuResult,
+    _swap_targets,
+    _target_pairs,
     construct_detailed,
-    neighborhood,
     tabu_improve,
 )
 from .instgen import (
@@ -188,6 +189,8 @@ def _tabu_counters(result: TabuResult) -> dict:
         "aspirations": result.aspirations,
         "sequences": result.sequences,
         "infeasible_sequences": result.infeasible_sequences,
+        "legs": result.legs,
+        "scans": result.scans,
     }
 
 
@@ -353,7 +356,8 @@ def solve(
         counters = {
             **_scoring_counters(lambda_size, ub),
             "saa_replications": [
-                {"nodes": s.nodes, "optimal": s.optimal} for s in lb.solutions
+                {"nodes": s.nodes, "optimal": s.optimal, "legs": s.legs}
+                for s in lb.solutions
             ],
         }
     else:
@@ -399,6 +403,7 @@ def solve(
         extras = {"penalty": best.penalty}
         counters = {**_scoring_counters(lambda_size, best), "tabu": tabu_rows}
     counters["ev_solve"] = {"nodes": ev.nodes, "optimal": ev.optimal}
+    counters["insertions"] = len(instance.nominal_problem.insertions)
 
     solution_path = os.path.join(out, "solution.json")
     result_path = os.path.join(out, "result.json")
@@ -502,6 +507,24 @@ def report(results, fmt, out):
         click.echo(text, nl=False)
 
 
+def _swap_variants(routes: RouteSet, instance: Instance) -> list[RouteSet]:
+    """The first three route sets, in target-pair order, reached by swapping
+    two targets and re-inserting depots under nominal fuel; swaps with no
+    feasible insertion are skipped."""
+    bare = routes.bare_sequences(instance)
+    out: list[RouteSet] = []
+    for t1, t2 in _target_pairs(instance):
+        if len(out) == 3:
+            break
+        inserted = [
+            optimal_depot_insertion(seq, instance.nominal_problem)
+            for seq in _swap_targets(bare, t1, t2)
+        ]
+        if None not in inserted:
+            out.append(RouteSet(tuple(ins[0] for ins in inserted)))
+    return out
+
+
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--rounds", type=click.IntRange(min=1), default=25, show_default=True, help="Instances to sweep.")
@@ -524,7 +547,7 @@ def selftest(seed, rounds):
         greedy = solve_deterministic_greedy(instance)
         if greedy is None:
             continue
-        variants = [greedy.routes] + neighborhood(greedy.routes, instance)[:3]
+        variants = [greedy.routes, *_swap_variants(greedy.routes, instance)]
         for rs in variants:
             for s in scen:
                 fast = evaluate_recourse(rs, s, instance)

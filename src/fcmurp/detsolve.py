@@ -123,6 +123,12 @@ class DetProblem:
         return table
 
     @cached_property
+    def insertions(self) -> dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]]:
+        """Memo of ``optimal_depot_insertion`` on this problem, keyed by the
+        bare sequence; the answer depends on nothing else."""
+        return {}
+
+    @cached_property
     def entry_fuel(self) -> np.ndarray:
         return min_entry_fuel(self.fuel, self.instance.n_depots)
 
@@ -238,10 +244,25 @@ def optimal_depot_insertion(
       the dropped one can, and since the slack outlasts the rounding drift
       of the remaining folds it stays strictly cheaper, so the dropped
       label's pattern could never have won a tie either.
+
+    Answers are memoised on ``problem`` (``DetProblem.insertions``), so each
+    bare sequence is swept at most once per problem.
     """
-    inst = problem.instance
     if not seq:
         raise ValueError("cannot route an empty target sequence")
+    seq = tuple(seq)
+    memo = problem.insertions
+    if seq in memo:
+        return memo[seq]
+    memo[seq] = answer = _insert_depots(seq, problem)
+    return answer
+
+
+def _insert_depots(
+    seq: tuple[int, ...], problem: DetProblem
+) -> Optional[tuple[tuple[int, ...], float]]:
+    """``optimal_depot_insertion`` without its memo."""
+    inst = problem.instance
     route = (0, *seq, 0)
     fuel = problem.fuel_rows
     cap = inst.fuel_capacity
@@ -519,18 +540,12 @@ def solve_deterministic_exact(
     the search; the best incumbent found so far is still returned.
     """
     if isinstance(problem, Instance):
-        problem = DetProblem(problem)
+        problem = problem.nominal_problem
     if config is None:
         config = BnBConfig()
     inst = problem.instance
     if inst.vehicles > inst.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
-    memo: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]] = {}
-
-    def score(seq: tuple[int, ...]):
-        if seq not in memo:
-            memo[seq] = optimal_depot_insertion(seq, problem)
-        return memo[seq]
 
     # Seeding slightly above the incumbent cost forces the search to revisit
     # the optimum as a leaf, so the returned solution always carries the
@@ -549,7 +564,11 @@ def solve_deterministic_exact(
             inc_routes = greedy.routes.routes
             inc_total = greedy.cost + _BOUND_EPS
     routes, total, optimal, nodes = _branch_routes(
-        problem, config, score, inc_total, inc_routes
+        problem,
+        config,
+        lambda seq: optimal_depot_insertion(seq, problem),
+        inc_total,
+        inc_routes,
     )
     if routes is None:
         return None
@@ -590,7 +609,7 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
     returns at all, with cost at or above the exact optimum.
     """
     if isinstance(problem, Instance):
-        problem = DetProblem(problem)
+        problem = problem.nominal_problem
     inst = problem.instance
     if inst.vehicles > inst.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
@@ -650,7 +669,7 @@ def solve_deterministic(
     """Solve with the named engine ("auto", "exact" or "greedy"); ``config``
     only applies to the exact engine."""
     if isinstance(problem, Instance):
-        problem = DetProblem(problem)
+        problem = problem.nominal_problem
     if resolve_engine(engine, problem.instance) == "exact":
         return solve_deterministic_exact(problem, config)
     return solve_deterministic_greedy(problem)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,8 +26,8 @@ from .detsolve import (
     solve_deterministic,
     solve_deterministic_greedy,
 )
-from .model import Instance, RouteSet, ScenarioSet, nominal_feasibility, route_cost
-from .recourse import BestDepotTable, PenaltyPolicy, precompute_best_depot, route_beta
+from .model import Instance, RouteSet, ScenarioSet, nominal_feasibility
+from .recourse import LegMemo, PenaltyPolicy, precompute_best_depot
 
 __all__ = [
     "ConstructionWeights",
@@ -39,7 +39,6 @@ __all__ = [
     "TabuResult",
     "construction_weights",
     "construct_detailed",
-    "neighborhood",
     "tabu_improve",
     "EXACT_TARGET_LIMIT",
 ]
@@ -186,10 +185,9 @@ def construct_detailed(
             routes = final.routes
         else:
             # expected fuel can be laxer than nominal: re-insert depots
-            nominal_problem = DetProblem(instance)
             reinserted = []
             for seq in final.routes.bare_sequences(instance):
-                ins = optimal_depot_insertion(seq, nominal_problem)
+                ins = optimal_depot_insertion(seq, instance.nominal_problem)
                 if ins is None:
                     reinserted = None
                     break
@@ -218,7 +216,7 @@ def _best_feasible_fallback(
     for _, routes in solutions:
         if routes is not None and nominal_feasibility(routes, instance)[0]:
             candidates.append(routes)
-    nominal = solve_deterministic_greedy(DetProblem(instance))
+    nominal = solve_deterministic_greedy(instance)
     if nominal is not None:
         candidates.append(nominal.routes)
     if not candidates:
@@ -270,7 +268,10 @@ class TwoStageEvaluator:
     The memo maps a bare target sequence to its realized route (the optimal
     depot insertion under nominal fuel), that route's first-stage cost and
     its recourse cost in every scenario of ``delta``, or to None when no
-    insertion exists. Scores fold first-stage costs and recourse sums over
+    insertion exists. Insertions come from the instance's shared nominal
+    problem and recourse from one ``LegMemo`` on ``delta``, so each bare
+    sequence is inserted once per instance and each leg priced once per
+    evaluator. Scores fold first-stage costs and recourse sums over
     the routes in route order, so a route set costs the same however its
     routes reached the memo. The penalty is calibrated once (largest
     recourse cost seen at calibration plus twice all home round trips) and
@@ -285,10 +286,9 @@ class TwoStageEvaluator:
     ) -> None:
         self.instance = instance
         self.delta = delta
-        self.tables: tuple[BestDepotTable, ...] = tuple(
-            precompute_best_depot(instance, s) for s in delta
+        self._legs = LegMemo(
+            instance, delta, [precompute_best_depot(instance, s) for s in delta]
         )
-        self._problem = DetProblem(instance)
         self._probabilities = tuple(s.probability for s in delta)
         self._memo: dict[tuple[int, ...], Optional[RouteScore]] = {}
         self.policy: Optional[PenaltyPolicy] = (
@@ -305,20 +305,21 @@ class TwoStageEvaluator:
         """Inserted sequences that no depot insertion makes feasible."""
         return sum(entry is None for entry in self._memo.values())
 
+    @property
+    def legs(self) -> int:
+        """Distinct depot-to-depot legs priced so far."""
+        return len(self._legs)
+
     def route(self, seq: tuple[int, ...]) -> Optional[RouteScore]:
         """Realized route, first-stage cost and per-scenario recourse of one
         bare sequence; None when it cannot be made nominally feasible."""
         if seq in self._memo:
             return self._memo[seq]
-        ins = optimal_depot_insertion(seq, self._problem)
+        ins = optimal_depot_insertion(seq, self.instance.nominal_problem)
         entry = None
         if ins is not None:
             realized, stage1 = ins
-            betas = tuple(
-                route_beta(realized, s, self.instance, table)
-                for s, table in zip(self.delta, self.tables)
-            )
-            entry = (realized, stage1, betas)
+            entry = (realized, stage1, self._legs.route_betas(realized))
         self._memo[seq] = entry
         return entry
 
@@ -390,34 +391,15 @@ def _target_pairs(instance: Instance):
             yield (targets[a], targets[b])
 
 
-def neighborhood(current: RouteSet, instance: Instance) -> list[RouteSet]:
-    """All route sets reachable by swapping two targets, re-inserted under
-    nominal fuel; swaps whose routes cannot be made feasible are dropped."""
-    bare = current.bare_sequences(instance)
-    problem = DetProblem(instance)
-    out = []
-    for t1, t2 in _target_pairs(instance):
-        swapped = _swap_targets(bare, t1, t2)
-        realized = []
-        ok = True
-        for seq in swapped:
-            ins = optimal_depot_insertion(seq, problem)
-            if ins is None:
-                ok = False
-                break
-            realized.append(ins[0])
-        if ok:
-            out.append(RouteSet(tuple(realized)))
-    return out
-
-
 @dataclass(frozen=True)
 class TabuResult:
     """Best solution of a tabu run, its move log and its work counters.
 
     ``sequences`` counts the distinct bare sequences the run inserted and
     ``infeasible_sequences`` those no depot insertion could make feasible;
-    the other counters are read off the move log.
+    the other counters are read off the move log. ``legs`` (distinct legs
+    priced) and ``scans`` (distinct states whose neighborhood was scanned)
+    measure the run's memos and are left out of equality.
     """
 
     routes: RouteSet
@@ -430,6 +412,8 @@ class TabuResult:
     warning: Optional[str]
     sequences: int
     infeasible_sequences: int
+    legs: int = field(default=0, compare=False)
+    scans: int = field(default=0, compare=False)
 
     def _count(self, kind: str) -> int:
         return sum(row[1] == kind for row in self.move_log)
@@ -505,6 +489,10 @@ def tabu_improve(
     only those from the evaluator's memo and folds the objective over all
     routes exactly as a full evaluation does, so the chosen moves, objectives
     and inserted sequences are those of evaluating every neighbor in full.
+    A scan depends on the current routes alone, so its raw objectives are
+    kept per state and a state met again (after a reset, say) is not
+    scanned again; the tabu, aspiration and choice rules still run on every
+    iteration.
 
     Move log rows are (iteration, kind, move, objective, aspiration) with
     kind one of "move", "stagnant", "reset".
@@ -519,6 +507,8 @@ def tabu_improve(
         raise ValueError("initial routes cannot be made nominally feasible")
     best = current
     pairs = list(_target_pairs(instance))
+    # current bare routes -> objective of each swap in ``pairs`` (None: no insertion)
+    scans: dict[tuple[tuple[int, ...], ...], list[Optional[float]]] = {}
     tabu = TabuList()
     log: list[tuple] = []
     since_improve = 0
@@ -527,12 +517,16 @@ def tabu_improve(
     for k in range(1, params.iterations + 1):
         iterations = k
         bare = current.bare
-        entries = [evaluator.route(seq) for seq in bare]
-        where = {t: (r, i) for r, seq in enumerate(bare) for i, t in enumerate(seq)}
+        scan = scans.get(bare)
+        if scan is None:
+            entries = [evaluator.route(seq) for seq in bare]
+            where = {t: (r, i) for r, seq in enumerate(bare) for i, t in enumerate(seq)}
+            scan = scans[bare] = [
+                _swap_objective(evaluator, bare, entries, where, *move) for move in pairs
+            ]
         chosen = None  # (objective, move, aspiration)
         fallback = None
-        for move in pairs:
-            objective = _swap_objective(evaluator, bare, entries, where, *move)
+        for move, objective in zip(pairs, scan):
             if objective is None:
                 continue
             is_tabu = tabu.active(move, k)
@@ -586,4 +580,6 @@ def tabu_improve(
         warning=warning,
         sequences=evaluator.sequences,
         infeasible_sequences=evaluator.infeasible_sequences,
+        legs=evaluator.legs,
+        scans=len(scans),
     )

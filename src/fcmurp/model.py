@@ -11,9 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .detsolve import DetProblem
 
 __all__ = [
     "RouteStructureError",
@@ -127,6 +130,17 @@ class Instance:
     def min_detour_increment(self) -> float:
         """``min_detour_increment`` of ``cost``: the cheapest mid-edge detour."""
         return min_detour_increment(self.cost, self.n_depots)
+
+    @cached_property
+    def nominal_problem(self) -> DetProblem:
+        """The ``detsolve.DetProblem`` of this instance without overrides.
+
+        Every stage that routes under nominal fuel and cost uses this one
+        problem, so its insertion memo holds each bare sequence once per run.
+        """
+        from .detsolve import DetProblem
+
+        return DetProblem(self)
 
     @cached_property
     def min_exit_fuel(self) -> np.ndarray:

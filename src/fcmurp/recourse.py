@@ -10,7 +10,9 @@ of (cost, detours, fuel since refuel) labels over each depot-to-depot leg;
 keep/detour subset and exists purely as a cross-check. Both accumulate fuel
 and cost strictly left to right along each route so that agreement is exact,
 not approximate. The DP reads list rows cached on the instance and the
-best-depot table; the oracle walks the numpy matrices.
+best-depot table; the oracle walks the numpy matrices. Search code scores
+single routes against a fixed scenario sample through ``LegMemo``, which
+runs the leg DP once per distinct (leg, scenario).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "precompute_best_depot",
     "evaluate_recourse",
     "route_beta",
+    "LegMemo",
     "recourse_oracle",
     "realized_routes",
 ]
@@ -206,6 +209,12 @@ def _direct_leg_fits(
     return running <= cap
 
 
+def _leg_bounds(route: Sequence[int], nd: int) -> list[tuple[int, int]]:
+    """First and last positions of each depot-to-depot leg, in route order."""
+    stops = [p for p, v in enumerate(route) if v < nd]
+    return list(zip(stops, stops[1:]))
+
+
 def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, list]:
     """Fuel and best-depot rows for one scenario under a given table."""
     if table.fuel is scenario.fuel:
@@ -248,8 +257,7 @@ def evaluate_recourse(
     detours: list[tuple[int, int]] = []
     depots: dict[tuple[int, int], int] = {}
     for r, route in enumerate(routes.routes):
-        stops = [p for p, v in enumerate(route) if v < nd]
-        for a, b in zip(stops, stops[1:]):
+        for a, b in _leg_bounds(route, nd):
             if direct_wins and _direct_leg_fits(route, a, b, fuel, cap):
                 continue
             leg = _leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
@@ -304,8 +312,8 @@ def route_beta(
 
     Same per-leg DP as ``evaluate_recourse``, with the same direct-leg
     shortcut (a leg that fits as planned adds 0.0 when no detour increment
-    is negative), but summed per route, which lets search code cache
-    contributions route by route.
+    is negative), but summed per route. ``LegMemo.route_betas`` gives the
+    same values for a whole scenario sample at once.
     """
     if table is None:
         table = precompute_best_depot(instance, scenario)
@@ -315,9 +323,8 @@ def route_beta(
     nd = instance.n_depots
     direct_wins = instance.min_detour_increment >= 0.0
     route = tuple(route)
-    stops = [p for p, v in enumerate(route) if v < nd]
     total = 0.0
-    for a, b in zip(stops, stops[1:]):
+    for a, b in _leg_bounds(route, nd):
         if direct_wins and _direct_leg_fits(route, a, b, fuel, cap):
             continue
         leg = _leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
@@ -325,6 +332,77 @@ def route_beta(
             return math.inf
         total += leg[0]
     return float(total)
+
+
+class LegMemo:
+    """Per-scenario recourse of single routes, one leg DP per (leg, scenario).
+
+    The tank is refilled at every depot stop, so a leg's recourse cost
+    depends only on its vertex sequence and the scenario, not on the route
+    around it. The memo maps each depot-to-depot leg met so far to one entry
+    per scenario of ``scenarios``: None where the direct-leg shortcut flies
+    it as planned, inf where no detour plan recovers it, else the cost
+    ``_leg_best`` finds. ``route_betas`` folds a route's legs left to right
+    per scenario exactly as ``route_beta`` does, so its values are equal bit
+    for bit. Build one memo per scenario sample; ``tables`` are the
+    scenarios' best-depot tables, in order.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        scenarios: Sequence[Scenario],
+        tables: Sequence[BestDepotTable],
+    ) -> None:
+        self.instance = instance
+        self.scenarios = tuple(scenarios)
+        self._rows = [_rows(s, t) for s, t in zip(self.scenarios, tables)]
+        self._costs: dict[tuple[int, ...], tuple[Optional[float], ...]] = {}
+
+    def __len__(self) -> int:
+        """Distinct legs met so far."""
+        return len(self._costs)
+
+    def _leg_costs(self, leg: tuple[int, ...]) -> tuple[Optional[float], ...]:
+        inst = self.instance
+        cost = inst.cost_rows
+        cap = inst.fuel_capacity
+        nd = inst.n_depots
+        direct_wins = inst.min_detour_increment >= 0.0
+        last = len(leg) - 1
+        out = []
+        for fuel, dep_of in self._rows:
+            if direct_wins and _direct_leg_fits(leg, 0, last, fuel, cap):
+                out.append(None)
+                continue
+            best = _leg_best(leg, 0, last, fuel, cost, cap, dep_of, nd)
+            out.append(math.inf if best is None else best[0])
+        return tuple(out)
+
+    def route_betas(self, route: Sequence[int]) -> tuple[float, ...]:
+        """``route_beta`` of ``route`` in every scenario, in order."""
+        route = tuple(route)
+        costs = self._costs
+        legs = []
+        for a, b in _leg_bounds(route, self.instance.n_depots):
+            leg = route[a : b + 1]
+            entry = costs.get(leg)
+            if entry is None:
+                entry = costs[leg] = self._leg_costs(leg)
+            legs.append(entry)
+        betas = []
+        for k in range(len(self._rows)):
+            total = 0.0
+            for entry in legs:
+                value = entry[k]
+                if value is None:
+                    continue
+                if value == math.inf:
+                    total = math.inf
+                    break
+                total += value
+            betas.append(total)
+        return tuple(betas)
 
 
 def recourse_oracle(

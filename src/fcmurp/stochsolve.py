@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,11 +30,10 @@ from .detsolve import (
 from .instgen import QuadrantMap, sample_scenarios
 from .model import METRIC_TOL, Instance, RouteSet, ScenarioSet, route_cost
 from .recourse import (
-    BestDepotTable,
+    LegMemo,
     PenaltyPolicy,
     evaluate_recourse,
     precompute_best_depot,
-    route_beta,
 )
 
 __all__ = [
@@ -129,10 +128,14 @@ class BoundEstimate:
 
 @dataclass(frozen=True)
 class SaaSolution:
+    """A sampled optimum; ``legs`` counts the distinct legs whose recourse
+    the search priced (``LegMemo``), a work counter outside equality."""
+
     routes: RouteSet
     value: float
     optimal: bool
     nodes: int
+    legs: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -182,18 +185,14 @@ class SaaReport:
 
 
 def _pattern_score(
-    seq: tuple[int, ...],
-    instance: Instance,
-    problem: DetProblem,
-    gamma: ScenarioSet,
-    tables: Sequence[BestDepotTable],
+    seq: tuple[int, ...], legs: LegMemo
 ) -> Optional[tuple[tuple[int, ...], float]]:
     """Best insertion pattern for one route under the sampled objective.
 
     Minimizes realized first-stage cost plus probability-weighted recourse
     over all nominally feasible depot insertions; patterns leaving any
-    scenario unrecoverable are rejected. ``problem`` must be the instance's
-    own nominal problem (no overrides).
+    scenario unrecoverable are rejected. ``legs`` prices recourse on the
+    sample ``legs.scenarios`` of instance ``legs.instance``.
 
     The search starts from the deterministic optimum and walks the patterns
     depth first, pruning a prefix when its first-stage cost plus the bare
@@ -205,6 +204,8 @@ def _pattern_score(
     incumbent, so pruned subtrees could never have changed the answer or its
     tie-break.
     """
+    instance = legs.instance
+    problem = instance.nominal_problem
     base = optimal_depot_insertion(seq, problem)
     if base is None:
         return None
@@ -215,7 +216,7 @@ def _pattern_score(
     cap = instance.fuel_capacity
     exit_fuel = problem.exit_fuel_list
     nd = instance.n_depots
-    probs = [s.probability for s in gamma]
+    probs = [s.probability for s in legs.scenarios]
     suffix = [0.0] * (last + 1)
     for pos in range(last - 1, -1, -1):
         suffix[pos] = cost[route[pos]][route[pos + 1]] + suffix[pos + 1]
@@ -225,11 +226,10 @@ def _pattern_score(
         total = 0.0
         for a, b in zip(realized, realized[1:]):
             total += cost[a][b]
-        for k, s in enumerate(gamma):
-            b = route_beta(realized, s, instance, tables[k])
+        for p, b in zip(probs, legs.route_betas(realized)):
             if not math.isfinite(b):
                 return None
-            total += probs[k] * b
+            total += p * b
         return total
 
     best_realized, best_score = base[0], leaf_value(base[0])
@@ -298,13 +298,14 @@ def solve_saa_problem(
         )
     if instance.vehicles > instance.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
-    problem = DetProblem(instance)
+    problem = instance.nominal_problem
     tables = tuple(precompute_best_depot(instance, s) for s in gamma)
+    legs = LegMemo(instance, gamma, tables)
     memo: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]] = {}
 
     def score(seq: tuple[int, ...]):
         if seq not in memo:
-            memo[seq] = _pattern_score(seq, instance, problem, gamma, tables)
+            memo[seq] = _pattern_score(seq, legs)
         return memo[seq]
 
     inc_total = None
@@ -327,7 +328,9 @@ def solve_saa_problem(
     for k, s in enumerate(gamma):
         plan = evaluate_recourse(route_set, s, instance, tables[k])
         value += s.probability * plan.beta
-    return SaaSolution(routes=route_set, value=float(value), optimal=optimal, nodes=nodes)
+    return SaaSolution(
+        routes=route_set, value=float(value), optimal=optimal, nodes=nodes, legs=len(legs)
+    )
 
 
 def saa_lower_bound(
@@ -359,6 +362,9 @@ def saa_lower_bound(
         return sol
 
     if config.workers > 1:
+        # replications share the instance's nominal problem and its memo:
+        # make it before the threads start, so they all fill the same one
+        instance.nominal_problem
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             solutions = tuple(pool.map(solve_one, seeds))
     else:
@@ -438,10 +444,10 @@ def solve_evp(
     use a distribution mean instead. Engine "auto" solves exactly up to the
     desk-scale limit and greedily beyond it.
     """
-    problem = DetProblem(
-        instance,
-        fuel_override=None if mean_fuel is None else np.array(mean_fuel, dtype=float),
-    )
+    if mean_fuel is None:
+        problem = instance.nominal_problem
+    else:
+        problem = DetProblem(instance, fuel_override=np.array(mean_fuel, dtype=float))
     sol = solve_deterministic(problem, engine, config)
     if sol is None:
         raise RuntimeError("mean-value problem is infeasible")

@@ -160,6 +160,9 @@ def test_solve_saa_reruns_are_byte_identical(runner, tmp_path):
             tmp_path / "out2" / name
         ).read_bytes()
     manifest = read_json(tmp_path / "out1" / "manifest.json")
+    # memo sizes count distinct keys, so they do not depend on the threads
+    assert manifest["counters"] == read_json(tmp_path / "out2" / "manifest.json")["counters"]
+    assert manifest["counters"]["insertions"] > 0
     assert manifest["kind"] == "manifest"
     assert manifest["command"] == "solve"
     assert manifest["seeds"]["lambda"] == 999_983
@@ -351,10 +354,16 @@ def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
             "aspirations",
             "sequences",
             "infeasible_sequences",
+            "legs",
+            "scans",
         }
         assert 1 <= row["iterations"] <= 10
         assert row["moves"] + row["stagnant"] == row["iterations"]
         assert 0 <= row["infeasible_sequences"] < row["sequences"]
+        assert 1 <= row["scans"] <= row["iterations"]
+        assert row["legs"] > 0
+        # every tabu sequence went through the instance's one insertion memo
+        assert block["insertions"] >= row["sequences"]
     assert set(block["ev_solve"]) == {"nodes", "optimal"}
 
 
@@ -380,7 +389,7 @@ def test_solve_manifest_counts_the_ev_search(runner, tmp_path):
             rows = blocks[0]["saa_replications"]
             assert len(rows) == 2
             for row in rows:
-                assert set(row) == {"nodes", "optimal"}
+                assert set(row) == {"nodes", "optimal", "legs"}
                 assert row["nodes"] > 0 and row["optimal"] is True
         else:
             assert "saa_replications" not in blocks[0]

@@ -222,6 +222,41 @@ def test_insertion_matches_the_sweep_on_non_metric_costs(seed, scale, factor):
         assert optimal_depot_insertion(seq, problem) == depot_insertion_by_sweep(seq, problem)
 
 
+def test_overridden_problems_keep_their_own_insertion_memo():
+    inst, qmap = make_case(seed=7, n_targets=12, vehicles=3)
+    nominal = inst.nominal_problem
+    assert inst.nominal_problem is nominal
+    rng = np.random.default_rng(8)
+    targets = np.array(inst.target_indices)
+    seqs = {
+        tuple(int(t) for t in rng.permutation(targets)[: int(rng.integers(1, 10))])
+        for _ in range(60)
+    }
+    for seq in seqs:
+        assert optimal_depot_insertion(seq, nominal) == depot_insertion_by_sweep(seq, nominal)
+    filled = dict(nominal.insertions)
+    assert set(filled) == seqs
+    overridden = (
+        DetProblem(inst),
+        DetProblem(inst, fuel_override=np.array(inst.nominal_fuel) * 1.6),
+        DetProblem(inst, cost_override=np.array(inst.cost) * 2.0),
+        discounted_problem(inst, qmap, 7),
+    )
+    differ = 0
+    for problem in overridden:
+        for seq in seqs:
+            got = optimal_depot_insertion(seq, problem)
+            assert got == depot_insertion_by_sweep(seq, problem)
+            differ += got != filled[seq]
+        assert set(problem.insertions) == seqs
+    assert nominal.insertions == filled
+    assert differ > 100
+    # an instance argument solves on the shared nominal problem
+    greedy = solve_deterministic_greedy(inst)
+    assert greedy == solve_deterministic_greedy(DetProblem(inst))
+    assert len(nominal.insertions) > len(filled)
+
+
 def test_insertion_rejects_empty_sequence():
     inst, _ = make_case(seed=6, n_targets=4, vehicles=1)
     with pytest.raises(ValueError):

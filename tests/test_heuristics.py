@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_case, make_scenarios, point_mass, square_instance
+from fcmurp import heuristics
 from fcmurp.detsolve import DetProblem, solve_deterministic_greedy
 from fcmurp.heuristics import (
     ConstructionWeights,
@@ -14,7 +15,6 @@ from fcmurp.heuristics import (
     TwoStageEvaluator,
     construct_detailed,
     construction_weights,
-    neighborhood,
     tabu_improve,
 )
 from fcmurp.instgen import GenConfig, generate_instance
@@ -175,35 +175,6 @@ def test_evaluator_returns_none_for_uninsertable_groupings():
     ev = TwoStageEvaluator(inst, point_mass(inst), penalty=100.0)
     assert ev.parts(((2, 3),)) is None
     assert ev.evaluate(((2, 3),)) is None
-
-
-def test_neighborhood_counts_follow_target_pairs():
-    two = square_instance(vehicles=2)
-    start = RouteSet(((0, 2, 0), (0, 3, 0)))
-    nbs = neighborhood(start, two)
-    assert len(nbs) == 1
-    assert nbs[0].bare_sequences(two) == ((3,), (2,))
-
-    inst, _ = make_case(seed=9, n_targets=3, vehicles=1)
-    greedy = solve_deterministic_greedy(DetProblem(inst))
-    assert len(neighborhood(greedy.routes, inst)) == 3
-
-
-def test_neighborhood_swaps_are_involutions():
-    inst, qmap = make_case(seed=14, n_targets=5, vehicles=2)
-    start = construct_detailed(inst, make_scenarios(inst, qmap, seed=7, count=2)).routes
-    for nb in neighborhood(start, inst):
-        back = [v.bare_sequences(inst) for v in neighborhood(nb, inst)]
-        assert start.bare_sequences(inst) in back
-
-
-def test_neighborhood_drops_swaps_that_cannot_be_inserted():
-    inst = generate_instance(GenConfig(seed=39, n_targets=5, vehicles=1, fuel_factor=1.05))
-    greedy = solve_deterministic_greedy(DetProblem(inst))
-    nbs = neighborhood(greedy.routes, inst)
-    assert 0 < len(nbs) < 10
-    for nb in nbs:
-        assert nominal_feasibility(nb, inst)[0]
 
 
 def test_tabu_params_are_validated():
@@ -374,3 +345,23 @@ def test_tabu_scan_matches_full_evaluation():
     for r in results:
         assert r.moves + r.stagnant == r.iterations
         assert r.infeasible_sequences < r.sequences
+
+
+def test_tabu_scans_each_state_once(monkeypatch):
+    scored = []
+    swap_objective = heuristics._swap_objective
+
+    def counted(*args):
+        scored.append(args[-2:])
+        return swap_objective(*args)
+
+    monkeypatch.setattr(heuristics, "_swap_objective", counted)
+    inst, delta, start = tabu_setup()
+    params = TabuParams(iterations=40, stall_limit=40, tenure=3)
+    res = tabu_improve(start, delta, params, inst)
+    # a reset returns to the best state, whose swaps were scanned already
+    assert res.resets > 0
+    assert 0 < res.scans < res.iterations
+    assert len(scored) == res.scans * inst.n_targets * (inst.n_targets - 1) // 2
+    assert res.legs > 0
+    assert res == tabu_by_full_evaluation(start, delta, params, inst)

@@ -1,5 +1,6 @@
 """Recourse evaluator: leg dynamic program against two enumerations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from fcmurp.instgen import assign_quadrants, sample_scenarios
 from fcmurp.model import RouteSet, Scenario, nominal_feasibility
 from fcmurp.recourse import (
     ORACLE_EDGE_CAP,
+    LegMemo,
     PenaltyPolicy,
     evaluate_recourse,
     precompute_best_depot,
@@ -160,6 +162,76 @@ def test_leg_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
     assert voluntary > 0
     # the shortcut both fires and falls through to the DP
     assert fits.count(True) > 100 and fits.count(False) > 100
+
+
+def random_realized_routes(inst, rng, count):
+    """Routes over up to nine random targets with refuel stops spliced in
+    at random, as insertions and recourse plans leave them."""
+    nd = inst.n_depots
+    targets = np.array(inst.target_indices)
+    for _ in range(count):
+        route = [0]
+        for t in rng.permutation(targets)[: int(rng.integers(1, min(inst.n_targets, 9) + 1))]:
+            d = int(rng.integers(0, nd))
+            if rng.random() < 0.3 and d != route[-1]:
+                route.append(d)
+            route.append(int(t))
+        route.append(0)
+        yield tuple(route)
+
+
+def test_leg_memo_matches_route_beta_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(61)
+    cases = []
+    for seed, n in ((3, 5), (7, 12), (12, 20)):
+        inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3)
+        # usage-style discounts break the triangle inequality: detours can
+        # pay, so the direct-leg shortcut is off
+        discount = rng.uniform(0.3, 1.0, size=inst.cost.shape)
+        discounted = dataclasses.replace(inst, cost=np.array(inst.cost) * discount, metric=False)
+        for case in (inst, discounted):
+            cases.append((case, sample_scenarios(case, qmap, seed=seed, count=4)))
+    off = off_triangle_instance()
+    cases.append((off, sample_scenarios(off, assign_quadrants(off, 5), seed=5, count=4)))
+    shortcut_off = infinite = detoured = 0
+    for inst, sampled in cases:
+        # 1.6x fuel leaves some legs unrecoverable, 100x all of them
+        scenarios = [
+            *sampled,
+            *(Scenario(id=10 + s.id, probability=1.0, fuel=s.fuel * 1.6) for s in sampled),
+            scaled(inst, 100.0, sid=99),
+        ]
+        tables = [precompute_best_depot(inst, s) for s in scenarios]
+        memo = LegMemo(inst, scenarios, tables)
+        routes = list(random_realized_routes(inst, rng, 30))
+        for route in routes:
+            got = memo.route_betas(route)
+            assert got == tuple(route_beta(route, s, inst, t) for s, t in zip(scenarios, tables))
+            assert memo.route_betas(route) == got
+            infinite += sum(math.isinf(b) for b in got[:-1])
+            detoured += sum(0.0 < b < math.inf for b in got)
+        legs = {r[a : b + 1] for r in routes for a, b in recourse._leg_bounds(r, inst.n_depots)}
+        assert len(memo) == len(legs)
+        shortcut_off += inst.min_detour_increment < 0.0
+    assert shortcut_off >= 3
+    assert infinite > 50 and detoured > 50
+    # the memo calls the module's leg kernels as they are at call time
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return leg_best_by_sweep(*args)
+
+    monkeypatch.setattr(recourse, "_leg_best", counted)
+    monkeypatch.setattr(recourse, "_direct_leg_fits", lambda *args: False)
+    memo = LegMemo(inst, scenarios, tables)
+    patched = [memo.route_betas(route) for route in routes]
+    # with the shortcut off, one DP per (leg, scenario)
+    assert len(calls) == len(legs) * len(scenarios)
+    assert patched == [
+        tuple(route_beta(route, s, inst, t) for s, t in zip(scenarios, tables))
+        for route in routes
+    ]
 
 
 def test_point_mass_on_feasible_routes_needs_no_detour():

@@ -21,7 +21,7 @@ from fcmurp.detsolve import (
     solve_deterministic_exact,
 )
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, make_instance, route_cost
-from fcmurp.recourse import PenaltyPolicy, evaluate_recourse, precompute_best_depot
+from fcmurp.recourse import LegMemo, PenaltyPolicy, evaluate_recourse, precompute_best_depot
 from fcmurp.stochsolve import (
     BoundEstimate,
     SaaConfig,
@@ -70,7 +70,7 @@ def check_pattern_search(seq, inst, problem, gamma):
     Returns the number of tied optima (0 when nothing is recoverable).
     """
     tables = tuple(precompute_best_depot(inst, s) for s in gamma)
-    got = _pattern_score(seq, inst, problem, gamma, tables)
+    got = _pattern_score(seq, LegMemo(inst, gamma, tables))
     ref = best_pattern_by_enumeration(seq, inst, gamma, tables)
     if ref is None:
         assert got is None
