@@ -15,8 +15,6 @@ from .model import (
     check_route_structure,
     route_cost,
     nominal_feasibility,
-    edge_vector,
-    routes_from_edge_vector,
 )
 from .instgen import GenConfig, QuadrantMap, generate_instance, assign_quadrants, sample_scenarios
 from .recourse import (
@@ -25,7 +23,6 @@ from .recourse import (
     precompute_best_depot,
     evaluate_recourse,
     recourse_oracle,
-    realized_routes,
 )
 from .detsolve import (
     DetProblem,

@@ -191,6 +191,7 @@ def _tabu_counters(result: TabuResult) -> dict:
         "infeasible_sequences": result.infeasible_sequences,
         "legs": result.legs,
         "scans": result.scans,
+        "scored": result.scored,
     }
 
 
@@ -359,6 +360,7 @@ def solve(
                 {"nodes": s.nodes, "optimal": s.optimal, "legs": s.legs}
                 for s in lb.solutions
             ],
+            "rejections": {"gamma": list(lb.rejections), "lambda": lam.rejections},
         }
     else:
         params = TabuParams(
@@ -367,11 +369,13 @@ def solve(
         candidates = []
         gamma_seeds = []
         tabu_rows = []
+        gamma_rejections = []
         with _timed(stages, "search"):
             for k in range(replications):
                 gseed = gamma_seed(seed, k)
                 gamma_seeds.append(gseed)
                 delta = sample_scenarios(instance, qmap, seed=gseed, count=sample_size)
+                gamma_rejections.append(delta.rejections)
                 built = construct_detailed(instance, delta, engine=engine)
                 improved = tabu_improve(built.routes, delta, params, instance)
                 tabu_rows.append(_tabu_counters(improved))
@@ -401,7 +405,11 @@ def solve(
         seeds["gamma"] = gamma_seeds
         seeds["lambda"] = lambda_seed(seed)
         extras = {"penalty": best.penalty}
-        counters = {**_scoring_counters(lambda_size, best), "tabu": tabu_rows}
+        counters = {
+            **_scoring_counters(lambda_size, best),
+            "tabu": tabu_rows,
+            "rejections": {"gamma": gamma_rejections, "lambda": lam.rejections},
+        }
     counters["ev_solve"] = {"nodes": ev.nodes, "optimal": ev.optimal}
     counters["insertions"] = len(instance.nominal_problem.insertions)
 

@@ -340,6 +340,20 @@ class TwoStageEvaluator:
             objective += p * (b if math.isfinite(b) else nu)
         return objective
 
+    def objective_floor(self, stage1: float, betas: Sequence[float]) -> float:
+        """``objective`` with each scenario charged ``min(nu, beta)``.
+
+        When no route's recourse can be negative, adding routes only raises
+        a recourse sum or makes it inf (charged nu), so this floors the
+        recourse part of the objective of any route set holding these
+        routes; an inf sum still costs nu.
+        """
+        nu = self.policy.nu
+        objective = stage1
+        for p, b in zip(self._probabilities, betas):
+            objective += p * min(nu, b)
+        return objective
+
     def parts(
         self, bare: Sequence[tuple[int, ...]]
     ) -> Optional[tuple[tuple[tuple[int, ...], ...], float, tuple[float, ...]]]:
@@ -395,11 +409,12 @@ def _target_pairs(instance: Instance):
 class TabuResult:
     """Best solution of a tabu run, its move log and its work counters.
 
-    ``sequences`` counts the distinct bare sequences the run inserted and
-    ``infeasible_sequences`` those no depot insertion could make feasible;
-    the other counters are read off the move log. ``legs`` (distinct legs
-    priced) and ``scans`` (distinct states whose neighborhood was scanned)
-    measure the run's memos and are left out of equality.
+    The counters read off the move log are part of the answer. The work
+    counters are left out of equality: ``sequences`` (distinct bare
+    sequences inserted) and ``infeasible_sequences`` (those no depot
+    insertion could make feasible), ``legs`` (distinct legs priced),
+    ``scans`` (distinct states whose neighborhood was scanned) and
+    ``scored`` (swaps scored exactly, over all states).
     """
 
     routes: RouteSet
@@ -410,10 +425,11 @@ class TabuResult:
     iterations: int
     move_log: tuple[tuple, ...]
     warning: Optional[str]
-    sequences: int
-    infeasible_sequences: int
+    sequences: int = field(default=0, compare=False)
+    infeasible_sequences: int = field(default=0, compare=False)
     legs: int = field(default=0, compare=False)
     scans: int = field(default=0, compare=False)
+    scored: int = field(default=0, compare=False)
 
     def _count(self, kind: str) -> int:
         return sum(row[1] == kind for row in self.move_log)
@@ -470,6 +486,124 @@ def _swap_objective(
     return evaluator.objective(*evaluator.fold(trial))
 
 
+def _bound_slack(evaluator: TwoStageEvaluator) -> float:
+    """Rounding margin of the swap bound's stop test (see ``_swap_bounds``).
+
+    A bound is admissible in exact arithmetic but folded in another order
+    than the objective it bounds, so the scan stops only where a bound
+    exceeds the best exact objective by more than both folds can drift. Let
+    u = 2**-53, C the largest |cost|, n targets, m routes and K scenarios.
+    A realized route set has at most E = 2(n + m) edges (one depot at most
+    per bare edge), so its first-stage cost is at most A = EC in size, a
+    recourse sum (at most n + m increments of at most 3C) at most 2A, and
+    every partial fold of an objective or a bound at most M = 3A + max(|nu|,
+    2A). Each of the two values takes at most N = 4E + 2K + 16 roundings of
+    at most uM each, which also absorbs the real increments behind float
+    increments >= 0.0 (each at least -6uC). So a computed objective lies at
+    most 2NuM below its computed bound; twice that, 4NuM, also covers the
+    rounding of the test itself.
+    """
+    instance = evaluator.instance
+    edges = 2 * (instance.n_targets + instance.vehicles)
+    size = edges * float(np.abs(instance.cost).max())
+    magnitude = 3.0 * size + max(abs(evaluator.policy.nu), 2.0 * size)
+    steps = 4 * edges + 2 * len(evaluator.delta) + 16
+    return 4.0 * steps * 2.0**-53 * magnitude
+
+
+def _swap_bounds(
+    evaluator: TwoStageEvaluator,
+    bare: tuple[tuple[int, ...], ...],
+    entries: list[RouteScore],
+    pairs: Sequence[tuple[int, int]],
+) -> list[float]:
+    """A lower bound on the objective of each swap in ``pairs``.
+
+    Unchanged routes keep their first-stage cost and recourse, and each
+    scenario's recourse term is floored at ``min(nu, beta)`` of their sum
+    (``TwoStageEvaluator.objective_floor``). Each changed route is priced at
+    its bare cost: flown with no depot inserted and no recourse. Both are
+    admissible when no detour increment is negative, since every inserted
+    depot and every recourse detour then adds at least 0.0; otherwise every
+    bound is -inf. The unchanged part is folded once per set of changed
+    routes and a swapped route's bare cost follows from the edges the swap
+    replaces, so bounds differ from exact folds by rounding (``_bound_slack``).
+    """
+    if evaluator.instance.min_detour_increment < 0.0:
+        return [-math.inf] * len(pairs)
+    cost = evaluator.instance.cost_rows
+    padded = [(0, *seq, 0) for seq in bare]
+    alone = []
+    for route in padded:
+        total = 0.0
+        for a, b in zip(route, route[1:]):
+            total += cost[a][b]
+        alone.append(total)
+
+    def rest(*changed: int) -> float:
+        kept = [e for r, e in enumerate(entries) if r not in changed]
+        return evaluator.objective_floor(*evaluator.fold(kept))
+
+    # (first, last) changed route -> the bound before the swap's edge changes
+    base = {}
+    for r1 in range(len(padded)):
+        base[r1, r1] = rest(r1) + alone[r1]
+        for r2 in range(r1 + 1, len(padded)):
+            base[r1, r2] = rest(r1, r2) + alone[r1] + alone[r2]
+    # target -> (route, position, left and right neighbor, cost of its edges)
+    slot = {}
+    for r, route in enumerate(padded):
+        for i in range(1, len(route) - 1):
+            left, t, right = route[i - 1 : i + 2]
+            slot[t] = (r, i, left, right, cost[left][t] + cost[t][right])
+    bounds = []
+    for t1, t2 in pairs:
+        r1, i1, left1, right1, out1 = slot[t1]
+        r2, i2, left2, right2, out2 = slot[t2]
+        before = base[(r1, r2) if r1 <= r2 else (r2, r1)]
+        if r1 == r2 and abs(i1 - i2) == 1:
+            # neighbors: left -> a -> b -> right becomes left -> b -> a -> right
+            a, b = (t1, t2) if i1 < i2 else (t2, t1)
+            left, right = slot[a][2], slot[b][3]
+            bounds.append(
+                before
+                - (cost[left][a] + cost[a][b] + cost[b][right])
+                + (cost[left][b] + cost[b][a] + cost[a][right])
+            )
+            continue
+        bounds.append(
+            before
+            - out1
+            - out2
+            + (cost[left1][t2] + cost[t2][right1])
+            + (cost[left2][t1] + cost[t1][right2])
+        )
+    return bounds
+
+
+class _StateScan:
+    """One state's swaps in bound order, scored exactly as far as needed.
+
+    ``order`` holds swap indices sorted by bound (index tie-break) and
+    ``bounds`` their bounds in that order; ``objectives`` holds the exact
+    objectives of the first ``len(objectives)`` of them (None: no
+    insertion), so the scored swaps are always a prefix of the order.
+    """
+
+    def __init__(
+        self,
+        evaluator: TwoStageEvaluator,
+        bare: tuple[tuple[int, ...], ...],
+        pairs: Sequence[tuple[int, int]],
+    ) -> None:
+        self.entries = [evaluator.route(seq) for seq in bare]
+        self.where = {t: (r, i) for r, seq in enumerate(bare) for i, t in enumerate(seq)}
+        bounds = _swap_bounds(evaluator, bare, self.entries, pairs)
+        self.order = sorted(range(len(pairs)), key=bounds.__getitem__)
+        self.bounds = [bounds[i] for i in self.order]
+        self.objectives: list[Optional[float]] = []
+
+
 def tabu_improve(
     initial: RouteSet,
     delta: ScenarioSet,
@@ -478,21 +612,27 @@ def tabu_improve(
 ) -> TabuResult:
     """Swap-neighborhood tabu search on the penalized two-stage objective.
 
-    Each iteration scans every target swap of the current solution, picks the
+    Each iteration weighs every target swap of the current solution, picks the
     best admissible improving neighbor (admissible: not tabu, or beating the
     best-so-far objective), else the best non-tabu neighbor, and marks the
     move tabu for the tenure. The best solution is only replaced by feasible
     improvements; the current solution resets to it after ceil(sqrt(k))
     non-improving iterations, and the search stops after the stall limit.
 
-    A swap changes one route (both targets on it) or two; the scan re-scores
-    only those from the evaluator's memo and folds the objective over all
-    routes exactly as a full evaluation does, so the chosen moves, objectives
-    and inserted sequences are those of evaluating every neighbor in full.
-    A scan depends on the current routes alone, so its raw objectives are
-    kept per state and a state met again (after a reset, say) is not
-    scanned again; the tabu, aspiration and choice rules still run on every
-    iteration.
+    A swap changes one route (both targets on it) or two; scoring it
+    re-scores only those from the evaluator's memo and folds the objective
+    over all routes exactly as a full evaluation does. Most swaps cannot
+    win, so a scan scores them lazily: each swap gets a lower bound
+    (``_swap_bounds``), swaps are scored in bound order, and the scan stops
+    once the next bound exceeds the best exact non-tabu objective by more
+    than the rounding slack (``_bound_slack``). Every unscored swap is then
+    strictly worse than a scored admissible one, so none can be chosen, be
+    the fallback or win a tie: the chosen moves, objectives and move log are
+    those of evaluating every neighbor in full. Bounds and exact objectives
+    are kept per state, and a state met again (after a reset, say) scores
+    more swaps only where its new tabu status needs them; the tabu,
+    aspiration and choice rules still run on every iteration. Where a
+    detour increment is negative the bound is -inf and every swap is scored.
 
     Move log rows are (iteration, kind, move, objective, aspiration) with
     kind one of "move", "stagnant", "reset".
@@ -507,8 +647,8 @@ def tabu_improve(
         raise ValueError("initial routes cannot be made nominally feasible")
     best = current
     pairs = list(_target_pairs(instance))
-    # current bare routes -> objective of each swap in ``pairs`` (None: no insertion)
-    scans: dict[tuple[tuple[int, ...], ...], list[Optional[float]]] = {}
+    slack = _bound_slack(evaluator)
+    scans: dict[tuple[tuple[int, ...], ...], _StateScan] = {}
     tabu = TabuList()
     log: list[tuple] = []
     since_improve = 0
@@ -519,14 +659,20 @@ def tabu_improve(
         bare = current.bare
         scan = scans.get(bare)
         if scan is None:
-            entries = [evaluator.route(seq) for seq in bare]
-            where = {t: (r, i) for r, seq in enumerate(bare) for i, t in enumerate(seq)}
-            scan = scans[bare] = [
-                _swap_objective(evaluator, bare, entries, where, *move) for move in pairs
-            ]
+            scan = scans[bare] = _StateScan(evaluator, bare, pairs)
+        objectives = scan.objectives
         chosen = None  # (objective, move, aspiration)
         fallback = None
-        for move, objective in zip(pairs, scan):
+        limit = math.inf  # best exact non-tabu objective plus the slack
+        for pos, index in enumerate(scan.order):
+            if scan.bounds[pos] > limit:
+                break
+            move = pairs[index]
+            if pos == len(objectives):
+                objectives.append(
+                    _swap_objective(evaluator, bare, scan.entries, scan.where, *move)
+                )
+            objective = objectives[pos]
             if objective is None:
                 continue
             is_tabu = tabu.active(move, k)
@@ -540,6 +686,7 @@ def tabu_improve(
             if not is_tabu:
                 if fallback is None or cand < fallback[:2]:
                     fallback = (objective, move, False)
+                    limit = objective + slack
         if chosen is None:
             chosen = fallback
         improved = False
@@ -582,4 +729,5 @@ def tabu_improve(
         infeasible_sequences=evaluator.infeasible_sequences,
         legs=evaluator.legs,
         scans=len(scans),
+        scored=sum(len(scan.objectives) for scan in scans.values()),
     )

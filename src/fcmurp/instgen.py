@@ -228,7 +228,8 @@ def sample_scenarios(
     per edge, edges taken in row-major order. Each scenario uses its own
     substream of ``seed``, so the set is reproducible regardless of sampling
     order. Variates are drawn in blocks of standard gamma and scaled one by
-    one, which reproduces per-draw ``rng.gamma`` calls bit for bit.
+    one, which reproduces per-draw ``rng.gamma`` calls bit for bit. The
+    set's ``rejections`` counts the rejected draws.
     """
     if count < 1:
         raise ValueError("need at least one scenario")
@@ -249,12 +250,14 @@ def sample_scenarios(
     limit = REJECTION_LIMIT
     prob = 1.0 / count
     scenarios = []
+    rejected = 0
     for sid in range(count):
         fuel = np.array(mean_fuel, dtype=float)
         if specs:
             rng = _substream(seed, _STREAM_SCENARIO, sid)
             block = rng.standard_gamma(gamma_shape, size=block_size).tolist()
             k = 0
+            drawn = 0  # variates of earlier blocks
             values = []
             for congested, mean, scale in specs:
                 tries = 0
@@ -262,6 +265,7 @@ def sample_scenarios(
                     if k == block_size:
                         block = rng.standard_gamma(gamma_shape, size=block_size).tolist()
                         k = 0
+                        drawn += block_size
                     value = block[k] * scale
                     k += 1
                     if (value >= mean) if congested else (value <= mean):
@@ -275,7 +279,9 @@ def sample_scenarios(
                         )
                 values.append(value)
             fuel[rows, cols] = values
+            # one accepted variate per edge, every other one consumed was rejected
+            rejected += drawn + k - len(specs)
         scenarios.append(Scenario(id=sid, probability=prob, fuel=fuel))
     if not label:
         label = f"{distribution}:seed={seed}:count={count}"
-    return ScenarioSet(tuple(scenarios), label=label)
+    return ScenarioSet(tuple(scenarios), label=label, rejections=rejected)

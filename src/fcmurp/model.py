@@ -35,8 +35,6 @@ __all__ = [
     "validate_instance",
     "route_cost",
     "nominal_feasibility",
-    "edge_vector",
-    "routes_from_edge_vector",
 ]
 
 PROB_TOL = 1e-9
@@ -206,10 +204,16 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """An ordered collection of scenarios whose probabilities sum to one."""
+    """An ordered collection of scenarios whose probabilities sum to one.
+
+    ``rejections`` counts the draws the sampler rejected while making the
+    set (0 for a set built or read otherwise), a work counter outside
+    equality.
+    """
 
     scenarios: tuple[Scenario, ...]
     label: str = ""
+    rejections: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         total = math.fsum(s.probability for s in self.scenarios)
@@ -521,55 +525,3 @@ def nominal_feasibility(
                 feasible = False
         profile.append(tuple(arrivals))
     return feasible, FuelProfile(tuple(profile))
-
-
-def edge_vector(routes: RouteSet, instance: Instance) -> frozenset[tuple[int, int]]:
-    """Set of directed edges induced by a route set.
-
-    Raises if any directed edge is traversed twice: the indicator encoding
-    cannot express multiplicity.
-    """
-    check_route_structure(routes, instance)
-    edges: set[tuple[int, int]] = set()
-    for route in routes.routes:
-        for e in zip(route, route[1:]):
-            if e in edges:
-                raise RouteStructureError(f"edge {e} traversed more than once")
-            edges.add(e)
-    return frozenset(edges)
-
-
-def routes_from_edge_vector(
-    edges: frozenset[tuple[int, int]], instance: Instance
-) -> RouteSet:
-    """Reconstruct routes from a directed edge set.
-
-    Walks from the home depot, always taking the lowest-indexed unused
-    outgoing edge and splicing closed sub-circuits back at their first
-    branch point. When a depot is shared between routes, one route passes
-    through the same depot three or more times, or a route refuels at the
-    home depot mid-way, several route sets induce the same edge vector; the
-    walk then returns one valid decomposition.
-    """
-    out: dict[int, list[int]] = {}
-    for a, b in sorted(edges):
-        out.setdefault(a, []).append(b)
-    # Eulerian walk of the component through depot 0 (iterative Hierholzer).
-    stack = [0]
-    circuit: list[int] = []
-    while stack:
-        v = stack[-1]
-        if out.get(v):
-            stack.append(out[v].pop(0))
-        else:
-            circuit.append(stack.pop())
-    if any(lst for lst in out.values()):
-        raise RouteStructureError("edge set is not a union of closed routes")
-    circuit.reverse()
-    routes: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, len(circuit)):
-        if circuit[i] == 0:
-            routes.append(tuple(circuit[start : i + 1]))
-            start = i
-    return RouteSet(tuple(sorted(routes)))

@@ -34,7 +34,6 @@ __all__ = [
     "route_beta",
     "LegMemo",
     "recourse_oracle",
-    "realized_routes",
 ]
 
 ORACLE_EDGE_CAP = 20
@@ -458,17 +457,3 @@ def recourse_oracle(
     ordered = tuple(sorted(detours))
     beta = _plan_beta(routes, ordered, depots, cost)
     return RecoursePlan(scenario.id, ordered, depots, beta, True)
-
-
-def realized_routes(routes: RouteSet, plan: RecoursePlan) -> tuple[tuple[int, ...], ...]:
-    """Per-route visit sequences with the plan's detour depots spliced in."""
-    out = []
-    for r, route in enumerate(routes.routes):
-        seq = [route[0]]
-        for p in range(len(route) - 1):
-            key = (r, p)
-            if key in plan.inserted_depots:
-                seq.append(plan.inserted_depots[key])
-            seq.append(route[p + 1])
-        out.append(tuple(seq))
-    return tuple(out)

@@ -140,9 +140,13 @@ class SaaSolution:
 
 @dataclass(frozen=True)
 class LowerBoundResult:
+    """Replication optima and their mean; ``rejections`` counts each
+    replication's rejected sampler draws, a work counter outside equality."""
+
     estimate: BoundEstimate
     solutions: tuple[SaaSolution, ...]
     gamma_seeds: tuple[int, ...]
+    rejections: tuple[int, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -349,7 +353,7 @@ def saa_lower_bound(
     if lambda_seed(config.seed) in seeds:
         raise ValueError("replication seeds collide with the evaluation seed")
 
-    def solve_one(seed: int) -> SaaSolution:
+    def solve_one(seed: int) -> tuple[SaaSolution, int]:
         sample = sample_scenarios(
             instance, qmap, seed=seed, count=config.sample_size
         )
@@ -359,22 +363,28 @@ def saa_lower_bound(
                 f"replication seed {seed}: no route set is recoverable "
                 "in every sampled scenario"
             )
-        return sol
+        return sol, sample.rejections
 
     if config.workers > 1:
         # replications share the instance's nominal problem and its memo:
         # make it before the threads start, so they all fill the same one
         instance.nominal_problem
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            solutions = tuple(pool.map(solve_one, seeds))
+            solved = tuple(pool.map(solve_one, seeds))
     else:
-        solutions = tuple(solve_one(s) for s in seeds)
+        solved = tuple(solve_one(s) for s in seeds)
+    solutions = tuple(sol for sol, _ in solved)
     estimate = BoundEstimate.from_values(
         [s.value for s in solutions],
         rigorous=all(s.optimal for s in solutions),
         label=f"gamma:seed={config.seed}:N={config.replications}:M={config.sample_size}",
     )
-    return LowerBoundResult(estimate=estimate, solutions=solutions, gamma_seeds=seeds)
+    return LowerBoundResult(
+        estimate=estimate,
+        solutions=solutions,
+        gamma_seeds=seeds,
+        rejections=tuple(rejected for _, rejected in solved),
+    )
 
 
 def saa_upper_bound(

@@ -250,6 +250,21 @@ def segments_feasible(realized: Sequence[int], fuel: np.ndarray, instance: Insta
     return True
 
 
+def realized_routes(routes: RouteSet, plan) -> tuple[tuple[int, ...], ...]:
+    """Per-route visit sequences with a recourse plan's detour depots
+    spliced in."""
+    out = []
+    for r, route in enumerate(routes.routes):
+        seq = [route[0]]
+        for p in range(len(route) - 1):
+            key = (r, p)
+            if key in plan.inserted_depots:
+                seq.append(plan.inserted_depots[key])
+            seq.append(route[p + 1])
+        out.append(tuple(seq))
+    return tuple(out)
+
+
 def recourse_by_enumeration(
     routes: RouteSet, scenario: Scenario, instance: Instance
 ) -> float:
@@ -363,11 +378,13 @@ def sample_scenarios_by_draw(
     """Reference sampler: one ``rng.gamma(shape, scale)`` call per try.
 
     Same streams, edge order, acceptance rule and retry budget as
-    ``instgen.sample_scenarios``, written edge by edge and draw by draw.
+    ``instgen.sample_scenarios``, written edge by edge and draw by draw,
+    counting the rejected draws.
     """
     n = instance.n_vertices
     mean_fuel = instance.nominal_fuel
     scenarios = []
+    rejected = 0
     for sid in range(count):
         fuel = np.array(mean_fuel, dtype=float)
         if distribution == "gamma":
@@ -385,9 +402,10 @@ def sample_scenarios_by_draw(
                         continue
                     mean = float(mean_fuel[i, j])
                     scale = gamma_scale_ratio * mean
-                    for _ in range(instgen.REJECTION_LIMIT):
+                    for tries in range(instgen.REJECTION_LIMIT):
                         draw = float(rng.gamma(gamma_shape, scale))
                         if draw >= mean if label == instgen.CONGESTED else draw <= mean:
+                            rejected += tries
                             break
                     else:
                         raise instgen.SamplerError(
@@ -396,7 +414,11 @@ def sample_scenarios_by_draw(
                         )
                     fuel[i, j] = draw
         scenarios.append(Scenario(id=sid, probability=1.0 / count, fuel=fuel))
-    return ScenarioSet(tuple(scenarios), label=f"{distribution}:seed={seed}:count={count}")
+    return ScenarioSet(
+        tuple(scenarios),
+        label=f"{distribution}:seed={seed}:count={count}",
+        rejections=rejected,
+    )
 
 
 def depot_insertion_by_sweep(seq: Sequence[int], problem: DetProblem):
@@ -522,10 +544,12 @@ def tabu_by_full_evaluation(
 ) -> TabuResult:
     """``tabu_improve`` with every neighbor evaluated as a whole route set.
 
-    Same selection, tabu, aspiration, reset and stall rules; each swap goes
-    through ``TwoStageEvaluator.evaluate`` instead of re-scoring only the
-    routes it changes, so the result, including the memo counters, must be
-    equal to the library's.
+    Same selection, tabu, aspiration, reset and stall rules; every swap of
+    every iteration goes through ``TwoStageEvaluator.evaluate`` instead of
+    the library's bound-ordered scan that re-scores only the routes a swap
+    changes, so the result must be equal to the library's. Its work
+    counters (``sequences``, ``infeasible_sequences``) count every
+    neighbor's insertion.
     """
     tenure = params.resolved_tenure(instance.n_targets)
     evaluator = TwoStageEvaluator(instance, delta, penalty=params.penalty)

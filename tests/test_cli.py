@@ -356,15 +356,27 @@ def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
             "infeasible_sequences",
             "legs",
             "scans",
+            "scored",
         }
         assert 1 <= row["iterations"] <= 10
         assert row["moves"] + row["stagnant"] == row["iterations"]
         assert 0 <= row["infeasible_sequences"] < row["sequences"]
         assert 1 <= row["scans"] <= row["iterations"]
+        # 5 targets: 10 swaps per scanned state, each scored at most once
+        assert 1 <= row["scored"] <= 10 * row["scans"]
         assert row["legs"] > 0
         # every tabu sequence went through the instance's one insertion memo
         assert block["insertions"] >= row["sequences"]
     assert set(block["ev_solve"]) == {"nodes", "optimal"}
+    assert_rejection_counters(block["rejections"], replications=2)
+
+
+def assert_rejection_counters(block, replications):
+    assert set(block) == {"gamma", "lambda"}
+    assert len(block["gamma"]) == replications
+    assert all(isinstance(n, int) and n >= 0 for n in block["gamma"])
+    # congested edges reject about half their draws: 30 scenarios reject some
+    assert isinstance(block["lambda"], int) and block["lambda"] > 0
 
 
 def test_solve_manifest_counts_the_ev_search(runner, tmp_path):
@@ -391,8 +403,10 @@ def test_solve_manifest_counts_the_ev_search(runner, tmp_path):
             for row in rows:
                 assert set(row) == {"nodes", "optimal", "legs"}
                 assert row["nodes"] > 0 and row["optimal"] is True
+            assert_rejection_counters(blocks[0]["rejections"], replications=2)
         else:
             assert "saa_replications" not in blocks[0]
+            assert "rejections" not in blocks[0]
 
 
 def test_solve_flags_runs_where_no_scenario_needs_recourse(runner, tmp_path):

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_case, make_scenarios, point_mass, square_instance
+from conftest import (
+    make_case,
+    make_scenarios,
+    mirrored_instance,
+    off_triangle_instance,
+    point_mass,
+    square_instance,
+)
 from fcmurp import heuristics
 from fcmurp.detsolve import DetProblem, solve_deterministic_greedy
 from fcmurp.heuristics import (
@@ -17,7 +24,7 @@ from fcmurp.heuristics import (
     construction_weights,
     tabu_improve,
 )
-from fcmurp.instgen import GenConfig, generate_instance
+from fcmurp.instgen import GenConfig, assign_quadrants, generate_instance
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, nominal_feasibility, route_cost
 from fcmurp.recourse import PenaltyPolicy, evaluate_recourse
 from oracles import recompute_weights, tabu_by_full_evaluation
@@ -308,52 +315,125 @@ def test_tabu_improves_on_a_poor_start():
     assert nominal_feasibility(res.routes, inst)[0]
 
 
-def test_tabu_scan_matches_full_evaluation():
-    # (seed, targets, fuel factor, scale of scenario 0's fuel, penalty)
-    cases = (
-        (2, 8, 1.0, 1.0, None),
-        (5, 8, 1.0, 1.0, 400.0),
-        (14, 8, 2.25, 2.2, None),
-        (3, 20, 1.05, 1.0, None),
-        (3, 20, 1.0, 1.0, None),
-        (12, 20, 2.25, 1.0, 600.0),
+# (seed, targets, fuel factor, scale of scenario 0's fuel, penalty)
+SCAN_CASES = (
+    (2, 8, 1.0, 1.0, None),
+    (5, 8, 1.0, 1.0, 400.0),
+    (14, 8, 2.25, 2.2, None),
+    (3, 20, 1.05, 1.0, None),
+    (3, 20, 1.0, 1.0, None),
+    (12, 20, 2.25, 1.0, 600.0),
+)
+
+
+def scan_case(seed, n, fuel_factor, scale, penalty):
+    """Instance, sample (scenario 0's fuel scaled), greedy start and params."""
+    inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3, fuel_factor=fuel_factor)
+    sampled = make_scenarios(inst, qmap, seed=seed + 1, count=3)
+    delta = ScenarioSet(
+        tuple(
+            Scenario(id=s.id, probability=s.probability, fuel=s.fuel * (scale if s.id == 0 else 1.0))
+            for s in sampled
+        ),
+        label=f"scaled:{scale}",
     )
+    start = solve_deterministic_greedy(inst).routes
+    return inst, delta, start, TabuParams(iterations=30, stall_limit=30, penalty=penalty)
+
+
+def test_tabu_scan_matches_full_evaluation():
     results = []
+    oracle_results = []
     penalized_starts = 0
-    for seed, n, fuel_factor, scale, penalty in cases:
-        inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3, fuel_factor=fuel_factor)
-        sampled = make_scenarios(inst, qmap, seed=seed + 1, count=3)
-        delta = ScenarioSet(
-            tuple(
-                Scenario(id=s.id, probability=s.probability, fuel=s.fuel * (scale if s.id == 0 else 1.0))
-                for s in sampled
-            ),
-            label=f"scaled:{scale}",
-        )
-        start = solve_deterministic_greedy(inst).routes
-        params = TabuParams(iterations=30, stall_limit=30, penalty=penalty)
+    for case in SCAN_CASES:
+        inst, delta, start, params = scan_case(*case)
         got = tabu_improve(start, delta, params, inst)
-        assert got == tabu_by_full_evaluation(start, delta, params, inst)
+        want = tabu_by_full_evaluation(start, delta, params, inst)
+        assert got == want
         results.append(got)
+        oracle_results.append(want)
         ev = TwoStageEvaluator(inst, delta)
         ev.calibrate(start.bare_sequences(inst))
         penalized_starts += not ev.evaluate(start.bare_sequences(inst)).feasible
     assert penalized_starts >= 1
     assert any(not r.feasible for r in results)
-    assert any(r.infeasible_sequences for r in results)
+    # the full evaluation inserts every neighbor: some have no insertion
+    assert any(r.infeasible_sequences for r in oracle_results)
     assert any(r.aspirations for r in results) and any(r.resets for r in results)
-    for r in results:
+    for r, full in zip(results, oracle_results):
         assert r.moves + r.stagnant == r.iterations
-        assert r.infeasible_sequences < r.sequences
+        assert full.infeasible_sequences < full.sequences
+        assert r.sequences <= full.sequences
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_swap_bounds_never_exceed_exact_objectives(monkeypatch, case):
+    scanned = []
+    swap_bounds = heuristics._swap_bounds
+
+    def recorded(evaluator, bare, entries, pairs):
+        bounds = swap_bounds(evaluator, bare, entries, pairs)
+        scanned.append((evaluator, bare, pairs, bounds))
+        return bounds
+
+    monkeypatch.setattr(heuristics, "_swap_bounds", recorded)
+    inst, delta, start, params = scan_case(*case)
+    assert inst.min_detour_increment >= 0.0
+    res = tabu_improve(start, delta, params, inst)
+    assert len(scanned) == res.scans
+    evaluator = scanned[0][0]
+    slack = heuristics._bound_slack(evaluator)
+    assert 0.0 < slack < 1e-6
+    checked = 0
+    for _, bare, pairs, bounds in scanned:
+        assert all(math.isfinite(b) for b in bounds)
+        for move, bound in zip(pairs, bounds):
+            ev = evaluator.evaluate(heuristics._swap_targets(bare, *move))
+            if ev is not None:
+                # admissible up to the stop test's rounding margin
+                assert bound <= ev.objective + slack
+                checked += 1
+    assert checked > 0
+
+
+def test_negative_detours_score_every_swap():
+    inst = off_triangle_instance()
+    assert inst.min_detour_increment < 0.0
+    delta = make_scenarios(inst, assign_quadrants(inst, 5), seed=6, count=3)
+    start = solve_deterministic_greedy(inst).routes
+    params = TabuParams(iterations=20, stall_limit=20)
+    res = tabu_improve(start, delta, params, inst)
+    assert res.scored == res.scans * inst.n_targets * (inst.n_targets - 1) // 2
+    assert res == tabu_by_full_evaluation(start, delta, params, inst)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_tied_swaps_keep_the_full_evaluation_tie_break(scale):
+    inst = mirrored_instance()
+    delta = point_mass(inst, scale=scale)
+    start = solve_deterministic_greedy(inst).routes
+    ev = TwoStageEvaluator(inst, delta)
+    bare = start.bare_sequences(inst)
+    ev.calibrate(bare)
+    objectives = [
+        ev.evaluate(heuristics._swap_targets(bare, *move)).objective
+        for move in ((2, 3), (2, 4), (3, 4))
+    ]
+    assert len(set(objectives)) < len(objectives)
+    params = TabuParams(iterations=10, stall_limit=10)
+    res = tabu_improve(start, delta, params, inst)
+    # a tied swap's bound is within the slack of the best objective: all scored
+    assert res.scored == res.scans * 3
+    assert res == tabu_by_full_evaluation(start, delta, params, inst)
 
 
 def test_tabu_scans_each_state_once(monkeypatch):
     scored = []
     swap_objective = heuristics._swap_objective
 
-    def counted(*args):
-        scored.append(args[-2:])
-        return swap_objective(*args)
+    def counted(evaluator, bare, entries, where, t1, t2):
+        scored.append((bare, t1, t2))
+        return swap_objective(evaluator, bare, entries, where, t1, t2)
 
     monkeypatch.setattr(heuristics, "_swap_objective", counted)
     inst, delta, start = tabu_setup()
@@ -362,6 +442,7 @@ def test_tabu_scans_each_state_once(monkeypatch):
     # a reset returns to the best state, whose swaps were scanned already
     assert res.resets > 0
     assert 0 < res.scans < res.iterations
-    assert len(scored) == res.scans * inst.n_targets * (inst.n_targets - 1) // 2
+    assert len(set(scored)) == len(scored) == res.scored
+    assert res.scored < res.scans * inst.n_targets * (inst.n_targets - 1) // 2
     assert res.legs > 0
     assert res == tabu_by_full_evaluation(start, delta, params, inst)

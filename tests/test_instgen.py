@@ -154,6 +154,7 @@ def test_gamma_moments_small_sample():
 
 def assert_same_fuel(got, want):
     assert len(got) == len(want)
+    assert got.rejections == want.rejections
     for a, b in zip(got, want):
         assert a.id == b.id and a.probability == b.probability
         assert a.fuel.tobytes() == b.fuel.tobytes()
@@ -168,6 +169,7 @@ def test_batched_sampler_matches_per_draw_oracle(seed, n_targets, vehicles):
     for sample_seed, count in ((seed + 100, 1), (seed * 1_000_003 + 999_983, 50)):
         got = sample_scenarios(inst, qmap, seed=sample_seed, count=count)
         assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, sample_seed, count))
+        assert got.rejections > 0
     point = sample_scenarios(inst, qmap, seed=3, count=2, distribution="point-mass")
     assert_same_fuel(
         point, sample_scenarios_by_draw(inst, qmap, 3, 2, distribution="point-mass")

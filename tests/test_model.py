@@ -15,7 +15,6 @@ from fcmurp.model import (
     Scenario,
     ScenarioSet,
     check_route_structure,
-    edge_vector,
     euclidean_matrix,
     is_metric,
     make_instance,
@@ -24,7 +23,6 @@ from fcmurp.model import (
     nominal_feasibility,
     recompute_lambda,
     route_cost,
-    routes_from_edge_vector,
     validate_instance,
 )
 
@@ -195,40 +193,6 @@ def test_validate_instance_accepts_generated(small_case):
     inst, _ = small_case
     result = validate_instance(inst)
     assert result.ok or not result.fatal
-
-
-def test_edge_vector_round_trip():
-    inst = square_instance(vehicles=2)
-    rs = RouteSet(((0, 2, 1, 0), (0, 3, 0)))
-    edges = edge_vector(rs, inst)
-    assert edges == frozenset({(0, 2), (2, 1), (1, 0), (0, 3), (3, 0)})
-    back = routes_from_edge_vector(edges, inst)
-    assert back.canonical() == rs.canonical()
-
-
-def test_edge_vector_rejects_duplicate_edges():
-    inst, _ = make_case(seed=5, n_targets=4, vehicles=2)
-    nd = inst.n_depots
-    t = list(inst.target_indices)
-    rs = RouteSet(
-        (
-            (0, t[0], 1, t[1], 0),
-            (0, t[2], 1, t[3], 0),
-        )
-    )
-    edge_vector(rs, inst)
-    # structurally valid, but both routes leave home through depot 1
-    shared = RouteSet(
-        (
-            (0, 1, t[0], 0),
-            (0, 1, t[1], 0),
-            (0, t[2], 0),
-            (0, t[3], 0),
-        )
-    )
-    inst4, _ = make_case(seed=5, n_targets=4, vehicles=4)
-    with pytest.raises(RouteStructureError, match="traversed more than once"):
-        edge_vector(shared, inst4)
 
 
 @given(st.permutations([2, 3, 4, 5]))

@@ -24,11 +24,15 @@ from fcmurp.recourse import (
     PenaltyPolicy,
     evaluate_recourse,
     precompute_best_depot,
-    realized_routes,
     recourse_oracle,
     route_beta,
 )
-from oracles import leg_best_by_sweep, recourse_by_enumeration, segments_feasible
+from oracles import (
+    leg_best_by_sweep,
+    realized_routes,
+    recourse_by_enumeration,
+    segments_feasible,
+)
 
 
 def scaled(instance, factor, sid=0):
