@@ -58,7 +58,7 @@ from .instgen import (
     generate_instance,
     sample_scenarios,
 )
-from .model import Instance, RouteSet
+from .model import Instance, RouteSet, validate_instance
 from .recourse import evaluate_recourse, recourse_oracle
 from .stochsolve import (
     SAA_SAMPLE_LIMIT,
@@ -167,8 +167,12 @@ def _dedup_routes(route_sets: Sequence[RouteSet]) -> list[RouteSet]:
     return out
 
 
-def _scoring_counters(lambda_size: int, scored: UpperBoundResult) -> dict:
-    """Deterministic work counters of the out-of-sample pass."""
+def _scoring_counters(lambda_size: int, scored: UpperBoundResult, ev_routes: RouteSet) -> dict:
+    """Deterministic work counters of the out-of-sample pass.
+
+    ``no_recourse`` and ``chosen_is_ev`` flag a VSS of 0 by construction:
+    no scenario needed recourse, or the chosen routes are the EV routes.
+    """
     shares = scored.recourse_shares
     return {
         "lambda_scenarios": lambda_size,
@@ -176,6 +180,7 @@ def _scoring_counters(lambda_size: int, scored: UpperBoundResult) -> dict:
         "recourse_share": {"candidates": list(shares[:-1]), "ev": shares[-1]},
         "penalized_scenarios": scored.penalized_scenarios,
         "no_recourse": not any(shares),
+        "chosen_is_ev": scored.routes.canonical() == ev_routes.canonical(),
     }
 
 
@@ -267,7 +272,7 @@ def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
 @click.option("--m", "sample_size", type=click.IntRange(min=1), default=10, show_default=True, help="Scenarios per replication sample.")
 @click.option("--lambda", "lambda_size", type=click.IntRange(min=1), default=1000, show_default=True, help="Evaluation sample size.")
 @click.option("--iterations", type=click.IntRange(min=1), default=500, show_default=True, help="Tabu iterations.")
-@click.option("--stall-limit", type=click.IntRange(min=1), default=100, show_default=True, help="Tabu stop after this many non-improving iterations.")
+@click.option("--stall-limit", type=click.IntRange(min=1), default=None, help="Tabu stop after this many non-improving iterations, at most --iterations; default min(100, --iterations).")
 @click.option("--tenure", type=click.IntRange(min=1), default=None, help="Tabu tenure; default scales with the target count.")
 @click.option("--engine", type=click.Choice(["auto", "exact", "greedy"]), default="auto", show_default=True, help="Deterministic solver engine.")
 @click.option("--threads", type=click.IntRange(min=1), default=None, help="Replication workers; defaults to the logical core count.")
@@ -294,6 +299,10 @@ def solve(
     seed = _effective_seed(seed)
     if threads is None:
         threads = os.cpu_count() or 1
+    if stall_limit is None:
+        stall_limit = min(100, iterations)
+    elif mode == "heuristic" and stall_limit > iterations:
+        raise _ExitError(f"--stall-limit {stall_limit} exceeds --iterations {iterations}", 2)
     instance = _read_instance(instance_path)
     qmap = _read_quadrants(quadrants_path)
     name = _instance_name(instance_path, name)
@@ -337,39 +346,20 @@ def solve(
         click.echo(f"lower bound: {replications} replications of {sample_size}", err=True)
         with _timed(stages, "lower_bound"):
             lb = saa_lower_bound(instance, qmap, config)
-        with _timed(stages, "evaluation_sample"):
-            lam = sample_scenarios(
-                instance, qmap, seed=lambda_seed(seed), count=lambda_size
-            )
-        candidates = _dedup_routes([s.routes for s in lb.solutions])
-        with _timed(stages, "evp"):
-            ev = solve_evp(instance, engine=engine)
-        click.echo(f"evaluating {len(candidates)} candidates on {lambda_size}", err=True)
-        with _timed(stages, "upper_bound"):
-            ub = saa_upper_bound(candidates, lam, instance, reference=ev.routes)
-        report = make_report(
-            name, ev, ub.reference, ub.routes, lb=lb.estimate, ub=ub.estimate
-        )
-        solution, meta = ub.routes, {"mode": "saa", "candidate_index": ub.index}
-        seeds["gamma"] = list(lb.gamma_seeds)
-        seeds["lambda"] = lambda_seed(seed)
-        extras = {"penalty": ub.penalty}
-        counters = {
-            **_scoring_counters(lambda_size, ub),
+        candidates = [s.routes for s in lb.solutions]
+        gamma_seeds, gamma_rejections = list(lb.gamma_seeds), list(lb.rejections)
+        estimates = {"lb": lb.estimate}
+        search_counters = {
             "saa_replications": [
                 {"nodes": s.nodes, "optimal": s.optimal, "legs": s.legs}
                 for s in lb.solutions
-            ],
-            "rejections": {"gamma": list(lb.rejections), "lambda": lam.rejections},
+            ]
         }
     else:
         params = TabuParams(
             iterations=iterations, stall_limit=stall_limit, tenure=tenure
         )
-        candidates = []
-        gamma_seeds = []
-        tabu_rows = []
-        gamma_rejections = []
+        candidates, gamma_seeds, gamma_rejections, tabu_rows = [], [], [], []
         with _timed(stages, "search"):
             for k in range(replications):
                 gseed = gamma_seed(seed, k)
@@ -390,6 +380,9 @@ def solve(
                 )
         if not candidates:
             raise _ExitError("no replication produced a feasible solution", 4)
+        estimates = {}
+        search_counters = {"tabu": tabu_rows}
+    if mode != "evp":
         candidates = _dedup_routes(candidates)
         with _timed(stages, "evaluation_sample"):
             lam = sample_scenarios(
@@ -400,14 +393,15 @@ def solve(
         click.echo(f"evaluating {len(candidates)} candidates on {lambda_size}", err=True)
         with _timed(stages, "upper_bound"):
             best = saa_upper_bound(candidates, lam, instance, reference=ev.routes)
-        report = make_report(name, ev, best.reference, best.routes, h=best.estimate)
-        solution, meta = best.routes, {"mode": "heuristic", "candidate_index": best.index}
+        estimates["ub" if mode == "saa" else "h"] = best.estimate
+        report = make_report(name, ev, best.reference, best.routes, **estimates)
+        solution, meta = best.routes, {"mode": mode, "candidate_index": best.index}
         seeds["gamma"] = gamma_seeds
         seeds["lambda"] = lambda_seed(seed)
         extras = {"penalty": best.penalty}
         counters = {
-            **_scoring_counters(lambda_size, best),
-            "tabu": tabu_rows,
+            **_scoring_counters(lambda_size, best, ev.routes),
+            **search_counters,
             "rejections": {"gamma": gamma_rejections, "lambda": lam.rejections},
         }
     counters["ev_solve"] = {"nodes": ev.nodes, "optimal": ev.optimal}
@@ -473,6 +467,10 @@ def evaluate(
     routes, _ = solution_from_doc(read_document(solution_path, kind="solution"), instance)
     if scenarios_path is not None:
         lam = scenarios_from_doc(read_document(scenarios_path, kind="scenario_set"))
+        fatal = [i.message for i in validate_instance(instance, lam).issues if i.fatal]
+        if fatal:
+            more = f" (and {len(fatal) - 1} more)" if len(fatal) > 1 else ""
+            raise ArtifactError(f"scenario set does not fit the instance: {fatal[0]}{more}")
     else:
         if quadrants_path is None:
             raise click.UsageError("provide --scenarios or --quadrants to draw them")

@@ -11,7 +11,6 @@ dozen targets; beyond that use the greedy solver or the tabu search.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -22,7 +21,6 @@ from .model import (
     Instance,
     RouteSet,
     min_detour_increment,
-    min_entry_fuel,
     min_exit_fuel,
 )
 
@@ -94,10 +92,6 @@ class DetProblem:
         return self.exit_fuel.tolist()
 
     @cached_property
-    def depot_range(self) -> range:
-        return self.instance.depot_indices
-
-    @cached_property
     def detour_options(self) -> list[list[tuple[float, tuple[tuple[int, float, float], ...]]]]:
         """Per edge (v, w): the direct cost and the depot detours off it.
 
@@ -107,7 +101,7 @@ class DetProblem:
         """
         cost = self.cost_rows
         fuel = self.fuel_rows
-        depots = self.depot_range
+        depots = self.instance.depot_indices
         table = []
         for v, (cost_v, fuel_v) in enumerate(zip(cost, fuel)):
             row = []
@@ -127,10 +121,6 @@ class DetProblem:
         """Memo of ``optimal_depot_insertion`` on this problem, keyed by the
         bare sequence; the answer depends on nothing else."""
         return {}
-
-    @cached_property
-    def entry_fuel(self) -> np.ndarray:
-        return min_entry_fuel(self.fuel, self.instance.n_depots)
 
     @cached_property
     def min_incoming_cost(self) -> np.ndarray:
@@ -175,9 +165,7 @@ class BnBConfig:
     """Search limits and pruning switches for the exact solver."""
 
     node_limit: Optional[int] = None
-    time_limit: Optional[float] = None
     strengthened_pruning: bool = True
-    incumbent: Optional[RouteSet] = None
 
 
 @dataclass(frozen=True)
@@ -380,7 +368,7 @@ def _min_arrival_step(
     cap = problem.instance.fuel_capacity
     fuel_prev = fuel[prev_vertex]
     best = prev_best + fuel_prev[vertex]
-    for d in problem.depot_range:
+    for d in range(problem.instance.n_depots):
         if d == prev_vertex or d == vertex:
             continue
         if prev_best + fuel_prev[d] <= cap and fuel[d][vertex] < best:
@@ -392,8 +380,6 @@ def _branch_routes(
     problem: DetProblem,
     config: BnBConfig,
     score_route: Callable[[tuple[int, ...]], Optional[tuple[tuple[int, ...], float]]],
-    incumbent_total: Optional[float] = None,
-    incumbent_routes: Optional[tuple[tuple[int, ...], ...]] = None,
 ) -> tuple[Optional[tuple[tuple[int, ...], ...]], float, bool, int]:
     """Shared search over target partitions and orders.
 
@@ -401,6 +387,13 @@ def _branch_routes(
     its exact contribution to the objective (None when infeasible); the
     completion bound only uses edge costs, so scores must never undercut the
     bare sequence cost by more than the budgeted insertion slack.
+
+    The incumbent is the greedy solution: its bare sequences scored by
+    ``score_route``, the scores folded left to right, plus ``_BOUND_EPS``.
+    Seeding slightly above its value forces the search to revisit it as a
+    leaf, so the answer always carries the canonical fold and tie-break
+    key; only a node limit that cuts the search first returns the greedy
+    routes themselves.
     """
     inst = problem.instance
     cost = problem.cost_rows
@@ -414,19 +407,25 @@ def _branch_routes(
     slack_unit = min(0.0, problem.min_insertion_delta)
     strengthened = config.strengthened_pruning
 
-    best_total = math.inf if incumbent_total is None else incumbent_total
-    best_routes = incumbent_routes
-    best_key = None if incumbent_routes is None else tuple(sorted(incumbent_routes))
+    best_total = math.inf
+    best_routes = None
+    best_key = None
+    greedy = solve_deterministic_greedy(problem)
+    if greedy is not None:
+        scored = [score_route(seq) for seq in greedy.routes.bare_sequences(inst)]
+        if None not in scored:
+            best_total = 0.0
+            for _, score in scored:
+                best_total += score
+            best_total += _BOUND_EPS
+            best_routes = tuple(realized for realized, _ in scored)
+            best_key = tuple(sorted(best_routes))
     nodes = 0
-    started = time.perf_counter()
-    deadline = None if config.time_limit is None else started + config.time_limit
 
     def tick() -> None:
         nonlocal nodes
         nodes += 1
         if config.node_limit is not None and nodes > config.node_limit:
-            raise _SearchLimit()
-        if deadline is not None and nodes % 256 == 0 and time.perf_counter() > deadline:
             raise _SearchLimit()
 
     def completion_bound(acc: float, open_bare: float, open_seq, unvisited, m_rem: int) -> float:
@@ -536,8 +535,8 @@ def solve_deterministic_exact(
 ) -> Optional[DetSolution]:
     """Minimum-cost routes under the active matrices, or None if infeasible.
 
-    The optimality flag drops to false when a node or time limit interrupts
-    the search; the best incumbent found so far is still returned.
+    The optimality flag drops to false when the node limit interrupts the
+    search; the best incumbent found so far is still returned.
     """
     if isinstance(problem, Instance):
         problem = problem.nominal_problem
@@ -547,28 +546,8 @@ def solve_deterministic_exact(
     if inst.vehicles > inst.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
 
-    # Seeding slightly above the incumbent cost forces the search to revisit
-    # the optimum as a leaf, so the returned solution always carries the
-    # canonical accumulation order and tie-break key.
-    inc_total = None
-    inc_routes = None
-    if config.incumbent is not None:
-        inc_routes = config.incumbent.routes
-        inc_total = _BOUND_EPS
-        for r in inc_routes:
-            for a, b in zip(r, r[1:]):
-                inc_total += float(problem.cost[a, b])
-    else:
-        greedy = solve_deterministic_greedy(problem)
-        if greedy is not None:
-            inc_routes = greedy.routes.routes
-            inc_total = greedy.cost + _BOUND_EPS
     routes, total, optimal, nodes = _branch_routes(
-        problem,
-        config,
-        lambda seq: optimal_depot_insertion(seq, problem),
-        inc_total,
-        inc_routes,
+        problem, config, lambda seq: optimal_depot_insertion(seq, problem)
     )
     if routes is None:
         return None
@@ -662,14 +641,11 @@ def resolve_engine(engine: str, instance: Instance) -> str:
 
 
 def solve_deterministic(
-    problem: DetProblem | Instance,
-    engine: str = "auto",
-    config: Optional[BnBConfig] = None,
+    problem: DetProblem | Instance, engine: str = "auto"
 ) -> Optional[DetSolution]:
-    """Solve with the named engine ("auto", "exact" or "greedy"); ``config``
-    only applies to the exact engine."""
+    """Solve with the named engine ("auto", "exact" or "greedy")."""
     if isinstance(problem, Instance):
         problem = problem.nominal_problem
     if resolve_engine(engine, problem.instance) == "exact":
-        return solve_deterministic_exact(problem, config)
+        return solve_deterministic_exact(problem)
     return solve_deterministic_greedy(problem)

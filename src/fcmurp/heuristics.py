@@ -18,8 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detsolve import (
-    EXACT_TARGET_LIMIT,
-    BnBConfig,
     DetProblem,
     optimal_depot_insertion,
     resolve_engine,
@@ -40,7 +38,6 @@ __all__ = [
     "construction_weights",
     "construct_detailed",
     "tabu_improve",
-    "EXACT_TARGET_LIMIT",
 ]
 
 
@@ -153,7 +150,6 @@ def _scenario_order(delta: ScenarioSet):
 def construct_detailed(
     instance: Instance,
     delta: ScenarioSet,
-    config: Optional[BnBConfig] = None,
     engine: str = "auto",
 ) -> ConstructionResult:
     """Scenario-weighted construction with full intermediate tables.
@@ -169,7 +165,7 @@ def construct_detailed(
     solutions: list[tuple[int, Optional[RouteSet]]] = []
     for s in ordered:
         problem = DetProblem(instance, fuel_override=np.array(s.fuel))
-        sol = solve_deterministic(problem, engine, config)
+        sol = solve_deterministic(problem, engine)
         solutions.append((s.id, None if sol is None else sol.routes))
     weights = construction_weights(instance, delta, solutions)
     final_problem = DetProblem(
@@ -177,7 +173,7 @@ def construct_detailed(
         cost_override=weights.weighted_cost.copy(),
         fuel_override=weights.expected_fuel.copy(),
     )
-    final = solve_deterministic(final_problem, engine, config)
+    final = solve_deterministic(final_problem, engine)
 
     routes, fallback = None, "none"
     if final is not None:
@@ -292,7 +288,7 @@ class TwoStageEvaluator:
         self._probabilities = tuple(s.probability for s in delta)
         self._memo: dict[tuple[int, ...], Optional[RouteScore]] = {}
         self.policy: Optional[PenaltyPolicy] = (
-            None if penalty is None else PenaltyPolicy(nu=penalty, rule="user supplied")
+            None if penalty is None else PenaltyPolicy(nu=penalty)
         )
 
     @property

@@ -63,8 +63,6 @@ class GenConfig:
     n_refuel_depots: int = 4
     fuel_factor: float = 2.25
     grid: float = 100.0
-    gamma_shape: float = 4.0
-    gamma_scale_ratio: float = 0.25
     max_retries: int = 50
 
 

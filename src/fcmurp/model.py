@@ -116,9 +116,6 @@ class Instance:
     def is_target(self, v: int) -> bool:
         return v >= self.n_depots
 
-    def index_of(self, vertex_id: str) -> int:
-        return self.vertices.index(vertex_id)
-
     @cached_property
     def cost_rows(self) -> list[list[float]]:
         """``cost`` as list rows, for scalar hot loops (same floats)."""

@@ -12,7 +12,8 @@ and cost strictly left to right along each route so that agreement is exact,
 not approximate. The DP reads list rows cached on the instance and the
 best-depot table; the oracle walks the numpy matrices. Search code scores
 single routes against a fixed scenario sample through ``LegMemo``, which
-runs the leg DP once per distinct (leg, scenario).
+prices each distinct (leg, scenario) once. Both price a leg through
+``_leg_recourse``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "PenaltyPolicy",
     "precompute_best_depot",
     "evaluate_recourse",
-    "route_beta",
     "LegMemo",
     "recourse_oracle",
 ]
@@ -45,20 +45,16 @@ class BestDepotTable:
 
     ``depot[i, j]`` is the depot index minimizing ``fuel[i, d] + fuel[d, j]``
     under one scenario's realization, ties going to the smallest index;
-    ``through_fuel`` holds the minimized value and ``fuel`` is the
-    realization itself. The evaluators read the cached list rows
-    (``depot_rows``, ``fuel_rows``), which hold the same numbers as the
+    ``fuel`` is the realization itself. The evaluators read the cached list
+    rows (``depot_rows``, ``fuel_rows``), which hold the same numbers as the
     arrays.
     """
 
-    scenario_id: int
     depot: np.ndarray
-    through_fuel: np.ndarray
     fuel: np.ndarray
 
     def __post_init__(self) -> None:
         self.depot.flags.writeable = False
-        self.through_fuel.flags.writeable = False
 
     @cached_property
     def depot_rows(self) -> list[list[int]]:
@@ -74,7 +70,6 @@ class PenaltyPolicy:
     """Objective penalty charged per unrecoverable scenario."""
 
     nu: float
-    rule: str = ""
 
     @staticmethod
     def from_betas(instance: Instance, betas: Sequence[float]) -> "PenaltyPolicy":
@@ -89,7 +84,7 @@ class PenaltyPolicy:
         slack = 2.0 * math.fsum(
             float(cost[0, t]) + float(cost[t, 0]) for t in instance.target_indices
         )
-        return PenaltyPolicy(nu=base + slack, rule="max_observed_beta + 2*sum_home_round_trips")
+        return PenaltyPolicy(nu=base + slack)
 
 
 def precompute_best_depot(instance: Instance, scenario: Scenario) -> BestDepotTable:
@@ -104,8 +99,7 @@ def precompute_best_depot(instance: Instance, scenario: Scenario) -> BestDepotTa
     # through[d, i, j] = f[i, d] + f[d, j]
     through = f[:, :nd].T[:, :, None] + f[:nd, :][:, None, :]
     depot = through.argmin(axis=0).astype(np.int64)
-    value = through.min(axis=0)
-    return BestDepotTable(scenario_id=scenario.id, depot=depot, through_fuel=value, fuel=f)
+    return BestDepotTable(depot=depot, fuel=f)
 
 
 def _detour_increment(cost, i: int, d: int, j: int) -> float:
@@ -208,6 +202,29 @@ def _direct_leg_fits(
     return running <= cap
 
 
+def _leg_recourse(
+    route: tuple[int, ...],
+    a: int,
+    b: int,
+    fuel: list[list[float]],
+    cap: float,
+    dep_of: list[list[int]],
+    instance: Instance,
+):
+    """Cheapest detour pattern ``(cost, positions)`` for one leg, or None.
+
+    ``_leg_best``'s answer, with a direct-leg shortcut: when
+    ``instance.min_detour_increment >= 0.0`` and the leg flown as planned
+    fits the tank, the answer is ``(0.0, ())`` without running the DP. Every
+    detour increment is then at least 0.0 and rounding is monotone, so no
+    detour pattern costs less than 0.0, and on a tie the DP keeps the empty
+    pattern; its answer is ``(0.0, ())`` either way.
+    """
+    if instance.min_detour_increment >= 0.0 and _direct_leg_fits(route, a, b, fuel, cap):
+        return 0.0, ()
+    return _leg_best(route, a, b, fuel, instance.cost_rows, cap, dep_of, instance.n_depots)
+
+
 def _leg_bounds(route: Sequence[int], nd: int) -> list[tuple[int, int]]:
     """First and last positions of each depot-to-depot leg, in route order."""
     stops = [p for p, v in enumerate(route) if v < nd]
@@ -231,14 +248,8 @@ def evaluate_recourse(
 
     Routes are assumed nominally feasible and their target order is never
     altered; only mid-edge depot detours may be spliced in, at most one per
-    edge. Returns an infeasible plan with infinite cost when some leg cannot
-    be recovered.
-
-    Direct-leg shortcut: when ``instance.min_detour_increment >= 0.0`` and a
-    leg flown as planned fits the tank, the leg is taken as planned without
-    running its DP. Every detour increment is then at least 0.0 and rounding
-    is monotone, so no detour pattern costs less than 0.0, and on a tie the
-    DP keeps the empty pattern; its answer is ``(0.0, ())`` either way.
+    edge, each leg priced by ``_leg_recourse``. Returns an infeasible plan
+    with infinite cost when some leg cannot be recovered.
     """
     n = instance.n_vertices
     if scenario.fuel.shape != (n, n):
@@ -249,17 +260,12 @@ def evaluate_recourse(
     if table is None:
         table = precompute_best_depot(instance, scenario)
     fuel, dep_of = _rows(scenario, table)
-    cost = instance.cost_rows
     cap = instance.fuel_capacity
-    nd = instance.n_depots
-    direct_wins = instance.min_detour_increment >= 0.0
     detours: list[tuple[int, int]] = []
     depots: dict[tuple[int, int], int] = {}
     for r, route in enumerate(routes.routes):
-        for a, b in _leg_bounds(route, nd):
-            if direct_wins and _direct_leg_fits(route, a, b, fuel, cap):
-                continue
-            leg = _leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
+        for a, b in _leg_bounds(route, instance.n_depots):
+            leg = _leg_recourse(route, a, b, fuel, cap, dep_of, instance)
             if leg is None:
                 return RecoursePlan(scenario.id, (), {}, math.inf, False)
             for p in leg[1]:
@@ -267,7 +273,7 @@ def evaluate_recourse(
                 detours.append(key)
                 depots[key] = dep_of[route[p]][route[p + 1]]
     ordered = tuple(sorted(detours))
-    beta = _plan_beta(routes, ordered, depots, cost)
+    beta = _plan_beta(routes, ordered, depots, instance.cost_rows)
     return RecoursePlan(scenario.id, ordered, depots, beta, True)
 
 
@@ -301,50 +307,18 @@ def _walk_route(
     return True, score
 
 
-def route_beta(
-    route: Sequence[int],
-    scenario: Scenario,
-    instance: Instance,
-    table: Optional[BestDepotTable] = None,
-) -> float:
-    """Minimum recourse cost of a single route, inf when unrecoverable.
-
-    Same per-leg DP as ``evaluate_recourse``, with the same direct-leg
-    shortcut (a leg that fits as planned adds 0.0 when no detour increment
-    is negative), but summed per route. ``LegMemo.route_betas`` gives the
-    same values for a whole scenario sample at once.
-    """
-    if table is None:
-        table = precompute_best_depot(instance, scenario)
-    fuel, dep_of = _rows(scenario, table)
-    cost = instance.cost_rows
-    cap = instance.fuel_capacity
-    nd = instance.n_depots
-    direct_wins = instance.min_detour_increment >= 0.0
-    route = tuple(route)
-    total = 0.0
-    for a, b in _leg_bounds(route, nd):
-        if direct_wins and _direct_leg_fits(route, a, b, fuel, cap):
-            continue
-        leg = _leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
-        if leg is None:
-            return math.inf
-        total += leg[0]
-    return float(total)
-
-
 class LegMemo:
     """Per-scenario recourse of single routes, one leg DP per (leg, scenario).
 
     The tank is refilled at every depot stop, so a leg's recourse cost
     depends only on its vertex sequence and the scenario, not on the route
     around it. The memo maps each depot-to-depot leg met so far to one entry
-    per scenario of ``scenarios``: None where the direct-leg shortcut flies
-    it as planned, inf where no detour plan recovers it, else the cost
-    ``_leg_best`` finds. ``route_betas`` folds a route's legs left to right
-    per scenario exactly as ``route_beta`` does, so its values are equal bit
-    for bit. Build one memo per scenario sample; ``tables`` are the
-    scenarios' best-depot tables, in order.
+    per scenario of ``scenarios``: inf where no detour plan recovers it, else
+    the cost ``_leg_recourse`` finds. ``route_betas`` folds a route's legs
+    left to right per scenario from +0.0; no leg cost is -0.0, so a leg
+    flown as planned leaves the sum's bits unchanged. Build one memo per
+    scenario sample; ``tables`` are the scenarios' best-depot tables, in
+    order.
     """
 
     def __init__(
@@ -356,30 +330,25 @@ class LegMemo:
         self.instance = instance
         self.scenarios = tuple(scenarios)
         self._rows = [_rows(s, t) for s, t in zip(self.scenarios, tables)]
-        self._costs: dict[tuple[int, ...], tuple[Optional[float], ...]] = {}
+        self._costs: dict[tuple[int, ...], tuple[float, ...]] = {}
 
     def __len__(self) -> int:
         """Distinct legs met so far."""
         return len(self._costs)
 
-    def _leg_costs(self, leg: tuple[int, ...]) -> tuple[Optional[float], ...]:
+    def _leg_costs(self, leg: tuple[int, ...]) -> tuple[float, ...]:
         inst = self.instance
-        cost = inst.cost_rows
         cap = inst.fuel_capacity
-        nd = inst.n_depots
-        direct_wins = inst.min_detour_increment >= 0.0
         last = len(leg) - 1
         out = []
         for fuel, dep_of in self._rows:
-            if direct_wins and _direct_leg_fits(leg, 0, last, fuel, cap):
-                out.append(None)
-                continue
-            best = _leg_best(leg, 0, last, fuel, cost, cap, dep_of, nd)
+            best = _leg_recourse(leg, 0, last, fuel, cap, dep_of, inst)
             out.append(math.inf if best is None else best[0])
         return tuple(out)
 
     def route_betas(self, route: Sequence[int]) -> tuple[float, ...]:
-        """``route_beta`` of ``route`` in every scenario, in order."""
+        """Minimum recourse cost of ``route`` in every scenario, in order;
+        inf where the route is unrecoverable."""
         route = tuple(route)
         costs = self._costs
         legs = []
@@ -394,8 +363,6 @@ class LegMemo:
             total = 0.0
             for entry in legs:
                 value = entry[k]
-                if value is None:
-                    continue
                 if value == math.inf:
                     total = math.inf
                     break

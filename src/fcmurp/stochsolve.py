@@ -25,7 +25,6 @@ from .detsolve import (
     _branch_routes,
     optimal_depot_insertion,
     solve_deterministic,
-    solve_deterministic_greedy,
 )
 from .instgen import QuadrantMap, sample_scenarios
 from .model import METRIC_TOL, Instance, RouteSet, ScenarioSet, route_cost
@@ -282,19 +281,13 @@ def _pattern_score(
     return best_realized, float(best_score)
 
 
-def solve_saa_problem(
-    instance: Instance,
-    gamma: ScenarioSet,
-    config: Optional[BnBConfig] = None,
-) -> Optional[SaaSolution]:
+def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSolution]:
     """Exact minimizer of sampled first-stage-plus-recourse cost.
 
     Searches all route sets; each closed route is scored by the best
     insertion pattern against every scenario in the sample. Returns None
     when no route set is recoverable in every scenario.
     """
-    if config is None:
-        config = BnBConfig()
     if not instance.metric:
         raise ValueError(
             "sampled exact solver requires metric costs: "
@@ -312,17 +305,7 @@ def solve_saa_problem(
             memo[seq] = _pattern_score(seq, legs)
         return memo[seq]
 
-    inc_total = None
-    inc_routes = None
-    greedy = solve_deterministic_greedy(problem)
-    if greedy is not None:
-        parts = [score(seq) for seq in greedy.routes.bare_sequences(instance)]
-        if all(p is not None for p in parts):
-            inc_routes = tuple(p[0] for p in parts)
-            inc_total = math.fsum(p[1] for p in parts) + 1e-9
-    routes, total, optimal, nodes = _branch_routes(
-        problem, config, score, inc_total, inc_routes
-    )
+    routes, total, optimal, nodes = _branch_routes(problem, BnBConfig(), score)
     if routes is None:
         return None
     route_set = RouteSet.from_sequences(routes, instance.n_depots)
@@ -341,7 +324,6 @@ def saa_lower_bound(
     instance: Instance,
     qmap: QuadrantMap,
     config: SaaConfig,
-    bnb: Optional[BnBConfig] = None,
 ) -> LowerBoundResult:
     """Replicated sampled optima and their mean, the statistical lower bound.
 
@@ -357,7 +339,7 @@ def saa_lower_bound(
         sample = sample_scenarios(
             instance, qmap, seed=seed, count=config.sample_size
         )
-        sol = solve_saa_problem(instance, sample, bnb)
+        sol = solve_saa_problem(instance, sample)
         if sol is None:
             raise RuntimeError(
                 f"replication seed {seed}: no route set is recoverable "
@@ -444,7 +426,6 @@ def saa_upper_bound(
 
 def solve_evp(
     instance: Instance,
-    config: Optional[BnBConfig] = None,
     engine: str = "auto",
     mean_fuel: Optional[np.ndarray] = None,
 ) -> DetSolution:
@@ -458,7 +439,7 @@ def solve_evp(
         problem = instance.nominal_problem
     else:
         problem = DetProblem(instance, fuel_override=np.array(mean_fuel, dtype=float))
-    sol = solve_deterministic(problem, engine, config)
+    sol = solve_deterministic(problem, engine)
     if sol is None:
         raise RuntimeError("mean-value problem is infeasible")
     return sol

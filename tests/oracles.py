@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fcmurp import instgen
+from fcmurp import instgen, recourse
 from fcmurp.detsolve import DetProblem, branching_order
 from fcmurp.heuristics import (
     TabuList,
@@ -25,7 +25,34 @@ from fcmurp.heuristics import (
     _target_pairs,
 )
 from fcmurp.model import Instance, RouteSet, Scenario, ScenarioSet
-from fcmurp.recourse import route_beta
+
+
+def route_beta(route, scenario: Scenario, instance: Instance, table=None) -> float:
+    """Minimum recourse cost of a single route, inf when unrecoverable.
+
+    Reference for ``recourse.LegMemo.route_betas``: each leg priced without a
+    memo and summed left to right per route, with a leg the direct-leg
+    shortcut flies as planned skipped rather than added as 0.0. The leg
+    kernels are looked up on ``recourse`` at call time, so a test that
+    patches them patches this reference too.
+    """
+    if table is None:
+        table = recourse.precompute_best_depot(instance, scenario)
+    fuel, dep_of = recourse._rows(scenario, table)
+    cost = instance.cost_rows
+    cap = instance.fuel_capacity
+    nd = instance.n_depots
+    direct_wins = instance.min_detour_increment >= 0.0
+    route = tuple(route)
+    total = 0.0
+    for a, b in recourse._leg_bounds(route, nd):
+        if direct_wins and recourse._direct_leg_fits(route, a, b, fuel, cap):
+            continue
+        leg = recourse._leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
+        if leg is None:
+            return math.inf
+        total += leg[0]
+    return float(total)
 
 
 def recompute_weights(instance, delta, solutions):

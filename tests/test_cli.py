@@ -217,6 +217,45 @@ def test_solve_heuristic_mode_reports_h(runner, tmp_path):
     assert doc["vss"] is not None
 
 
+def test_solve_heuristic_stall_limit_defaults_to_the_iteration_count(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src, targets=5, vehicles=2).exit_code == 0
+    short = solve_args(src, str(tmp_path / "short"), "heuristic", **{"--iterations": "10"})
+    res = runner.invoke(main, short)
+    assert res.exit_code == 0, res.output
+    assert "Traceback" not in res.output
+    manifest = read_json(tmp_path / "short" / "manifest.json")
+    assert manifest["config"]["stall_limit"] == 10
+    # an explicit stall limit above the iteration count is a usage error
+    args = solve_args(
+        src, str(tmp_path / "bad"), "heuristic", **{"--iterations": "10", "--stall-limit": "11"}
+    )
+    output = invoke_one_line_error(runner, args, 2)
+    assert "--stall-limit 11 exceeds --iterations 10" in output
+
+
+def test_solve_flags_a_chosen_solution_equal_to_ev(runner, tmp_path):
+    # seed 0 with 4 targets: the SAA solution differs from EV; with a
+    # generous tank nothing needs recourse and SAA returns the EV routes
+    for extra, expected in (((), False), (("--fuel-factor", "20"), True)):
+        src = str(tmp_path / f"inst{len(extra)}")
+        assert gen(runner, src, extra=extra).exit_code == 0
+        evp = str(tmp_path / f"evp{len(extra)}")
+        assert runner.invoke(main, solve_args(src, evp, "evp")).exit_code == 0
+        out = str(tmp_path / f"saa{len(extra)}")
+        res = runner.invoke(main, solve_args(src, out, "saa"))
+        assert res.exit_code == 0, res.output
+        flag = read_json(os.path.join(out, "manifest.json"))["counters"]["chosen_is_ev"]
+        assert flag is expected
+        chosen = sorted(read_json(os.path.join(out, "solution.json"))["routes"])
+        assert flag == (chosen == sorted(read_json(os.path.join(evp, "solution.json"))["routes"]))
+        result = read_json(os.path.join(out, "result.json"))
+        assert "chosen_is_ev" not in result
+        if flag:
+            # the same route set up to route order: VSS is 0 up to the fold
+            assert result["vss"] == pytest.approx(0.0, abs=1e-9)
+
+
 def test_evaluate_scores_and_merges(runner, tmp_path):
     src = str(tmp_path / "inst")
     assert gen(runner, src).exit_code == 0
@@ -343,6 +382,7 @@ def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
     for share in (*shares["candidates"], shares["ev"]):
         assert 0.0 <= share <= 1.0 and (share * 30).is_integer()
     assert block["no_recourse"] == (not any(shares["candidates"]) and not shares["ev"])
+    assert isinstance(block["chosen_is_ev"], bool)
     rows = block["tabu"]
     assert len(rows) == 2
     for row in rows:
@@ -447,6 +487,36 @@ def test_evaluate_refuses_a_solution_of_another_instance(runner, tmp_path):
     ]
     output = invoke_one_line_error(runner, args, 3)
     assert "solution does not fit the instance" in output
+
+
+def test_evaluate_refuses_a_scenario_set_of_another_instance(runner, tmp_path):
+    small = str(tmp_path / "small")
+    big = str(tmp_path / "big")
+    assert gen(runner, small).exit_code == 0
+    assert gen(runner, big, targets=6, vehicles=3).exit_code == 0
+    evp = str(tmp_path / "evp")
+    assert runner.invoke(main, solve_args(small, evp, "evp")).exit_code == 0
+    scen = os.path.join(big, "scen.json")
+    made = runner.invoke(
+        main,
+        [
+            "scenarios",
+            "--instance", os.path.join(big, "instance.json"),
+            "--quadrants", os.path.join(big, "quadrants.json"),
+            "--count", "3",
+            "--out", scen,
+        ],
+    )
+    assert made.exit_code == 0, made.output
+    args = [
+        "evaluate",
+        "--instance", os.path.join(small, "instance.json"),
+        "--solution", os.path.join(evp, "solution.json"),
+        "--scenarios", scen,
+    ]
+    output = invoke_one_line_error(runner, args, 3)
+    assert "scenario set does not fit the instance: scenario 0 fuel shape" in output
+    assert "(and 2 more)" in output
 
 
 def test_solve_refuses_a_truncated_cost_matrix(runner, tmp_path):

@@ -350,15 +350,6 @@ def test_node_limit_degrades_gracefully():
     assert ok
 
 
-def test_incumbent_seeding_does_not_change_the_answer():
-    inst, _ = make_case(seed=12, n_targets=5, vehicles=2)
-    base = solve_deterministic_exact(inst)
-    greedy = solve_deterministic_greedy(inst)
-    seeded = solve_deterministic_exact(inst, BnBConfig(incumbent=greedy.routes))
-    assert seeded.cost == base.cost
-    assert seeded.routes == base.routes
-
-
 def test_more_vehicles_than_targets_is_rejected():
     inst, _ = make_case(seed=12, n_targets=3, vehicles=2)
     forced = DetProblem(
