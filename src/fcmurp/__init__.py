@@ -55,8 +55,6 @@ from .stochsolve import (
     saa_lower_bound,
     saa_upper_bound,
     solve_evp,
-    compute_vss,
-    make_report,
 )
 
 __version__ = "0.1.0"

@@ -65,10 +65,8 @@ from .stochsolve import (
     SaaConfig,
     SaaReport,
     UpperBoundResult,
-    compute_vss,
     gamma_seed,
     lambda_seed,
-    make_report,
     saa_lower_bound,
     saa_upper_bound,
     solve_evp,
@@ -275,7 +273,7 @@ def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
 @click.option("--stall-limit", type=click.IntRange(min=1), default=None, help="Tabu stop after this many non-improving iterations, at most --iterations; default min(100, --iterations).")
 @click.option("--tenure", type=click.IntRange(min=1), default=None, help="Tabu tenure; default scales with the target count.")
 @click.option("--engine", type=click.Choice(["auto", "exact", "greedy"]), default="auto", show_default=True, help="Deterministic solver engine.")
-@click.option("--threads", type=click.IntRange(min=1), default=None, help="Replication workers; defaults to the logical core count.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Replication workers for --mode saa.")
 @click.option("--name", default=None, help="Instance name in reports; defaults to the instance file stem.")
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
 @_translate_errors
@@ -297,8 +295,6 @@ def solve(
 ):
     """Solve an instance and write solution, result, and manifest files."""
     seed = _effective_seed(seed)
-    if threads is None:
-        threads = os.cpu_count() or 1
     if stall_limit is None:
         stall_limit = min(100, iterations)
     elif mode == "heuristic" and stall_limit > iterations:
@@ -325,8 +321,6 @@ def solve(
             ub=None,
             h=None,
             solution=ev.routes,
-            vss=None,
-            vss_pct=None,
         )
         solution, meta = ev.routes, {"mode": "evp", "optimal": ev.optimal}
     elif mode == "saa":
@@ -336,10 +330,15 @@ def solve(
                 f"{EXACT_TARGET_LIMIT} targets with --m at most {SAA_SAMPLE_LIMIT}; "
                 "use --mode heuristic for larger runs"
             )
+        if not instance.metric:
+            raise _ExitError(
+                "--mode saa needs metric costs: its pruning bound assumes no detour "
+                "is cheaper than the edge it replaces; use --mode heuristic for this instance",
+                2,
+            )
         config = SaaConfig(
             replications=replications,
             sample_size=sample_size,
-            lambda_size=lambda_size,
             seed=seed,
             workers=threads,
         )
@@ -348,7 +347,7 @@ def solve(
             lb = saa_lower_bound(instance, qmap, config)
         candidates = [s.routes for s in lb.solutions]
         gamma_seeds, gamma_rejections = list(lb.gamma_seeds), list(lb.rejections)
-        estimates = {"lb": lb.estimate}
+        lb_estimate = lb.estimate
         search_counters = {
             "saa_replications": [
                 {"nodes": s.nodes, "optimal": s.optimal, "legs": s.legs}
@@ -380,7 +379,7 @@ def solve(
                 )
         if not candidates:
             raise _ExitError("no replication produced a feasible solution", 4)
-        estimates = {}
+        lb_estimate = None
         search_counters = {"tabu": tabu_rows}
     if mode != "evp":
         candidates = _dedup_routes(candidates)
@@ -393,8 +392,16 @@ def solve(
         click.echo(f"evaluating {len(candidates)} candidates on {lambda_size}", err=True)
         with _timed(stages, "upper_bound"):
             best = saa_upper_bound(candidates, lam, instance, reference=ev.routes)
-        estimates["ub" if mode == "saa" else "h"] = best.estimate
-        report = make_report(name, ev, best.reference, best.routes, **estimates)
+        report = SaaReport(
+            instance_name=name,
+            ev=ev.cost,
+            ev_optimal=ev.optimal,
+            eev=best.reference,
+            lb=lb_estimate,
+            ub=best.estimate if mode == "saa" else None,
+            h=best.estimate if mode == "heuristic" else None,
+            solution=best.routes,
+        )
         solution, meta = best.routes, {"mode": mode, "candidate_index": best.index}
         seeds["gamma"] = gamma_seeds
         seeds["lambda"] = lambda_seed(seed)
@@ -486,13 +493,10 @@ def evaluate(
         click.echo(f"penalized scenarios: {res.penalized_scenarios}", err=True)
     if result_path is not None:
         report = report_from_doc(read_document(result_path, kind="result"))
-        report = replace(report, **{column: est})
-        if report.eev is not None and (report.ub or report.h):
-            try:
-                vss, pct = compute_vss(report)
-            except ValueError as exc:
-                raise _ExitError(str(exc), 3) from None
-            report = replace(report, vss=vss, vss_pct=pct)
+        try:
+            report = replace(report, **{column: est})
+        except ValueError as exc:
+            raise _ExitError(str(exc), 3) from None
         write_document(report_to_doc(report), result_path)
         click.echo(f"updated {column} in {result_path}")
 

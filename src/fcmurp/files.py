@@ -3,7 +3,10 @@
 Every document carries ``format_version`` and ``kind``; floats serialize via
 repr, so write-read round trips are exact. Writes go through a temp file and
 rename, and key order is fixed, making artifact bytes a pure function of the
-data.
+data. Derived values (an instance's ``lam`` and ``metric``, an estimate's
+``count``, ``mean``, ``dispersion`` and ``standard_error``, a result's
+``vss`` and ``vss_pct``) are written for readers; the readers ignore those
+keys and compute the values again from the data they describe.
 """
 
 from __future__ import annotations
@@ -135,9 +138,7 @@ def instance_from_doc(doc: dict) -> Instance:
             nominal_fuel=_from_matrix(doc["nominal_fuel"]),
             vehicles=int(doc["vehicles"]),
             fuel_capacity=float(doc["fuel_capacity"]),
-            lam=float(doc["lam"]),
             grid=None if doc.get("grid") is None else float(doc["grid"]),
-            metric=bool(doc["metric"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed instance document: {exc}") from None
@@ -244,14 +245,11 @@ def estimate_from_doc(doc: Optional[dict]) -> Optional[BoundEstimate]:
         return None
     try:
         return BoundEstimate(
-            mean=float(doc["mean"]),
-            dispersion=float(doc["dispersion"]),
-            standard_error=float(doc["standard_error"]),
-            values=tuple(float(v) for v in doc["values"]),
+            values=doc["values"],
             rigorous=bool(doc["rigorous"]),
             label=str(doc["label"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed estimate document: {exc}") from None
 
 
@@ -283,10 +281,10 @@ def report_from_doc(doc: dict) -> SaaReport:
             ub=estimate_from_doc(doc["ub"]),
             h=estimate_from_doc(doc["h"]),
             solution=RouteSet(tuple(tuple(int(v) for v in r) for r in doc["solution"])),
-            vss=None if doc["vss"] is None else float(doc["vss"]),
-            vss_pct=None if doc["vss_pct"] is None else float(doc["vss_pct"]),
         )
-    except (KeyError, TypeError) as exc:
+    except ArtifactError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed result document: {exc}") from None
 
 

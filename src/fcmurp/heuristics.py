@@ -417,7 +417,6 @@ class TabuResult:
     objective: float
     stage1: float
     betas: tuple[float, ...]
-    feasible: bool
     iterations: int
     move_log: tuple[tuple, ...]
     warning: Optional[str]
@@ -426,6 +425,11 @@ class TabuResult:
     legs: int = field(default=0, compare=False)
     scans: int = field(default=0, compare=False)
     scored: int = field(default=0, compare=False)
+
+    @property
+    def feasible(self) -> bool:
+        """Whether every scenario of the search sample is recoverable."""
+        return all(math.isfinite(b) for b in self.betas)
 
     def _count(self, kind: str) -> int:
         return sum(row[1] == kind for row in self.move_log)
@@ -717,7 +721,6 @@ def tabu_improve(
         objective=best.objective,
         stage1=best.stage1,
         betas=best.betas,
-        feasible=best.feasible,
         iterations=iterations,
         move_log=tuple(log),
         warning=warning,

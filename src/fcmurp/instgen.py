@@ -35,6 +35,8 @@ _STREAM_QUADRANT = 2
 _STREAM_SCENARIO = 3
 
 REJECTION_LIMIT = 10_000
+# Layouts ``generate_instance`` draws before it calls a configuration infeasible.
+MAX_RETRIES = 50
 
 CONGESTED = "congested"
 SPARSE = "sparse"
@@ -63,7 +65,6 @@ class GenConfig:
     n_refuel_depots: int = 4
     fuel_factor: float = 2.25
     grid: float = 100.0
-    max_retries: int = 50
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def generate_instance(config: GenConfig) -> Instance:
         raise ValueError("vehicle count must be in 1..n_targets")
     home = (config.grid / 2.0, config.grid / 2.0)
     refuel = _refuel_sites(config.n_refuel_depots, config.grid)
-    for attempt in range(config.max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = _substream(config.seed, _STREAM_COORDS, attempt)
         pts = rng.uniform(0.0, config.grid, size=(config.n_targets, 2))
         instance = make_instance(
@@ -143,7 +144,7 @@ def generate_instance(config: GenConfig) -> Instance:
         if not result.fatal:
             return instance
     raise ValueError(
-        f"infeasible configuration: no reachable layout in {config.max_retries} "
+        f"infeasible configuration: no reachable layout in {MAX_RETRIES} "
         f"attempts (fuel_factor={config.fuel_factor})"
     )
 

@@ -31,6 +31,7 @@ __all__ = [
     "make_instance",
     "euclidean_matrix",
     "is_metric",
+    "depot_radius",
     "min_detour_increment",
     "validate_instance",
     "route_cost",
@@ -69,8 +70,7 @@ class Instance:
     """A routing instance over one home depot, refuel depots, and targets.
 
     ``cost`` and ``nominal_fuel`` are dense float64 matrices over the full
-    vertex ordering; diagonal entries are ignored. ``lam`` is the maximum
-    depot-to-target distance (home depot included) and ``fuel_capacity`` the
+    vertex ordering; diagonal entries are ignored. ``fuel_capacity`` is the
     per-segment fuel budget between consecutive depot visits.
     """
 
@@ -81,9 +81,7 @@ class Instance:
     nominal_fuel: np.ndarray
     vehicles: int
     fuel_capacity: float
-    lam: float
     grid: Optional[float] = None
-    metric: bool = True
 
     def __post_init__(self) -> None:
         for name in ("coordinates", "cost", "nominal_fuel"):
@@ -117,6 +115,16 @@ class Instance:
         return v >= self.n_depots
 
     @cached_property
+    def lam(self) -> float:
+        """``depot_radius`` of ``coordinates``."""
+        return depot_radius(self.coordinates, self.n_depots)
+
+    @cached_property
+    def metric(self) -> bool:
+        """Whether ``cost`` satisfies the triangle inequality (``is_metric``)."""
+        return is_metric(self.cost)
+
+    @cached_property
     def cost_rows(self) -> list[list[float]]:
         """``cost`` as list rows, for scalar hot loops (same floats)."""
         return self.cost.tolist()
@@ -146,6 +154,18 @@ class Instance:
     def min_entry_fuel(self) -> np.ndarray:
         """Per-vertex cheapest nominal fuel from any depot."""
         return min_entry_fuel(self.nominal_fuel, self.n_depots)
+
+
+def depot_radius(coordinates: np.ndarray, n_depots: int) -> float:
+    """The largest Euclidean distance from a depot (home depot included) to a
+    target: the instance's lambda, which scales the default fuel capacity."""
+    return float(
+        max(
+            float(np.linalg.norm(coordinates[d] - coordinates[t]))
+            for d in range(n_depots)
+            for t in range(n_depots, len(coordinates))
+        )
+    )
 
 
 def min_detour_increment(cost: np.ndarray, n_depots: int) -> float:
@@ -285,7 +305,11 @@ class RecoursePlan:
     detoured_edges: tuple[tuple[int, int], ...]
     inserted_depots: Mapping[tuple[int, int], int]
     beta: float
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        """Whether some detour plan recovers the scenario."""
+        return math.isfinite(self.beta)
 
 
 @dataclass(frozen=True)
@@ -344,15 +368,8 @@ def make_instance(
         nominal_fuel = euclidean_matrix(coords)
     else:
         nominal_fuel = np.array(nominal_fuel, dtype=float)
-    lam = float(
-        max(
-            float(np.linalg.norm(coords[d] - coords[t]))
-            for d in range(n_depots)
-            for t in range(n_depots, len(coords))
-        )
-    )
     if fuel_capacity is None:
-        fuel_capacity = fuel_factor * lam
+        fuel_capacity = fuel_factor * depot_radius(coords, n_depots)
     return Instance(
         vertices=tuple(vertex_ids),
         n_refuel=n_refuel,
@@ -361,20 +378,7 @@ def make_instance(
         nominal_fuel=nominal_fuel,
         vehicles=vehicles,
         fuel_capacity=float(fuel_capacity),
-        lam=lam,
         grid=grid,
-        metric=is_metric(cost),
-    )
-
-
-def recompute_lambda(instance: Instance) -> float:
-    coords = instance.coordinates
-    return float(
-        max(
-            float(np.linalg.norm(coords[d] - coords[t]))
-            for d in instance.depot_indices
-            for t in instance.target_indices
-        )
     )
 
 
@@ -411,11 +415,6 @@ def validate_instance(
             )
         )
     if coords_ok and instance.cost.shape == (n, n) and instance.nominal_fuel.shape == (n, n):
-        lam = recompute_lambda(instance)
-        if abs(lam - instance.lam) > 1e-6:
-            issues.append(
-                ValidationIssue(f"stored lambda {instance.lam!r} != recomputed {lam!r}")
-            )
         if instance.fuel_capacity <= 0:
             issues.append(ValidationIssue("fuel capacity must be positive", fatal=True))
         exit_fuel = instance.min_exit_fuel

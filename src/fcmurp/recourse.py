@@ -267,14 +267,14 @@ def evaluate_recourse(
         for a, b in _leg_bounds(route, instance.n_depots):
             leg = _leg_recourse(route, a, b, fuel, cap, dep_of, instance)
             if leg is None:
-                return RecoursePlan(scenario.id, (), {}, math.inf, False)
+                return RecoursePlan(scenario.id, (), {}, math.inf)
             for p in leg[1]:
                 key = (r, p)
                 detours.append(key)
                 depots[key] = dep_of[route[p]][route[p + 1]]
     ordered = tuple(sorted(detours))
     beta = _plan_beta(routes, ordered, depots, instance.cost_rows)
-    return RecoursePlan(scenario.id, ordered, depots, beta, True)
+    return RecoursePlan(scenario.id, ordered, depots, beta)
 
 
 def _walk_route(
@@ -416,11 +416,11 @@ def recourse_oracle(
             if best is None or val < best:
                 best = val
         if best is None:
-            return RecoursePlan(scenario.id, (), {}, math.inf, False)
+            return RecoursePlan(scenario.id, (), {}, math.inf)
         for p in best[1]:
             key = (r, p)
             detours.append(key)
             depots[key] = int(dep_of[route[p], route[p + 1]])
     ordered = tuple(sorted(detours))
     beta = _plan_beta(routes, ordered, depots, cost)
-    return RecoursePlan(scenario.id, ordered, depots, beta, True)
+    return RecoursePlan(scenario.id, ordered, depots, beta)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,8 +49,6 @@ __all__ = [
     "saa_lower_bound",
     "saa_upper_bound",
     "solve_evp",
-    "compute_vss",
-    "make_report",
 ]
 
 # Desk-scale guardrail for the exact sampled solver; its target limit is
@@ -63,15 +62,14 @@ class SaaConfig:
 
     replications: int = 10
     sample_size: int = 10
-    lambda_size: int = 1000
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.replications < 2:
             raise ValueError("replications must be >= 2 for the dispersion statistic")
-        if self.sample_size < 1 or self.lambda_size < 1:
-            raise ValueError("sample_size and lambda_size must be >= 1")
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -88,41 +86,40 @@ def lambda_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class BoundEstimate:
-    """Mean of replicated values plus two spread statistics.
+    """Replicated values, their mean and two spread statistics.
 
-    ``dispersion`` is the squared spread sum divided by count minus one,
-    reported verbatim; ``standard_error`` is the conventional
-    sqrt(dispersion / count). ``rigorous`` is false when any underlying solve
-    stopped at a search limit.
+    ``values`` are stored as floats and must not be empty; the statistics
+    are computed from them. ``dispersion`` is the squared spread sum divided
+    by count minus one (0.0 for one value), reported verbatim;
+    ``standard_error`` is the conventional sqrt(dispersion / count).
+    ``rigorous`` is false when any underlying solve stopped at a search
+    limit.
     """
 
-    mean: float
-    dispersion: float
-    standard_error: float
     values: tuple[float, ...]
-    rigorous: bool
-    label: str
+    rigorous: bool = True
+    label: str = ""
 
-    @staticmethod
-    def from_values(
-        values: Sequence[float], rigorous: bool = True, label: str = ""
-    ) -> "BoundEstimate":
-        vals = tuple(float(v) for v in values)
-        if not vals:
+    def __post_init__(self) -> None:
+        values = tuple(float(v) for v in self.values)
+        if not values:
             raise ValueError("cannot estimate from zero values")
-        mean = math.fsum(vals) / len(vals)
-        if len(vals) > 1:
-            dispersion = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-        else:
-            dispersion = 0.0
-        return BoundEstimate(
-            mean=float(mean),
-            dispersion=float(dispersion),
-            standard_error=math.sqrt(dispersion / len(vals)),
-            values=vals,
-            rigorous=rigorous,
-            label=label,
-        )
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def mean(self) -> float:
+        return float(math.fsum(self.values) / len(self.values))
+
+    @cached_property
+    def dispersion(self) -> float:
+        vals, mean = self.values, self.mean
+        if len(vals) == 1:
+            return 0.0
+        return float(math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
+
+    @cached_property
+    def standard_error(self) -> float:
+        return math.sqrt(self.dispersion / len(self.values))
 
 
 @dataclass(frozen=True)
@@ -156,9 +153,9 @@ class UpperBoundResult:
     ``reference`` the optional reference route set (for instance the
     mean-value solution, giving EEV). ``penalized_scenarios`` counts the
     scenarios charged ``penalty`` for the chosen candidate plus the
-    reference. ``recourse_shares`` holds, per scored route set (candidates
-    in order, then the reference), the share of scenarios whose plan detours
-    or that no plan recovers.
+    reference. ``recourse_shares`` holds, per candidate in order and then
+    for the reference, the share of scenarios whose plan detours or that no
+    plan recovers.
     """
 
     routes: RouteSet
@@ -173,7 +170,14 @@ class UpperBoundResult:
 
 @dataclass(frozen=True)
 class SaaReport:
-    """One instance's evaluation row; estimates absent in lighter modes."""
+    """One instance's evaluation row; estimates absent in lighter modes.
+
+    The value of the stochastic solution is computed from the estimates:
+    ``vss`` is EEV's mean minus the smaller of the UB and H means, and
+    ``vss_pct`` that difference as a percentage of EEV's mean (0.0 when the
+    mean is 0); both are None without EEV or without UB and H. UB and H must
+    come from EEV's evaluation sample: mismatched labels raise.
+    """
 
     instance_name: str
     ev: float
@@ -183,8 +187,30 @@ class SaaReport:
     ub: Optional[BoundEstimate]
     h: Optional[BoundEstimate]
     solution: RouteSet
-    vss: Optional[float]
-    vss_pct: Optional[float]
+
+    def __post_init__(self) -> None:
+        if self.eev is None:
+            return
+        for est in (self.ub, self.h):
+            if est is not None and est.label != self.eev.label:
+                raise ValueError(
+                    f"estimate label {est.label!r} does not match EEV label "
+                    f"{self.eev.label!r}: refusing a mixed-sample comparison"
+                )
+
+    @cached_property
+    def vss(self) -> Optional[float]:
+        anchors = [est.mean for est in (self.ub, self.h) if est is not None]
+        if self.eev is None or not anchors:
+            return None
+        return float(self.eev.mean - min(anchors))
+
+    @cached_property
+    def vss_pct(self) -> Optional[float]:
+        if self.vss is None:
+            return None
+        eev = self.eev.mean
+        return 0.0 if eev == 0 else float(100.0 * self.vss / eev)
 
 
 def _pattern_score(
@@ -356,7 +382,7 @@ def saa_lower_bound(
     else:
         solved = tuple(solve_one(s) for s in seeds)
     solutions = tuple(sol for sol, _ in solved)
-    estimate = BoundEstimate.from_values(
+    estimate = BoundEstimate(
         [s.value for s in solutions],
         rigorous=all(s.optimal for s in solutions),
         label=f"gamma:seed={config.seed}:N={config.replications}:M={config.sample_size}",
@@ -379,8 +405,11 @@ def saa_upper_bound(
     """Out-of-sample cost of each candidate; returns the argmin.
 
     One pass over ``lam``: each scenario's best-depot table is built once,
-    every candidate (and ``reference``, when given) gets one recourse
-    evaluation against it, and the table is dropped. Per-scenario values are
+    every scored route set gets one recourse evaluation against it, and the
+    table is dropped. The scored route sets are the candidates, then
+    ``reference`` when given, unless a candidate is the same route set up to
+    route order: the reference then takes that candidate's scores, so its
+    estimate equals the candidate's exactly. Per-scenario values are
     first-stage cost plus that scenario's recourse cost, so each estimate
     mean is the sampled expectation. Scenarios no detour plan can recover are
     charged the penalty and counted; without an explicit ``policy`` the
@@ -389,7 +418,16 @@ def saa_upper_bound(
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    scored = [*candidates, *([] if reference is None else [reference])]
+    scored = list(candidates)
+    ref = None  # the reference's row in ``scored``
+    if reference is not None:
+        keys = [c.canonical() for c in candidates]
+        key = reference.canonical()
+        if key in keys:
+            ref = keys.index(key)
+        else:
+            ref = len(scored)
+            scored.append(reference)
     betas: list[list[float]] = [[] for _ in scored]
     needs_recourse = [0] * len(scored)
     for s in lam:
@@ -405,22 +443,23 @@ def saa_upper_bound(
     for routes, row in zip(scored, betas):
         stage1 = route_cost(routes, instance)
         values = [stage1 + b if math.isfinite(b) else stage1 + policy.nu for b in row]
-        estimates.append(BoundEstimate.from_values(values, rigorous=True, label=lam.label))
+        estimates.append(BoundEstimate(values, rigorous=True, label=lam.label))
         penalized.append(sum(not math.isfinite(b) for b in row))
     # cheapest mean, ties to the smallest canonical route set, then the first
     index = min(
         range(len(candidates)),
         key=lambda i: (estimates[i].mean, candidates[i].canonical().routes),
     )
+    rows = [*range(len(candidates)), *([] if ref is None else [ref])]
     return UpperBoundResult(
         routes=candidates[index],
         estimate=estimates[index],
         per_candidate=tuple(e.mean for e in estimates[: len(candidates)]),
         index=index,
-        penalized_scenarios=penalized[index] + (0 if reference is None else penalized[-1]),
+        penalized_scenarios=penalized[index] + (0 if ref is None else penalized[ref]),
         penalty=policy.nu,
-        reference=None if reference is None else estimates[-1],
-        recourse_shares=tuple(k / len(lam) for k in needs_recourse),
+        reference=None if ref is None else estimates[ref],
+        recourse_shares=tuple(needs_recourse[r] / len(lam) for r in rows),
     )
 
 
@@ -443,52 +482,3 @@ def solve_evp(
     if sol is None:
         raise RuntimeError("mean-value problem is infeasible")
     return sol
-
-
-def compute_vss(report: SaaReport) -> tuple[float, float]:
-    """Recompute the value of the stochastic solution from a report.
-
-    All estimates entering the comparison must come from the same evaluation
-    sample; mismatched labels raise.
-    """
-    if report.eev is None:
-        raise ValueError("report has no EEV estimate to compare against")
-    anchors = [report.ub, report.h]
-    present = [est for est in anchors if est is not None]
-    if not present:
-        raise ValueError("need an upper-bound or heuristic estimate to compare against")
-    for est in present:
-        if est.label != report.eev.label:
-            raise ValueError(
-                f"estimate label {est.label!r} does not match EEV label "
-                f"{report.eev.label!r}: refusing a mixed-sample comparison"
-            )
-    best = min(est.mean for est in present)
-    vss = report.eev.mean - best
-    pct = 0.0 if report.eev.mean == 0 else 100.0 * vss / report.eev.mean
-    return float(vss), float(pct)
-
-
-def make_report(
-    instance_name: str,
-    ev_solution: DetSolution,
-    eev: BoundEstimate,
-    solution: RouteSet,
-    lb: Optional[BoundEstimate] = None,
-    ub: Optional[BoundEstimate] = None,
-    h: Optional[BoundEstimate] = None,
-) -> SaaReport:
-    report = SaaReport(
-        instance_name=instance_name,
-        ev=ev_solution.cost,
-        ev_optimal=ev_solution.optimal,
-        eev=eev,
-        lb=lb,
-        ub=ub,
-        h=h,
-        solution=solution,
-        vss=None,
-        vss_pct=None,
-    )
-    vss, pct = compute_vss(report)
-    return replace(report, vss=vss, vss_pct=pct)

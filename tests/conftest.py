@@ -63,7 +63,7 @@ def off_triangle_instance() -> Instance:
     for mat in (cost, fuel):
         mat[1, :] *= 0.3
         mat[:, 1] *= 0.3
-    return dataclasses.replace(inst, cost=cost, nominal_fuel=fuel, metric=False)
+    return dataclasses.replace(inst, cost=cost, nominal_fuel=fuel)
 
 
 def point_mass(instance: Instance, scale: float = 1.0, sid: int = 0) -> ScenarioSet:

@@ -645,7 +645,6 @@ def tabu_by_full_evaluation(
         objective=best.objective,
         stage1=best.stage1,
         betas=best.betas,
-        feasible=best.feasible,
         iterations=iterations,
         move_log=tuple(log),
         warning=warning,

@@ -135,9 +135,7 @@ def test_criterion_4_saa_bound_ordering():
     margins = []
     for seed in (41, 42, 43, 44, 45):
         inst, qmap = make_case(seed=seed, n_targets=6, vehicles=2)
-        config = SaaConfig(
-            replications=5, sample_size=3, lambda_size=200, seed=seed, workers=4
-        )
+        config = SaaConfig(replications=5, sample_size=3, seed=seed, workers=4)
         lb = saa_lower_bound(inst, qmap, config)
         lam = sample_scenarios(inst, qmap, seed=lambda_seed(seed), count=200)
         candidates = []

@@ -252,8 +252,26 @@ def test_solve_flags_a_chosen_solution_equal_to_ev(runner, tmp_path):
         result = read_json(os.path.join(out, "result.json"))
         assert "chosen_is_ev" not in result
         if flag:
-            # the same route set up to route order: VSS is 0 up to the fold
-            assert result["vss"] == pytest.approx(0.0, abs=1e-9)
+            # the same route set: EEV is the chosen candidate's own score
+            assert result["vss"] == 0.0
+
+
+def test_solve_reports_vss_0_for_the_ev_routes_in_another_route_order(runner, tmp_path):
+    # at instance seed 10 the heuristic's winner is the EV route set with its
+    # routes in another order, which scored apart gave VSS -5.7e-14
+    src = str(tmp_path / "inst")
+    assert gen(runner, src, seed=10, targets=12, vehicles=3).exit_code == 0
+    out = str(tmp_path / "heur")
+    args = solve_args(
+        src, out, "heuristic", **{"--m": "3", "--lambda": "100", "--iterations": "50"}
+    )
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert read_json(os.path.join(out, "manifest.json"))["counters"]["chosen_is_ev"] is True
+    assert "VSS = 0.0 " in res.output
+    result = read_json(os.path.join(out, "result.json"))
+    assert result["vss"] == 0.0
+    assert result["eev"] == result["h"]
 
 
 def test_evaluate_scores_and_merges(runner, tmp_path):
@@ -471,6 +489,27 @@ def invoke_one_line_error(runner, args, code):
     return res.output
 
 
+def test_solve_saa_refuses_non_metric_costs(runner, tmp_path):
+    # the quickstart instance with every cost into or out of refuel depot 1
+    # cut to 0.3x: detours through depot 1 can be cheaper than the edge they
+    # replace, whatever the document's metric key says
+    src = str(tmp_path / "inst")
+    assert gen(runner, src, seed=7, targets=5, vehicles=2).exit_code == 0
+    doc = read_json(os.path.join(src, "instance.json"))
+    cost = doc["cost"]
+    for row in cost:
+        row[1] *= 0.3
+    cost[1] = [c * 0.3 for c in cost[1]]
+    for metric in (False, True):
+        doc["metric"] = metric
+        bad = os.path.join(src, f"cut-{metric}.json")
+        with open(bad, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        args = solve_args(src, str(tmp_path / "out"), "saa", **{"--instance": bad})
+        output = invoke_one_line_error(runner, args, 2)
+        assert "--mode heuristic" in output
+
+
 def test_evaluate_refuses_a_solution_of_another_instance(runner, tmp_path):
     small = str(tmp_path / "small")
     big = str(tmp_path / "big")
@@ -578,6 +617,43 @@ def test_report_renders_both_formats(runner, tmp_path):
 
     missing = runner.invoke(main, ["report", os.path.join(out, "gone.json")])
     assert missing.exit_code == 3
+
+
+def test_report_and_evaluate_recompute_hand_edited_statistics(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    out = str(tmp_path / "saa")
+    assert runner.invoke(main, solve_args(src, out, "saa")).exit_code == 0
+    result = os.path.join(out, "result.json")
+    edited = os.path.join(out, "edited.json")
+    doc = read_json(result)
+    doc["ub"]["mean"] = 1.0
+    doc["ub"]["standard_error"] = 2.0
+    doc["vss"] = 3.0
+    with open(edited, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    for fmt in ("text", "csv"):
+        shown = [runner.invoke(main, ["report", p, "--format", fmt]) for p in (result, edited)]
+        assert shown[0].exit_code == shown[1].exit_code == 0
+        assert shown[0].output == shown[1].output
+    merge = [
+        "evaluate",
+        "--instance", os.path.join(src, "instance.json"),
+        "--solution", os.path.join(out, "solution.json"),
+        "--quadrants", os.path.join(src, "quadrants.json"),
+        "--lambda", "30",
+        "--column", "h",
+    ]
+    for path in (result, edited):
+        merged = runner.invoke(main, [*merge, "--result", path])
+        assert merged.exit_code == 0, merged.output
+    assert open(result, "rb").read() == open(edited, "rb").read()
+    # a document the statistics cannot be derived from is an artifact error
+    doc["ub"]["values"] = []
+    with open(edited, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    output = invoke_one_line_error(runner, ["report", edited], 3)
+    assert "zero values" in output
 
 
 def test_selftest_sweep_passes(runner):

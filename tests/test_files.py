@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_case, make_scenarios
+from conftest import make_case, make_scenarios, off_triangle_instance
 from fcmurp.files import (
     CSV_HEADER,
     FORMAT_VERSION,
@@ -41,7 +41,7 @@ def case():
 
 def sample_report(with_estimates=True):
     def est(mean, label="lambda:seed=6:count=3"):
-        return BoundEstimate.from_values([mean - 1.0, mean + 1.0], label=label)
+        return BoundEstimate((mean - 1.0, mean + 1.0), label=label)
 
     return SaaReport(
         instance_name="case-31",
@@ -52,8 +52,6 @@ def sample_report(with_estimates=True):
         ub=est(110.0) if with_estimates else None,
         h=None,
         solution=RouteSet(((0, 5, 6, 0), (0, 7, 0))),
-        vss=10.0 if with_estimates else None,
-        vss_pct=(100.0 * 10.0 / 120.0) if with_estimates else None,
     )
 
 
@@ -70,6 +68,33 @@ def test_instance_round_trip_is_exact(case, tmp_path):
     assert np.array_equal(back.cost, inst.cost)
     assert np.array_equal(back.nominal_fuel, inst.nominal_fuel)
     assert np.array_equal(back.coordinates, inst.coordinates)
+
+
+def test_instance_reader_computes_lambda_and_metric_from_the_data():
+    inst = off_triangle_instance()
+    doc = instance_to_doc(inst)
+    assert doc["metric"] is False
+    doc["metric"] = True
+    doc["lam"] = 1.0
+    back = instance_from_doc(doc)
+    assert back.metric is False
+    assert back.lam == inst.lam
+
+
+def test_document_key_sets_are_pinned(case):
+    inst, _, _ = case
+    assert set(instance_to_doc(inst)) == {
+        "format_version", "kind", "vertices", "n_refuel", "coordinates", "cost",
+        "nominal_fuel", "vehicles", "fuel_capacity", "lam", "grid", "metric",
+    }
+    doc = report_to_doc(sample_report())
+    assert set(doc) == {
+        "format_version", "kind", "instance_name", "ev", "ev_optimal", "eev",
+        "lb", "ub", "h", "solution", "vss", "vss_pct",
+    }
+    assert set(doc["eev"]) == {
+        "mean", "dispersion", "standard_error", "count", "values", "rigorous", "label",
+    }
 
 
 def test_quadrants_round_trip_is_exact(case, tmp_path):
@@ -108,7 +133,7 @@ def test_solution_round_trip_keeps_meta(tmp_path):
 
 
 def test_estimate_round_trip_preserves_every_float():
-    est = BoundEstimate.from_values([1.0 / 3.0, 2.0 / 7.0, 0.1], label="x")
+    est = BoundEstimate((1.0 / 3.0, 2.0 / 7.0, 0.1), label="x")
     back = estimate_from_doc(json.loads(json.dumps(estimate_to_doc(est))))
     assert back == est
     assert estimate_to_doc(None) is None
@@ -171,6 +196,14 @@ def test_malformed_documents_raise_artifact_errors(case):
     del broken_report["eev"]["values"]
     with pytest.raises(ArtifactError, match="estimate"):
         report_from_doc(broken_report)
+    empty_report = report_to_doc(sample_report())
+    empty_report["ub"]["values"] = []
+    with pytest.raises(ArtifactError, match="zero values"):
+        report_from_doc(empty_report)
+    mixed_report = report_to_doc(sample_report())
+    mixed_report["ub"]["label"] = "lambda:seed=7:count=3"
+    with pytest.raises(ArtifactError, match="mixed-sample"):
+        report_from_doc(mixed_report)
     with pytest.raises(ArtifactError, match="solution"):
         solution_from_doc({"routes": None})
     broken_quadrants = quadrants_to_doc(qmap)

@@ -20,7 +20,7 @@ from fcmurp.instgen import (
     quadrant_of,
     sample_scenarios,
 )
-from fcmurp.model import recompute_lambda, validate_instance
+from fcmurp.model import validate_instance
 from oracles import sample_scenarios_by_draw
 
 
@@ -30,7 +30,7 @@ def test_generate_instance_shape_and_capacity():
     assert inst.n_depots == 5  # home plus four refuel sites
     assert inst.vehicles == 3
     assert inst.grid == 100.0
-    assert inst.fuel_capacity == pytest.approx(2.25 * recompute_lambda(inst))
+    assert inst.fuel_capacity == pytest.approx(2.25 * inst.lam)
     assert not validate_instance(inst).fatal
 
 

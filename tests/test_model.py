@@ -21,7 +21,6 @@ from fcmurp.model import (
     min_entry_fuel,
     min_exit_fuel,
     nominal_feasibility,
-    recompute_lambda,
     route_cost,
     validate_instance,
 )
@@ -64,7 +63,11 @@ def test_square_instance_layout():
 
 def test_lambda_is_max_depot_target_distance():
     inst, _ = make_case(seed=3, n_targets=6, vehicles=2)
-    assert inst.lam == pytest.approx(recompute_lambda(inst))
+    coords, nd = inst.coordinates, inst.n_depots
+    radius = max(
+        math.dist(coords[d], coords[t]) for d in range(nd) for t in range(nd, inst.n_vertices)
+    )
+    assert inst.lam == pytest.approx(radius)
     assert inst.fuel_capacity == pytest.approx(2.25 * inst.lam)
 
 

@@ -192,7 +192,7 @@ def test_leg_memo_matches_route_beta_bit_for_bit(monkeypatch):
         # usage-style discounts break the triangle inequality: detours can
         # pay, so the direct-leg shortcut is off
         discount = rng.uniform(0.3, 1.0, size=inst.cost.shape)
-        discounted = dataclasses.replace(inst, cost=np.array(inst.cost) * discount, metric=False)
+        discounted = dataclasses.replace(inst, cost=np.array(inst.cost) * discount)
         for case in (inst, discounted):
             cases.append((case, sample_scenarios(case, qmap, seed=seed, count=4)))
     off = off_triangle_instance()

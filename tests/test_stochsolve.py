@@ -16,7 +16,6 @@ from conftest import (
 )
 from fcmurp.detsolve import (
     DetProblem,
-    DetSolution,
     optimal_depot_insertion,
     solve_deterministic_exact,
 )
@@ -27,10 +26,8 @@ from fcmurp.stochsolve import (
     SaaConfig,
     _pattern_score,
     SaaReport,
-    compute_vss,
     gamma_seed,
     lambda_seed,
-    make_report,
     saa_lower_bound,
     saa_upper_bound,
     solve_evp,
@@ -182,21 +179,21 @@ def test_seed_streams_are_disjoint_and_deterministic():
 
 def test_bound_estimate_statistics_match_the_stdlib():
     values = [12.5, 9.75, 11.0, 10.25]
-    est = BoundEstimate.from_values(values, label="x")
+    est = BoundEstimate(values, label="x")
     assert est.mean == pytest.approx(statistics.fmean(values), abs=1e-12)
     assert est.dispersion == pytest.approx(statistics.variance(values), abs=1e-12)
     assert est.standard_error == pytest.approx(
         math.sqrt(statistics.variance(values) / 4), abs=1e-12
     )
     assert est.values == tuple(values)
-    flat = BoundEstimate.from_values([5.0, 5.0, 5.0])
+    flat = BoundEstimate([5.0, 5.0, 5.0])
     assert flat.dispersion == 0.0
     assert flat.standard_error == 0.0
-    single = BoundEstimate.from_values([2.0])
+    single = BoundEstimate([2.0])
     assert single.dispersion == 0.0
     with pytest.raises(ValueError):
-        BoundEstimate.from_values([])
-    assert not BoundEstimate.from_values([1.0], rigorous=False).rigorous
+        BoundEstimate(())
+    assert not BoundEstimate([1.0], rigorous=False).rigorous
 
 
 def test_saa_config_is_validated():
@@ -204,8 +201,6 @@ def test_saa_config_is_validated():
         SaaConfig(replications=1)
     with pytest.raises(ValueError):
         SaaConfig(sample_size=0)
-    with pytest.raises(ValueError):
-        SaaConfig(lambda_size=0)
     with pytest.raises(ValueError):
         SaaConfig(workers=0)
 
@@ -298,6 +293,21 @@ def test_eev_is_the_single_candidate_out_of_sample_cost():
     assert scored.estimate == saa_upper_bound([alt.routes], lam, inst).estimate
 
 
+def test_a_reference_equal_to_a_candidate_up_to_route_order_shares_its_score():
+    # seed 21: folding the EV routes in the other route order moves the
+    # out-of-sample mean by one ulp, so scoring both would split them
+    inst, qmap = make_case(seed=21, n_targets=5, vehicles=2)
+    lam = make_scenarios(inst, qmap, seed=21, count=20)
+    evp = solve_evp(inst).routes
+    permuted = RouteSet(tuple(reversed(evp.routes)))
+    assert permuted != evp and permuted.canonical() == evp.canonical()
+    res = saa_upper_bound([permuted], lam, inst, reference=evp)
+    assert res.reference == res.estimate
+    assert res.reference.mean == res.estimate.mean
+    assert res.recourse_shares == (res.recourse_shares[0],) * 2
+    assert res.recourse_shares[0] > 0.0
+
+
 def test_evp_engines_agree_and_validate():
     inst, _ = make_case(seed=13, n_targets=5, vehicles=2)
     auto = solve_evp(inst)
@@ -325,14 +335,7 @@ def test_lower_bound_stays_below_the_upper_bound_on_a_small_case():
 
 
 def frozen_estimate(mean, label):
-    return BoundEstimate(
-        mean=mean,
-        dispersion=0.0,
-        standard_error=0.0,
-        values=(mean,),
-        rigorous=True,
-        label=label,
-    )
+    return BoundEstimate(values=(mean,), label=label)
 
 
 def reference_report(eev=513.20, ub=455.24, h=477.68, label="lambda:seed=1:count=2000"):
@@ -345,52 +348,47 @@ def reference_report(eev=513.20, ub=455.24, h=477.68, label="lambda:seed=1:count
         ub=None if ub is None else frozen_estimate(ub, label),
         h=None if h is None else frozen_estimate(h, label),
         solution=RouteSet(((0, 1, 0),)),
-        vss=None,
-        vss_pct=None,
     )
 
 
 def test_vss_arithmetic_on_reference_values():
-    vss, pct = compute_vss(reference_report())
-    assert vss == pytest.approx(513.20 - 455.24, abs=1e-9)
-    assert pct == pytest.approx(100.0 * (513.20 - 455.24) / 513.20, abs=1e-9)
+    report = reference_report()
+    assert report.vss == pytest.approx(513.20 - 455.24, abs=1e-9)
+    assert report.vss_pct == pytest.approx(100.0 * (513.20 - 455.24) / 513.20, abs=1e-9)
     only_h = reference_report(ub=None)
-    vss_h, _ = compute_vss(only_h)
-    assert vss_h == pytest.approx(513.20 - 477.68, abs=1e-9)
+    assert only_h.vss == pytest.approx(513.20 - 477.68, abs=1e-9)
 
 
 def test_vss_refuses_mixed_samples_and_missing_estimates():
     mixed = reference_report()
-    bad = SaaReport(
-        instance_name=mixed.instance_name,
-        ev=mixed.ev,
-        ev_optimal=mixed.ev_optimal,
-        eev=mixed.eev,
-        lb=None,
-        ub=frozen_estimate(455.24, "lambda:seed=2:count=2000"),
-        h=None,
-        solution=mixed.solution,
-        vss=None,
-        vss_pct=None,
-    )
     with pytest.raises(ValueError, match="mixed-sample"):
-        compute_vss(bad)
-    with pytest.raises(ValueError):
-        compute_vss(reference_report(ub=None, h=None))
+        SaaReport(
+            instance_name=mixed.instance_name,
+            ev=mixed.ev,
+            ev_optimal=mixed.ev_optimal,
+            eev=mixed.eev,
+            lb=None,
+            ub=frozen_estimate(455.24, "lambda:seed=2:count=2000"),
+            h=None,
+            solution=mixed.solution,
+        )
+    missing = reference_report(ub=None, h=None)
+    assert missing.vss is None and missing.vss_pct is None
     zeroed = reference_report(eev=0.0, ub=0.0, h=None)
-    assert compute_vss(zeroed) == (0.0, 0.0)
+    assert (zeroed.vss, zeroed.vss_pct) == (0.0, 0.0)
 
 
-def test_make_report_fills_the_vss_fields():
-    ev = DetSolution(routes=RouteSet(((0, 1, 0),)), cost=430.0, optimal=True, nodes=1)
+def test_report_vss_takes_the_better_of_ub_and_h():
     label = "lambda:seed=1:count=2000"
-    rep = make_report(
-        "ref",
-        ev,
-        frozen_estimate(513.20, label),
-        RouteSet(((0, 1, 0),)),
+    rep = SaaReport(
+        instance_name="ref",
+        ev=430.0,
+        ev_optimal=True,
+        eev=frozen_estimate(513.20, label),
+        lb=None,
         ub=frozen_estimate(455.24, label),
         h=frozen_estimate(477.68, label),
+        solution=RouteSet(((0, 1, 0),)),
     )
     assert rep.vss == pytest.approx(57.96, abs=1e-9)
     assert rep.vss_pct == pytest.approx(100.0 * 57.96 / 513.20, abs=1e-6)
