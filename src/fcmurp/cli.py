@@ -174,7 +174,7 @@ def _scoring_counters(lambda_size: int, scored: UpperBoundResult, ev_routes: Rou
     shares = scored.recourse_shares
     return {
         "lambda_scenarios": lambda_size,
-        "scored_route_sets": len(shares),
+        "scored_route_sets": scored.scored_route_sets,
         "recourse_share": {"candidates": list(shares[:-1]), "ev": shares[-1]},
         "penalized_scenarios": scored.penalized_scenarios,
         "no_recourse": not any(shares),
@@ -325,10 +325,11 @@ def solve(
         solution, meta = ev.routes, {"mode": "evp", "optimal": ev.optimal}
     elif mode == "saa":
         if instance.n_targets > EXACT_TARGET_LIMIT or sample_size > SAA_SAMPLE_LIMIT:
-            raise click.UsageError(
+            raise _ExitError(
                 f"--mode saa solves exactly and handles at most "
                 f"{EXACT_TARGET_LIMIT} targets with --m at most {SAA_SAMPLE_LIMIT}; "
-                "use --mode heuristic for larger runs"
+                "use --mode heuristic for larger runs",
+                2,
             )
         if not instance.metric:
             raise _ExitError(

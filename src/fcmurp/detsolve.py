@@ -123,12 +123,30 @@ class DetProblem:
         return {}
 
     @cached_property
-    def min_incoming_cost(self) -> np.ndarray:
-        c = np.array(self.cost, dtype=float)
-        np.fill_diagonal(c, np.inf)
-        out = c.min(axis=0)
-        out.flags.writeable = False
-        return out
+    def bare_predecessors(self) -> list[tuple[tuple[float, int], ...]]:
+        """Per target: the vertices a bare sequence can reach it from.
+
+        These are the home depot and every other target, never a refuel
+        depot, as ``(cost, vertex)`` pairs sorted cheapest first with the
+        vertex id breaking ties. Depots get an empty tuple.
+        """
+        cost = self.cost_rows
+        targets = self.instance.target_indices
+        table: list[tuple[tuple[float, int], ...]] = [()] * self.instance.n_vertices
+        for u in targets:
+            table[u] = tuple(sorted((cost[p][u], p) for p in (0, *targets) if p != u))
+        return table
+
+    @cached_property
+    def bare_successors(self) -> list[tuple[tuple[float, int], ...]]:
+        """Per target: the vertices a bare sequence can fly to from it, the
+        home depot and every other target, sorted as ``bare_predecessors``."""
+        cost = self.cost_rows
+        targets = self.instance.target_indices
+        table: list[tuple[tuple[float, int], ...]] = [()] * self.instance.n_vertices
+        for u in targets:
+            table[u] = tuple(sorted((cost[u][w], w) for w in (0, *targets) if w != u))
+        return table
 
     @cached_property
     def min_insertion_delta(self) -> float:
@@ -360,6 +378,75 @@ def _insertion_sweep(route: tuple[int, ...], problem: DetProblem) -> Optional[tu
     return tuple(realized)
 
 
+def _completion_bound(
+    problem: DetProblem,
+    acc: float,
+    open_bare: float,
+    last: int,
+    open_len: int,
+    unvisited: set[int],
+    m_rem: int,
+) -> float:
+    """Lower bound on the objective of every completion of a search node.
+
+    The node has closed routes scored ``acc``, an open route of ``open_len``
+    targets ending at ``last`` whose bare edges so far cost ``open_bare``,
+    the ``unvisited`` targets and ``m_rem`` routes still to open. A
+    completion flies one bare edge into each unvisited target, one edge home
+    per route not yet closed, and one edge out of ``last``, out of each
+    unvisited target and out of the home depot per route to open. The bound
+    prices the edges by whichever of two counts is larger:
+
+    - *in-edges*: each unvisited target at its cheapest predecessor still
+      possible (``last``, another unvisited target, or the home depot while
+      a route remains to open; ``DetProblem.bare_predecessors``), and each
+      route home at the cheapest edge home from a vertex it can end at;
+    - *out-edges*: ``last`` and each unvisited target at its cheapest
+      successor still possible (an unvisited target or the home depot;
+      ``DetProblem.bare_successors``), and each route to open at the
+      cheapest edge from home to an unvisited target.
+
+    Realized routes cost at least their bare routes when no insertion pays;
+    otherwise each edge of the routes not yet closed budgets one insertion at
+    ``DetProblem.min_insertion_delta``.
+    """
+    cost = problem.cost_rows
+    preds = problem.bare_predecessors
+    succs = problem.bare_successors
+    from_home = cost[0]
+    into = leave = 0.0
+    home_min = start_min = math.inf
+    for u in unvisited:
+        for c, p in preds[u]:
+            if p in unvisited or p == last or (p == 0 and m_rem):
+                into += c
+                break
+        for c, w in succs[u]:
+            if w == 0 or w in unvisited:
+                leave += c
+                break
+        home = cost[u][0]
+        if home < home_min:
+            home_min = home
+        start = from_home[u]
+        if start < start_min:
+            start_min = start
+    for c, w in succs[last]:
+        if w == 0 or w in unvisited:
+            leave += c
+            break
+    home = cost[last][0]
+    into += home if home < home_min else home_min
+    if m_rem and unvisited:
+        into += m_rem * home_min
+        leave += m_rem * start_min
+    lb = acc + open_bare + (into if into > leave else leave)
+    slack_unit = problem.min_insertion_delta
+    if slack_unit < 0.0:
+        lb += (open_len + 1 + len(unvisited) + m_rem) * slack_unit
+    return lb
+
+
 def _min_arrival_step(
     problem: DetProblem, prev_best: float, prev_vertex: int, vertex: int
 ) -> float:
@@ -397,14 +484,11 @@ def _branch_routes(
     """
     inst = problem.instance
     cost = problem.cost_rows
-    to_home = [row[0] for row in cost]
     cap = inst.fuel_capacity
     exit_fuel = problem.exit_fuel_list
     m = inst.vehicles
     order = branching_order(problem)
     rank = {t: i for i, t in enumerate(order)}
-    min_in = problem.min_incoming_cost.tolist()
-    slack_unit = min(0.0, problem.min_insertion_delta)
     strengthened = config.strengthened_pruning
 
     best_total = math.inf
@@ -427,21 +511,6 @@ def _branch_routes(
         nodes += 1
         if config.node_limit is not None and nodes > config.node_limit:
             raise _SearchLimit()
-
-    def completion_bound(acc: float, open_bare: float, open_seq, unvisited, m_rem: int) -> float:
-        lb = acc + open_bare
-        ret_candidates = [to_home[open_seq[-1]]]
-        for u in unvisited:
-            lb += min_in[u]
-            ret_candidates.append(to_home[u])
-        lb += min(ret_candidates)
-        if m_rem and unvisited:
-            ret_min = min(to_home[u] for u in unvisited)
-            lb += m_rem * ret_min
-        if slack_unit < 0.0:
-            spots = len(open_seq) + 1 + len(unvisited) + m_rem
-            lb += spots * slack_unit
-        return lb
 
     def descend(
         open_seq: list[int],
@@ -468,7 +537,7 @@ def _branch_routes(
                     continue
                 bare = open_bare + cost[last_v][t]
                 rest = unvisited - {t}
-                bound = completion_bound(acc, bare, open_seq + [t], rest, m_rem)
+                bound = _completion_bound(problem, acc, bare, t, len(open_seq) + 1, rest, m_rem)
                 if bound > best_total + _BOUND_EPS:
                     continue
                 open_seq.append(t)
@@ -505,7 +574,7 @@ def _branch_routes(
                     continue
                 bare = cost[0][f]
                 rest = unvisited - {f}
-                bound = completion_bound(acc2, bare, [f], rest, m_rem - 1)
+                bound = _completion_bound(problem, acc2, bare, f, 1, rest, m_rem - 1)
                 if bound > best_total + _BOUND_EPS:
                     continue
                 descend([f], rank[f], bare, entry_lb, rest, m_rem - 1, acc2, closed)
@@ -521,7 +590,7 @@ def _branch_routes(
             if strengthened and entry_lb + exit_fuel[f] > cap:
                 continue
             rest = targets - {f}
-            bound = completion_bound(0.0, cost[0][f], [f], rest, m - 1)
+            bound = _completion_bound(problem, 0.0, cost[0][f], f, 1, rest, m - 1)
             if bound > best_total + _BOUND_EPS:
                 continue
             descend([f], rank[f], cost[0][f], entry_lb, rest, m - 1, 0.0, [])

@@ -155,7 +155,9 @@ class UpperBoundResult:
     scenarios charged ``penalty`` for the chosen candidate plus the
     reference. ``recourse_shares`` holds, per candidate in order and then
     for the reference, the share of scenarios whose plan detours or that no
-    plan recovers.
+    plan recovers. ``scored_route_sets`` counts the route sets the pass
+    evaluated: the candidates, plus the reference unless it equals one of
+    them up to route order.
     """
 
     routes: RouteSet
@@ -166,6 +168,7 @@ class UpperBoundResult:
     penalty: float
     reference: Optional[BoundEstimate]
     recourse_shares: tuple[float, ...]
+    scored_route_sets: int
 
 
 @dataclass(frozen=True)
@@ -460,6 +463,7 @@ def saa_upper_bound(
         penalty=policy.nu,
         reference=None if ref is None else estimates[ref],
         recourse_shares=tuple(needs_recourse[r] / len(lam) for r in rows),
+        scored_route_sets=len(scored),
     )
 
 

@@ -173,15 +173,12 @@ def test_solve_saa_reruns_are_byte_identical(runner, tmp_path):
 def test_solve_saa_refuses_oversized_requests(runner, tmp_path):
     src = str(tmp_path / "inst")
     assert gen(runner, src).exit_code == 0
-    too_many_samples = runner.invoke(
-        main, solve_args(src, str(tmp_path / "o"), "saa", **{"--m": "11"})
-    )
-    assert too_many_samples.exit_code == 2
-    assert "--mode heuristic" in too_many_samples.output
+    args = solve_args(src, str(tmp_path / "o"), "saa", **{"--m": "11"})
+    assert "--mode heuristic" in invoke_one_line_error(runner, args, 2)
     big = str(tmp_path / "big")
     assert gen(runner, big, targets=9, vehicles=3).exit_code == 0
-    too_many_targets = runner.invoke(main, solve_args(big, str(tmp_path / "o2"), "saa"))
-    assert too_many_targets.exit_code == 2
+    args = solve_args(big, str(tmp_path / "o2"), "saa")
+    assert "--mode heuristic" in invoke_one_line_error(runner, args, 2)
 
 
 def test_solve_evp_mode_writes_a_partial_report(runner, tmp_path):
@@ -245,8 +242,13 @@ def test_solve_flags_a_chosen_solution_equal_to_ev(runner, tmp_path):
         out = str(tmp_path / f"saa{len(extra)}")
         res = runner.invoke(main, solve_args(src, out, "saa"))
         assert res.exit_code == 0, res.output
-        flag = read_json(os.path.join(out, "manifest.json"))["counters"]["chosen_is_ev"]
+        counters = read_json(os.path.join(out, "manifest.json"))["counters"]
+        flag = counters["chosen_is_ev"]
         assert flag is expected
+        # here EV is among the candidates exactly when it is chosen, and EV is
+        # scored apart only when no candidate equals it
+        candidates = len(counters["recourse_share"]["candidates"])
+        assert counters["scored_route_sets"] == candidates + (not flag)
         chosen = sorted(read_json(os.path.join(out, "solution.json"))["routes"])
         assert flag == (chosen == sorted(read_json(os.path.join(evp, "solution.json"))["routes"]))
         result = read_json(os.path.join(out, "result.json"))
@@ -267,7 +269,10 @@ def test_solve_reports_vss_0_for_the_ev_routes_in_another_route_order(runner, tm
     )
     res = runner.invoke(main, args)
     assert res.exit_code == 0, res.output
-    assert read_json(os.path.join(out, "manifest.json"))["counters"]["chosen_is_ev"] is True
+    counters = read_json(os.path.join(out, "manifest.json"))["counters"]
+    assert counters["chosen_is_ev"] is True
+    # two candidates, one of them the EV route set: EEV is not scored apart
+    assert counters["scored_route_sets"] == len(counters["recourse_share"]["candidates"]) == 2
     assert "VSS = 0.0 " in res.output
     result = read_json(os.path.join(out, "result.json"))
     assert result["vss"] == 0.0
@@ -396,11 +401,13 @@ def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
     block = counters[0]
     assert block["lambda_scenarios"] == 30
     shares = block["recourse_share"]
-    assert block["scored_route_sets"] == len(shares["candidates"]) + 1
+    # both replications return the EV route set: one candidate, scored once
+    # for H and for EEV
+    assert block["chosen_is_ev"] is True
+    assert block["scored_route_sets"] == len(shares["candidates"]) == 1
     for share in (*shares["candidates"], shares["ev"]):
         assert 0.0 <= share <= 1.0 and (share * 30).is_integer()
     assert block["no_recourse"] == (not any(shares["candidates"]) and not shares["ev"])
-    assert isinstance(block["chosen_is_ev"], bool)
     rows = block["tabu"]
     assert len(rows) == 2
     for row in rows:

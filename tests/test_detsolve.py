@@ -303,6 +303,84 @@ def test_exact_matches_full_double_enumeration():
         assert sol.routes.canonical().routes == tuple(sorted(ref[0]))
 
 
+def bare_completions(open_seq, unvisited, m_rem):
+    """Every way to finish a search node: the rest of the open route and the
+    ``m_rem`` new non-empty routes, as bare sequences (repeats allowed)."""
+    size = len(unvisited)
+    for perm in itertools.permutations(sorted(unvisited)):
+        if m_rem == 0:
+            yield ((*open_seq, *perm),)
+            continue
+        for tail in range(size - m_rem + 1):
+            for cuts in itertools.combinations(range(tail + 1, size), m_rem - 1):
+                bounds = (tail, *cuts, size)
+                yield (
+                    (*open_seq, *perm[:tail]),
+                    *(perm[a:b] for a, b in zip(bounds, bounds[1:])),
+                )
+
+
+def test_completion_bound_never_exceeds_the_cheapest_completion():
+    # Closed routes only remove targets and add the same score to both sides,
+    # so each partial state is an open route, the unvisited targets and the
+    # routes still to open, with nothing scored yet.
+    rng = np.random.default_rng(10)
+    states = feasible = discounted = tight = 0
+    for seed in range(1, 13):
+        n = 3 + seed % 4
+        m = 1 + seed % 3
+        inst, qmap = make_case(seed=seed, n_targets=n, vehicles=m)
+        for problem in (DetProblem(inst), discounted_problem(inst, qmap, seed)):
+            cost = problem.cost_rows
+            budget_unit = min(0.0, problem.min_insertion_delta)
+            discounted += budget_unit < 0.0
+            old_min_in = [
+                min(cost[p][u] for p in range(inst.n_vertices) if p != u)
+                for u in range(inst.n_vertices)
+            ]
+            for _ in range(8):
+                targets = [int(t) for t in rng.permutation(inst.target_indices)]
+                closed = int(rng.integers(0, m))
+                m_rem = m - 1 - closed
+                # closed routes take one target each at least, the open route one
+                taken = int(rng.integers(closed + 1, n - m_rem + 1))
+                open_len = int(rng.integers(1, taken - closed + 1))
+                open_seq = targets[taken - open_len : taken]
+                unvisited = set(targets[taken:])
+                open_bare = 0.0
+                for a, b in zip((0, *open_seq), open_seq):
+                    open_bare += cost[a][b]
+                bound = detsolve._completion_bound(
+                    problem, 0.0, open_bare, open_seq[-1], open_len, unvisited, m_rem
+                )
+                best_bare = best_realized = math.inf
+                for routes in bare_completions(open_seq, unvisited, m_rem):
+                    bare = realized = 0.0
+                    for seq in routes:
+                        tour = (0, *seq, 0)
+                        for a, b in zip(tour, tour[1:]):
+                            bare += cost[a][b]
+                        scored = optimal_depot_insertion(seq, problem)
+                        realized += math.inf if scored is None else scored[1]
+                    best_bare = min(best_bare, bare)
+                    best_realized = min(best_realized, realized)
+                edges = open_len + 1 + len(unvisited) + m_rem
+                assert bound <= best_bare + edges * budget_unit + detsolve._BOUND_EPS
+                assert bound <= best_realized + detsolve._BOUND_EPS
+                # the old bound priced each target at its cheapest edge from anywhere
+                old = open_bare + sum(old_min_in[u] for u in unvisited)
+                old += min(cost[v][0] for v in (open_seq[-1], *unvisited))
+                if m_rem:
+                    old += m_rem * min(cost[u][0] for u in unvisited)
+                old += edges * budget_unit
+                assert bound >= old - detsolve._BOUND_EPS
+                states += 1
+                feasible += best_realized < math.inf
+                tight += bound > old + detsolve._BOUND_EPS
+    assert discounted >= 4
+    assert states >= 150 and feasible >= 150 and tight >= 100
+
+
 def test_pruning_toggle_preserves_the_optimum():
     for inst in exact_cases(6, start=300):
         on = solve_deterministic_exact(DetProblem(inst), BnBConfig(strengthened_pruning=True))
