@@ -5,7 +5,6 @@ from .model import (
     Scenario,
     ScenarioSet,
     RouteSet,
-    FuelProfile,
     RecoursePlan,
     RouteStructureError,
     ValidationIssue,

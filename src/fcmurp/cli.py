@@ -4,8 +4,8 @@ All artifacts are versioned JSON documents (see ``files``); result documents
 carry no timestamps, so a rerun with the same seeds reproduces them byte for
 byte. The environment variable ``FCMURP_SEED`` overrides every ``--seed``
 flag, which lets a whole pipeline be repinned without editing commands.
-Exit codes: 0 success, 1 runtime failure (sampler error, selftest mismatch),
-2 usage, 3 missing or malformed artifact, 4 infeasible.
+Exit codes: 0 success, 1 runtime failure (sampler error), 2 usage, 3 missing
+or malformed artifact, 4 infeasible.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 import click
-import numpy as np
 
 from . import __version__
-from .detsolve import EXACT_TARGET_LIMIT, optimal_depot_insertion, solve_deterministic_greedy
+from .detsolve import EXACT_TARGET_LIMIT
 from .files import (
     FORMAT_VERSION,
     ArtifactError,
@@ -42,14 +41,7 @@ from .files import (
     write_document,
     write_text,
 )
-from .heuristics import (
-    TabuParams,
-    TabuResult,
-    _swap_targets,
-    _target_pairs,
-    construct_detailed,
-    tabu_improve,
-)
+from .heuristics import TabuParams, TabuResult, construct_detailed, tabu_improve
 from .instgen import (
     GenConfig,
     QuadrantMapError,
@@ -59,7 +51,6 @@ from .instgen import (
     sample_scenarios,
 )
 from .model import Instance, RouteSet, validate_instance
-from .recourse import evaluate_recourse, recourse_oracle
 from .stochsolve import (
     SAA_SAMPLE_LIMIT,
     SaaConfig,
@@ -273,7 +264,7 @@ def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
 @click.option("--stall-limit", type=click.IntRange(min=1), default=None, help="Tabu stop after this many non-improving iterations, at most --iterations; default min(100, --iterations).")
 @click.option("--tenure", type=click.IntRange(min=1), default=None, help="Tabu tenure; default scales with the target count.")
 @click.option("--engine", type=click.Choice(["auto", "exact", "greedy"]), default="auto", show_default=True, help="Deterministic solver engine.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True, help="Replication workers for --mode saa.")
+@click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True, expose_value=False, help="Replication threads: only 1, replications run one after another.")
 @click.option("--name", default=None, help="Instance name in reports; defaults to the instance file stem.")
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
 @_translate_errors
@@ -289,7 +280,6 @@ def solve(
     stall_limit,
     tenure,
     engine,
-    threads,
     name,
     out,
 ):
@@ -341,7 +331,6 @@ def solve(
             replications=replications,
             sample_size=sample_size,
             seed=seed,
-            workers=threads,
         )
         click.echo(f"lower bound: {replications} replications of {sample_size}", err=True)
         with _timed(stages, "lower_bound"):
@@ -430,7 +419,6 @@ def solve(
         "stall_limit": stall_limit,
         "tenure": tenure,
         "engine": engine,
-        "threads": threads,
         "name": name,
         **extras,
     }
@@ -516,66 +504,6 @@ def report(results, fmt, out):
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
-
-
-def _swap_variants(routes: RouteSet, instance: Instance) -> list[RouteSet]:
-    """The first three route sets, in target-pair order, reached by swapping
-    two targets and re-inserting depots under nominal fuel; swaps with no
-    feasible insertion are skipped."""
-    bare = routes.bare_sequences(instance)
-    out: list[RouteSet] = []
-    for t1, t2 in _target_pairs(instance):
-        if len(out) == 3:
-            break
-        inserted = [
-            optimal_depot_insertion(seq, instance.nominal_problem)
-            for seq in _swap_targets(bare, t1, t2)
-        ]
-        if None not in inserted:
-            out.append(RouteSet(tuple(ins[0] for ins in inserted)))
-    return out
-
-
-@main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--rounds", type=click.IntRange(min=1), default=25, show_default=True, help="Instances to sweep.")
-@_translate_errors
-def selftest(seed, rounds):
-    """Cross-check the recourse evaluator against brute-force enumeration."""
-    seed = _effective_seed(seed)
-    rng = np.random.default_rng(seed)
-    checked = 0
-    failures = 0
-    for r in range(rounds):
-        config = GenConfig(
-            seed=seed * 1000 + r,
-            n_targets=int(rng.integers(3, 7)),
-            vehicles=int(rng.integers(1, 3)),
-        )
-        instance = generate_instance(config)
-        qmap = assign_quadrants(instance, config.seed)
-        scen = sample_scenarios(instance, qmap, seed=config.seed + 1, count=2)
-        greedy = solve_deterministic_greedy(instance)
-        if greedy is None:
-            continue
-        variants = [greedy.routes, *_swap_variants(greedy.routes, instance)]
-        for rs in variants:
-            for s in scen:
-                fast = evaluate_recourse(rs, s, instance)
-                slow = recourse_oracle(rs, s, instance)
-                checked += 1
-                if fast.feasible != slow.feasible or (
-                    fast.feasible and fast.beta != slow.beta
-                ):
-                    failures += 1
-                    click.echo(
-                        f"mismatch: seed {config.seed} scenario {s.id} "
-                        f"routes {rs.routes}: {fast.beta!r} vs {slow.beta!r}",
-                        err=True,
-                    )
-    click.echo(f"checked {checked} recourse evaluations: {failures} mismatches")
-    if failures:
-        raise click.ClickException("recourse evaluator disagrees with the oracle")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .detsolve import (
     solve_deterministic_greedy,
 )
 from .model import Instance, RouteSet, ScenarioSet, nominal_feasibility
-from .recourse import LegMemo, PenaltyPolicy, precompute_best_depot
+from .recourse import LegMemo, PenaltyPolicy
 
 __all__ = [
     "ConstructionWeights",
@@ -177,7 +177,7 @@ def construct_detailed(
 
     routes, fallback = None, "none"
     if final is not None:
-        if nominal_feasibility(final.routes, instance)[0]:
+        if nominal_feasibility(final.routes, instance):
             routes = final.routes
         else:
             # expected fuel can be laxer than nominal: re-insert depots
@@ -210,7 +210,7 @@ def _best_feasible_fallback(
 ) -> RouteSet:
     candidates: list[RouteSet] = []
     for _, routes in solutions:
-        if routes is not None and nominal_feasibility(routes, instance)[0]:
+        if routes is not None and nominal_feasibility(routes, instance):
             candidates.append(routes)
     nominal = solve_deterministic_greedy(instance)
     if nominal is not None:
@@ -282,9 +282,7 @@ class TwoStageEvaluator:
     ) -> None:
         self.instance = instance
         self.delta = delta
-        self._legs = LegMemo(
-            instance, delta, [precompute_best_depot(instance, s) for s in delta]
-        )
+        self._legs = LegMemo(instance, delta)
         self._probabilities = tuple(s.probability for s in delta)
         self._memo: dict[tuple[int, ...], Optional[RouteScore]] = {}
         self.policy: Optional[PenaltyPolicy] = (

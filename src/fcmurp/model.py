@@ -24,7 +24,6 @@ __all__ = [
     "Scenario",
     "ScenarioSet",
     "RouteSet",
-    "FuelProfile",
     "RecoursePlan",
     "ValidationIssue",
     "ValidationResult",
@@ -278,20 +277,6 @@ class RouteSet:
 
 
 @dataclass(frozen=True)
-class FuelProfile:
-    """Cumulative fuel on arrival at each vertex past the route start.
-
-    Values reset to zero after every depot visit; entry ``[r][p]`` is the fuel
-    burned since the last refuel when arriving at ``routes[r][p + 1]``.
-    """
-
-    per_route: tuple[tuple[float, ...], ...]
-
-    def max_segment(self) -> float:
-        return max((v for route in self.per_route for v in route), default=0.0)
-
-
-@dataclass(frozen=True)
 class RecoursePlan:
     """Second-stage repair of one route set under one scenario.
 
@@ -492,32 +477,24 @@ def route_cost(routes: RouteSet, instance: Instance) -> float:
     return total
 
 
-def nominal_feasibility(
-    routes: RouteSet, instance: Instance
-) -> tuple[bool, FuelProfile]:
+def nominal_feasibility(routes: RouteSet, instance: Instance) -> bool:
     """Fuel-check a route set under nominal consumption.
 
     Feasible means every depot-to-depot segment burns at most the capacity
     and, on arrival at each target, enough fuel remains to reach some depot.
-    The returned profile is reported even when infeasible.
     """
     check_route_structure(routes, instance)
     fuel = instance.nominal_fuel
     cap = instance.fuel_capacity
     exit_fuel = instance.min_exit_fuel
-    feasible = True
-    profile: list[tuple[float, ...]] = []
     for route in routes.routes:
         used = 0.0
-        arrivals: list[float] = []
         for a, b in zip(route, route[1:]):
             used += fuel[a, b]
-            arrivals.append(used)
             if used > cap:
-                feasible = False
+                return False
             if instance.is_depot(b):
                 used = 0.0
             elif used + exit_fuel[b] > cap:
-                feasible = False
-        profile.append(tuple(arrivals))
-    return feasible, FuelProfile(tuple(profile))
+                return False
+    return True

@@ -231,11 +231,22 @@ def _leg_bounds(route: Sequence[int], nd: int) -> list[tuple[int, int]]:
     return list(zip(stops, stops[1:]))
 
 
+def _check_table(scenario: Scenario, table: BestDepotTable) -> None:
+    """Refuse a best-depot table built for another fuel realization.
+
+    The identity test comes first, so a table built from this scenario
+    costs one pointer comparison.
+    """
+    if table.fuel is not scenario.fuel and not np.array_equal(table.fuel, scenario.fuel):
+        raise ValueError(
+            f"best-depot table was built for another realization than scenario {scenario.id}"
+        )
+
+
 def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, list]:
-    """Fuel and best-depot rows for one scenario under a given table."""
-    if table.fuel is scenario.fuel:
-        return table.fuel_rows, table.depot_rows
-    return scenario.fuel.tolist(), table.depot_rows
+    """Fuel and best-depot rows for one scenario under its own table."""
+    _check_table(scenario, table)
+    return table.fuel_rows, table.depot_rows
 
 
 def evaluate_recourse(
@@ -249,7 +260,8 @@ def evaluate_recourse(
     Routes are assumed nominally feasible and their target order is never
     altered; only mid-edge depot detours may be spliced in, at most one per
     edge, each leg priced by ``_leg_recourse``. Returns an infeasible plan
-    with infinite cost when some leg cannot be recovered.
+    with infinite cost when some leg cannot be recovered. A given ``table``
+    must be built from this scenario's fuel; another raises ValueError.
     """
     n = instance.n_vertices
     if scenario.fuel.shape != (n, n):
@@ -317,19 +329,15 @@ class LegMemo:
     the cost ``_leg_recourse`` finds. ``route_betas`` folds a route's legs
     left to right per scenario from +0.0; no leg cost is -0.0, so a leg
     flown as planned leaves the sum's bits unchanged. Build one memo per
-    scenario sample; ``tables`` are the scenarios' best-depot tables, in
-    order.
+    scenario sample; it builds each scenario's best-depot table, kept in
+    ``tables`` in scenario order.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        scenarios: Sequence[Scenario],
-        tables: Sequence[BestDepotTable],
-    ) -> None:
+    def __init__(self, instance: Instance, scenarios: Sequence[Scenario]) -> None:
         self.instance = instance
         self.scenarios = tuple(scenarios)
-        self._rows = [_rows(s, t) for s, t in zip(self.scenarios, tables)]
+        self.tables = tuple(precompute_best_depot(instance, s) for s in self.scenarios)
+        self._rows = [(t.fuel_rows, t.depot_rows) for t in self.tables]
         self._costs: dict[tuple[int, ...], tuple[float, ...]] = {}
 
     def __len__(self) -> int:
@@ -380,8 +388,9 @@ def recourse_oracle(
     """Brute-force recourse by enumerating every keep/detour subset.
 
     Independent cross-check for ``evaluate_recourse``; refuses route sets
-    with more than twenty edges in total. Ties between equal-cost patterns go
-    to the lexicographically smallest detour-position set.
+    with more than twenty edges in total and, like it, a ``table`` built for
+    another realization. Ties between equal-cost patterns go to the
+    lexicographically smallest detour-position set.
     """
     total_edges = sum(len(rt) - 1 for rt in routes.routes)
     if total_edges > ORACLE_EDGE_CAP:
@@ -397,6 +406,7 @@ def recourse_oracle(
         )
     if table is None:
         table = precompute_best_depot(instance, scenario)
+    _check_table(scenario, table)
     fuel = scenario.fuel
     cost = instance.cost
     cap = instance.fuel_capacity

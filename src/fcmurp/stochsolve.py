@@ -11,7 +11,6 @@ VSS) scores its routes in the same out-of-sample pass.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -58,20 +57,21 @@ SAA_SAMPLE_LIMIT = 10
 
 @dataclass(frozen=True)
 class SaaConfig:
-    """Replication layout for the lower/upper bound estimators."""
+    """Replication layout for the lower/upper bound estimators.
+
+    ``replications`` samples of ``sample_size`` scenarios each, drawn from
+    streams keyed by ``seed``.
+    """
 
     replications: int = 10
     sample_size: int = 10
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.replications < 2:
             raise ValueError("replications must be >= 2 for the dispersion statistic")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def gamma_seed(seed: int, k: int) -> int:
@@ -325,8 +325,7 @@ def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSol
     if instance.vehicles > instance.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
     problem = instance.nominal_problem
-    tables = tuple(precompute_best_depot(instance, s) for s in gamma)
-    legs = LegMemo(instance, gamma, tables)
+    legs = LegMemo(instance, gamma)
     memo: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]] = {}
 
     def score(seq: tuple[int, ...]):
@@ -342,7 +341,7 @@ def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSol
     # recourse, identical to an oracle re-evaluation of the same routes
     value = route_cost(route_set, instance)
     for k, s in enumerate(gamma):
-        plan = evaluate_recourse(route_set, s, instance, tables[k])
+        plan = evaluate_recourse(route_set, s, instance, legs.tables[k])
         value += s.probability * plan.beta
     return SaaSolution(
         routes=route_set, value=float(value), optimal=optimal, nodes=nodes, legs=len(legs)
@@ -358,7 +357,9 @@ def saa_lower_bound(
 
     Each replication draws its own scenario sample from a replication-keyed
     stream, solves it exactly, and contributes one value; the estimate is
-    marked non-rigorous if any replication stopped early.
+    marked non-rigorous if any replication stopped early. Replications run
+    one after another in seed order: the work is pure Python, so threads
+    would share one interpreter lock and finish no sooner.
     """
     seeds = tuple(gamma_seed(config.seed, k) for k in range(config.replications))
     if lambda_seed(config.seed) in seeds:
@@ -376,14 +377,7 @@ def saa_lower_bound(
             )
         return sol, sample.rejections
 
-    if config.workers > 1:
-        # replications share the instance's nominal problem and its memo:
-        # make it before the threads start, so they all fill the same one
-        instance.nominal_problem
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            solved = tuple(pool.map(solve_one, seeds))
-    else:
-        solved = tuple(solve_one(s) for s in seeds)
+    solved = tuple(solve_one(s) for s in seeds)
     solutions = tuple(sol for sol, _ in solved)
     estimate = BoundEstimate(
         [s.value for s in solutions],

@@ -134,7 +134,6 @@ def solve_args(src, dst, mode, **overrides):
         "--n": "2",
         "--m": "2",
         "--lambda": "30",
-        "--threads": "2",
     }
     base.update(overrides)
     args = ["solve"]
@@ -151,16 +150,13 @@ def test_solve_saa_reruns_are_byte_identical(runner, tmp_path):
     assert one.exit_code == 0, one.output
     for token in ("EV = ", "EEV = ", "LB = ", "UB = ", "VSS = "):
         assert token in one.output
-    two = runner.invoke(
-        main, solve_args(src, str(tmp_path / "out2"), "saa", **{"--threads": "1"})
-    )
+    two = runner.invoke(main, solve_args(src, str(tmp_path / "out2"), "saa"))
     assert two.exit_code == 0
     for name in ("solution.json", "result.json"):
         assert (tmp_path / "out1" / name).read_bytes() == (
             tmp_path / "out2" / name
         ).read_bytes()
     manifest = read_json(tmp_path / "out1" / "manifest.json")
-    # memo sizes count distinct keys, so they do not depend on the threads
     assert manifest["counters"] == read_json(tmp_path / "out2" / "manifest.json")["counters"]
     assert manifest["counters"]["insertions"] > 0
     assert manifest["kind"] == "manifest"
@@ -168,6 +164,26 @@ def test_solve_saa_reruns_are_byte_identical(runner, tmp_path):
     assert manifest["seeds"]["lambda"] == 999_983
     assert "penalty" in manifest["config"]
     assert "lower_bound" in manifest["stage_seconds"]
+
+
+def test_solve_threads_accepts_only_1(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    plain = runner.invoke(main, solve_args(src, str(tmp_path / "plain"), "saa"))
+    assert plain.exit_code == 0, plain.output
+    one = runner.invoke(
+        main, solve_args(src, str(tmp_path / "one"), "saa", **{"--threads": "1"})
+    )
+    assert one.exit_code == 0, one.output
+    for name in ("solution.json", "result.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "one" / name
+        ).read_bytes()
+    two = runner.invoke(
+        main, solve_args(src, str(tmp_path / "two"), "saa", **{"--threads": "2"})
+    )
+    assert two.exit_code == 2
+    assert not (tmp_path / "two").exists()
 
 
 def test_solve_saa_refuses_oversized_requests(runner, tmp_path):
@@ -662,8 +678,3 @@ def test_report_and_evaluate_recompute_hand_edited_statistics(runner, tmp_path):
     output = invoke_one_line_error(runner, ["report", edited], 3)
     assert "zero values" in output
 
-
-def test_selftest_sweep_passes(runner):
-    res = CliRunner().invoke(main, ["selftest", "--rounds", "2"])
-    assert res.exit_code == 0, res.output
-    assert "0 mismatches" in res.output

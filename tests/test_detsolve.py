@@ -393,8 +393,7 @@ def test_pruning_toggle_preserves_the_optimum():
 def test_exact_solutions_are_feasible_and_recomputable():
     for inst in exact_cases(6, start=600):
         sol = solve_deterministic_exact(inst)
-        ok, _ = nominal_feasibility(sol.routes, inst)
-        assert ok
+        assert nominal_feasibility(sol.routes, inst)
         assert route_cost(sol.routes, inst) == pytest.approx(sol.cost, abs=1e-9)
 
 
@@ -403,8 +402,7 @@ def test_greedy_is_feasible_and_never_beats_exact():
         greedy = solve_deterministic_greedy(inst)
         if greedy is None:
             continue
-        ok, _ = nominal_feasibility(greedy.routes, inst)
-        assert ok
+        assert nominal_feasibility(greedy.routes, inst)
         exact = solve_deterministic_exact(inst)
         assert greedy.cost >= exact.cost - 1e-9
 
@@ -424,8 +422,7 @@ def test_node_limit_degrades_gracefully():
     cut = solve_deterministic_exact(inst, BnBConfig(node_limit=1))
     assert not cut.optimal
     assert cut.cost >= full.cost
-    ok, _ = nominal_feasibility(cut.routes, inst)
-    assert ok
+    assert nominal_feasibility(cut.routes, inst)
 
 
 def test_more_vehicles_than_targets_is_rejected():

@@ -97,7 +97,7 @@ def test_construct_returns_routes_and_uses_exact_engine_on_small_cases():
     res = construct_detailed(inst, delta)
     assert res.engine == "exact"
     assert res.fallback == "none"
-    assert nominal_feasibility(res.routes, inst)[0]
+    assert nominal_feasibility(res.routes, inst)
 
 
 def test_construct_switches_to_greedy_beyond_the_exact_limit():
@@ -105,14 +105,14 @@ def test_construct_switches_to_greedy_beyond_the_exact_limit():
     delta = make_scenarios(inst, qmap, seed=4, count=2)
     res = construct_detailed(inst, delta)
     assert res.engine == "greedy"
-    assert nominal_feasibility(res.routes, inst)[0]
+    assert nominal_feasibility(res.routes, inst)
 
 
 def test_construct_reinserts_depots_when_expected_fuel_is_laxer():
     inst = generate_instance(GenConfig(seed=1, n_targets=5, vehicles=2, fuel_factor=1.3))
     res = construct_detailed(inst, low_fuel_delta(inst))
     assert res.fallback == "reinserted"
-    assert nominal_feasibility(res.routes, inst)[0]
+    assert nominal_feasibility(res.routes, inst)
 
 
 def test_construct_falls_back_to_scenario_solutions_when_final_solve_fails():
@@ -312,7 +312,7 @@ def test_tabu_improves_on_a_poor_start():
     bare = start.bare_sequences(inst)
     ev.calibrate(bare)
     assert res.objective <= ev.evaluate(bare).objective
-    assert nominal_feasibility(res.routes, inst)[0]
+    assert nominal_feasibility(res.routes, inst)
 
 
 # (seed, targets, fuel factor, scale of scenario 0's fuel, penalty)

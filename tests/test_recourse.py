@@ -206,7 +206,7 @@ def test_leg_memo_matches_route_beta_bit_for_bit(monkeypatch):
             scaled(inst, 100.0, sid=99),
         ]
         tables = [precompute_best_depot(inst, s) for s in scenarios]
-        memo = LegMemo(inst, scenarios, tables)
+        memo = LegMemo(inst, scenarios)
         routes = list(random_realized_routes(inst, rng, 30))
         for route in routes:
             got = memo.route_betas(route)
@@ -228,7 +228,7 @@ def test_leg_memo_matches_route_beta_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(recourse, "_leg_best", counted)
     monkeypatch.setattr(recourse, "_direct_leg_fits", lambda *args: False)
-    memo = LegMemo(inst, scenarios, tables)
+    memo = LegMemo(inst, scenarios)
     patched = [memo.route_betas(route) for route in routes]
     # with the shortcut off, one DP per (leg, scenario)
     assert len(calls) == len(legs) * len(scenarios)
@@ -241,8 +241,7 @@ def test_leg_memo_matches_route_beta_bit_for_bit(monkeypatch):
 def test_point_mass_on_feasible_routes_needs_no_detour():
     inst, _ = make_case(seed=8, n_targets=5, vehicles=2)
     routes = solve_deterministic_greedy(inst).routes
-    ok, _ = nominal_feasibility(routes, inst)
-    assert ok
+    assert nominal_feasibility(routes, inst)
     plan = evaluate_recourse(routes, point_mass(inst).scenarios[0], inst)
     assert plan.feasible
     assert plan.beta == 0.0
@@ -315,6 +314,19 @@ def test_route_beta_agrees_with_plan_total():
             assert math.fsum(per_route) == pytest.approx(plan.beta, abs=1e-9)
         else:
             assert any(math.isinf(b) for b in per_route)
+
+
+def test_evaluators_refuse_a_table_of_another_scenario():
+    inst, qmap = make_case(seed=21, n_targets=6, vehicles=2)
+    routes = solve_deterministic_greedy(inst).routes
+    first, second = sample_scenarios(inst, qmap, seed=5, count=2)
+    table = precompute_best_depot(inst, first)
+    for evaluate in (evaluate_recourse, recourse_oracle):
+        with pytest.raises(ValueError, match="another realization"):
+            evaluate(routes, second, inst, table)
+        # an equal realization in another array fits the same table
+        twin = dataclasses.replace(first, fuel=first.fuel.copy())
+        assert evaluate(routes, twin, inst, table) == evaluate(routes, first, inst)
 
 
 def test_oracle_refuses_oversized_route_sets():

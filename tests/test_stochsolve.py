@@ -67,7 +67,7 @@ def check_pattern_search(seq, inst, problem, gamma):
     Returns the number of tied optima (0 when nothing is recoverable).
     """
     tables = tuple(precompute_best_depot(inst, s) for s in gamma)
-    got = _pattern_score(seq, LegMemo(inst, gamma, tables))
+    got = _pattern_score(seq, LegMemo(inst, gamma))
     ref = best_pattern_by_enumeration(seq, inst, gamma, tables)
     if ref is None:
         assert got is None
@@ -201,8 +201,6 @@ def test_saa_config_is_validated():
         SaaConfig(replications=1)
     with pytest.raises(ValueError):
         SaaConfig(sample_size=0)
-    with pytest.raises(ValueError):
-        SaaConfig(workers=0)
 
 
 def test_lower_bound_replication_arithmetic_and_determinism():
@@ -219,16 +217,6 @@ def test_lower_bound_replication_arithmetic_and_determinism():
     assert res.estimate.rigorous
     again = saa_lower_bound(inst, qmap, config)
     assert again.estimate == res.estimate
-
-
-def test_lower_bound_is_identical_across_worker_counts():
-    inst, qmap = make_case(seed=4, n_targets=4, vehicles=1)
-    serial = saa_lower_bound(inst, qmap, SaaConfig(replications=3, sample_size=2, seed=9))
-    pooled = saa_lower_bound(
-        inst, qmap, SaaConfig(replications=3, sample_size=2, seed=9, workers=3)
-    )
-    assert pooled.estimate == serial.estimate
-    assert [s.routes for s in pooled.solutions] == [s.routes for s in serial.solutions]
 
 
 def test_upper_bound_picks_the_cheapest_candidate():
