@@ -41,7 +41,13 @@ from .files import (
     write_document,
     write_text,
 )
-from .heuristics import TabuParams, TabuResult, construct_detailed, tabu_improve
+from .heuristics import (
+    ConstructionResult,
+    TabuParams,
+    TabuResult,
+    construct_detailed,
+    tabu_improve,
+)
 from .instgen import (
     GenConfig,
     QuadrantMapError,
@@ -173,8 +179,9 @@ def _scoring_counters(lambda_size: int, scored: UpperBoundResult, ev_routes: Rou
     }
 
 
-def _tabu_counters(result: TabuResult) -> dict:
-    """Deterministic work counters of one replication's tabu search."""
+def _tabu_counters(built: ConstructionResult, result: TabuResult) -> dict:
+    """Deterministic work counters of one replication's search: the tabu
+    run and the branch-and-bound nodes of the construction before it."""
     return {
         "iterations": result.iterations,
         "moves": result.moves,
@@ -186,6 +193,10 @@ def _tabu_counters(result: TabuResult) -> dict:
         "legs": result.legs,
         "scans": result.scans,
         "scored": result.scored,
+        "construction_nodes": {
+            "scenarios": list(built.scenario_nodes),
+            "final": built.final_nodes,
+        },
     }
 
 
@@ -357,7 +368,7 @@ def solve(
                 gamma_rejections.append(delta.rejections)
                 built = construct_detailed(instance, delta, engine=engine)
                 improved = tabu_improve(built.routes, delta, params, instance)
-                tabu_rows.append(_tabu_counters(improved))
+                tabu_rows.append(_tabu_counters(built, improved))
                 if improved.warning:
                     click.echo(f"replication {k}: {improved.warning}", err=True)
                 if improved.feasible:

@@ -92,29 +92,36 @@ class DetProblem:
         return self.exit_fuel.tolist()
 
     @cached_property
-    def detour_options(self) -> list[list[tuple[float, tuple[tuple[int, float, float], ...]]]]:
-        """Per edge (v, w): the direct cost and the depot detours off it.
+    def _detour_rows(self) -> list[Optional[list]]:
+        return [None] * self.instance.n_vertices
+
+    def detour_options(self, v: int, w: int) -> tuple[float, tuple[tuple[int, float, float], ...]]:
+        """The direct cost of edge (v, w) and the depot detours off it.
 
         Each detour is ``(d, fuel[v][d], cost[v][d] + cost[d][w])`` for a depot
         ``d`` other than ``v`` and ``w``, sorted by the fuel to reach it, so a
-        sweep can stop at the first depot out of reach.
+        sweep can stop at the first depot out of reach. Built the first time
+        a sweep crosses the edge and kept in a row list made when its row is
+        first asked for, so a problem pays only for the edges its sweeps
+        cross.
         """
-        cost = self.cost_rows
-        fuel = self.fuel_rows
-        depots = self.instance.depot_indices
-        table = []
-        for v, (cost_v, fuel_v) in enumerate(zip(cost, fuel)):
-            row = []
-            for w, direct in enumerate(cost_v):
-                detours = [
-                    (d, fuel_v[d], cost_v[d] + cost[d][w])
-                    for d in depots
-                    if d != v and d != w
-                ]
-                detours.sort(key=lambda option: option[1])
-                row.append((direct, tuple(detours)))
-            table.append(row)
-        return table
+        rows = self._detour_rows
+        row = rows[v]
+        if row is None:
+            row = rows[v] = [None] * len(rows)
+        entry = row[w]
+        if entry is None:
+            cost = self.cost_rows
+            cost_v = cost[v]
+            fuel_v = self.fuel_rows[v]
+            detours = [
+                (d, fuel_v[d], cost_v[d] + cost[d][w])
+                for d in self.instance.depot_indices
+                if d != v and d != w
+            ]
+            detours.sort(key=lambda option: option[1])
+            entry = row[w] = (cost_v[w], tuple(detours))
+        return entry
 
     @cached_property
     def insertions(self) -> dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]]:
@@ -323,7 +330,7 @@ def _insertion_sweep(route: tuple[int, ...], problem: DetProblem) -> Optional[tu
     for pos in range(last):
         v = route[pos]
         nxt = route[pos + 1]
-        direct, detours = options[v][nxt]
+        direct, detours = options(v, nxt)
         reserve = exit_fuel[v] if v >= nd else None
         step = fuel[v][nxt]
         slots: list = [None] * nd
@@ -628,12 +635,13 @@ def solve_deterministic_exact(
     )
 
 
-def _two_opt(seq: list[int], cost: np.ndarray) -> list[int]:
-    """In-place style 2-opt on one bare sequence; safe for asymmetric costs."""
+def _two_opt(seq: list[int], cost: list[list[float]]) -> list[int]:
+    """In-place style 2-opt on one bare sequence; safe for asymmetric costs.
+    ``cost`` holds the list rows of the cost matrix."""
 
     def bare_cost(s: Sequence[int]) -> float:
         tour = (0, *s, 0)
-        return float(sum(cost[a, b] for a, b in zip(tour, tour[1:])))
+        return float(sum(cost[a][b] for a, b in zip(tour, tour[1:])))
 
     best = list(seq)
     best_cost = bare_cost(best)
@@ -661,7 +669,7 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
     inst = problem.instance
     if inst.vehicles > inst.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
-    cost = problem.cost
+    cost = problem.cost_rows
     m = inst.vehicles
     unvisited = set(inst.target_indices)
     seqs: list[list[int]] = [[] for _ in range(m)]
@@ -677,7 +685,7 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
                 continue
             last = seqs[r][-1] if seqs[r] else 0
             for u in sorted(unvisited):
-                candidates.append((float(cost[last, u]), r, u))
+                candidates.append((cost[last][u], r, u))
         c, r, u = min(candidates)
         seqs[r].append(u)
         unvisited.remove(u)

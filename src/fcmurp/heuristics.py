@@ -62,11 +62,21 @@ class ConstructionWeights:
 
 @dataclass(frozen=True)
 class ConstructionResult:
+    """Constructed routes, the tables behind them and the search's work.
+
+    ``scenario_nodes`` holds the branch-and-bound nodes of each per-scenario
+    solve in processing order and ``final_nodes`` those of the final
+    discounted solve: 0 for the greedy engine, None where a solve found no
+    routes. They are work counters, left out of equality.
+    """
+
     routes: RouteSet
     weights: ConstructionWeights
     scenario_solutions: tuple[tuple[int, Optional[RouteSet]], ...]
     engine: str
     fallback: str  # "none", "reinserted", or "scenario_solution"
+    scenario_nodes: tuple[Optional[int], ...] = field(default=(), compare=False)
+    final_nodes: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -163,10 +173,12 @@ def construct_detailed(
     engine = resolve_engine(engine, instance)
     ordered = _scenario_order(delta)
     solutions: list[tuple[int, Optional[RouteSet]]] = []
+    nodes: list[Optional[int]] = []
     for s in ordered:
         problem = DetProblem(instance, fuel_override=np.array(s.fuel))
         sol = solve_deterministic(problem, engine)
         solutions.append((s.id, None if sol is None else sol.routes))
+        nodes.append(None if sol is None else sol.nodes)
     weights = construction_weights(instance, delta, solutions)
     final_problem = DetProblem(
         instance,
@@ -200,6 +212,8 @@ def construct_detailed(
         scenario_solutions=tuple(solutions),
         engine=engine,
         fallback=fallback,
+        scenario_nodes=tuple(nodes),
+        final_nodes=None if final is None else final.nodes,
     )
 
 
@@ -513,9 +527,10 @@ def _swap_bounds(
     evaluator: TwoStageEvaluator,
     bare: tuple[tuple[int, ...], ...],
     entries: list[RouteScore],
-    pairs: Sequence[tuple[int, int]],
-) -> list[float]:
-    """A lower bound on the objective of each swap in ``pairs``.
+    pairs: np.ndarray,
+) -> np.ndarray:
+    """A lower bound on the objective of each swap in ``pairs`` (a k x 2
+    array of target pairs).
 
     Unchanged routes keep their first-stage cost and recourse, and each
     scenario's recourse term is floored at ``min(nu, beta)`` of their sum
@@ -526,55 +541,65 @@ def _swap_bounds(
     bound is -inf. The unchanged part is folded once per set of changed
     routes and a swapped route's bare cost follows from the edges the swap
     replaces, so bounds differ from exact folds by rounding (``_bound_slack``).
+    The swaps are priced together with numpy, each bound with the same
+    additions in the same order as one swap at a time.
     """
     if evaluator.instance.min_detour_increment < 0.0:
-        return [-math.inf] * len(pairs)
-    cost = evaluator.instance.cost_rows
+        return np.full(len(pairs), -math.inf)
+    instance = evaluator.instance
+    rows = instance.cost_rows
+    cost = instance.cost
     padded = [(0, *seq, 0) for seq in bare]
     alone = []
     for route in padded:
         total = 0.0
         for a, b in zip(route, route[1:]):
-            total += cost[a][b]
+            total += rows[a][b]
         alone.append(total)
 
     def rest(*changed: int) -> float:
         kept = [e for r, e in enumerate(entries) if r not in changed]
         return evaluator.objective_floor(*evaluator.fold(kept))
 
-    # (first, last) changed route -> the bound before the swap's edge changes
-    base = {}
+    # (first, last) changed route, either way round -> the bound before the
+    # swap's edge changes
+    base = np.empty((len(padded), len(padded)))
     for r1 in range(len(padded)):
         base[r1, r1] = rest(r1) + alone[r1]
         for r2 in range(r1 + 1, len(padded)):
-            base[r1, r2] = rest(r1, r2) + alone[r1] + alone[r2]
-    # target -> (route, position, left and right neighbor, cost of its edges)
-    slot = {}
+            base[r1, r2] = base[r2, r1] = rest(r1, r2) + alone[r1] + alone[r2]
+    # per target: its route, position, and left and right neighbor
+    slot = [[0] * instance.n_vertices for _ in range(4)]
     for r, route in enumerate(padded):
         for i in range(1, len(route) - 1):
-            left, t, right = route[i - 1 : i + 2]
-            slot[t] = (r, i, left, right, cost[left][t] + cost[t][right])
-    bounds = []
-    for t1, t2 in pairs:
-        r1, i1, left1, right1, out1 = slot[t1]
-        r2, i2, left2, right2, out2 = slot[t2]
-        before = base[(r1, r2) if r1 <= r2 else (r2, r1)]
-        if r1 == r2 and abs(i1 - i2) == 1:
-            # neighbors: left -> a -> b -> right becomes left -> b -> a -> right
-            a, b = (t1, t2) if i1 < i2 else (t2, t1)
-            left, right = slot[a][2], slot[b][3]
-            bounds.append(
-                before
-                - (cost[left][a] + cost[a][b] + cost[b][right])
-                + (cost[left][b] + cost[b][a] + cost[a][right])
-            )
-            continue
-        bounds.append(
-            before
-            - out1
-            - out2
-            + (cost[left1][t2] + cost[t2][right1])
-            + (cost[left2][t1] + cost[t1][right2])
+            t = route[i]
+            slot[0][t], slot[1][t], slot[2][t], slot[3][t] = r, i, route[i - 1], route[i + 1]
+    route_of, pos_of, left_of, right_of = np.array(slot, dtype=np.intp)
+    t1, t2 = pairs[:, 0], pairs[:, 1]
+    r1, r2 = route_of[t1], route_of[t2]
+    left1, right1 = left_of[t1], right_of[t1]
+    left2, right2 = left_of[t2], right_of[t2]
+    out1 = cost[left1, t1] + cost[t1, right1]
+    out2 = cost[left2, t2] + cost[t2, right2]
+    before = base[r1, r2]
+    bounds = (
+        before
+        - out1
+        - out2
+        + (cost[left1, t2] + cost[t2, right1])
+        + (cost[left2, t1] + cost[t1, right2])
+    )
+    # neighbors: left -> a -> b -> right becomes left -> b -> a -> right
+    near = np.flatnonzero((r1 == r2) & (np.abs(pos_of[t1] - pos_of[t2]) == 1))
+    if near.size:
+        first = pos_of[t1[near]] < pos_of[t2[near]]
+        a = np.where(first, t1[near], t2[near])
+        b = np.where(first, t2[near], t1[near])
+        left, right = left_of[a], right_of[b]
+        bounds[near] = (
+            before[near]
+            - (cost[left, a] + cost[a, b] + cost[b, right])
+            + (cost[left, b] + cost[b, a] + cost[a, right])
         )
     return bounds
 
@@ -583,22 +608,25 @@ class _StateScan:
     """One state's swaps in bound order, scored exactly as far as needed.
 
     ``order`` holds swap indices sorted by bound (index tie-break) and
-    ``bounds`` their bounds in that order; ``objectives`` holds the exact
-    objectives of the first ``len(objectives)`` of them (None: no
-    insertion), so the scored swaps are always a prefix of the order.
+    ``bounds`` their bounds in that order, as a numpy array, since a scan is
+    kept for every state met (the 190 bounds of a 20-target state take
+    1.5 KB); ``objectives`` holds the exact objectives of the first
+    ``len(objectives)`` swaps in that order (None: no insertion), so the
+    scored swaps are always a prefix of the order.
     """
 
     def __init__(
         self,
         evaluator: TwoStageEvaluator,
         bare: tuple[tuple[int, ...], ...],
-        pairs: Sequence[tuple[int, int]],
+        pairs: np.ndarray,
     ) -> None:
         self.entries = [evaluator.route(seq) for seq in bare]
         self.where = {t: (r, i) for r, seq in enumerate(bare) for i, t in enumerate(seq)}
         bounds = _swap_bounds(evaluator, bare, self.entries, pairs)
-        self.order = sorted(range(len(pairs)), key=bounds.__getitem__)
-        self.bounds = [bounds[i] for i in self.order]
+        values = bounds.tolist()
+        self.order = sorted(range(len(values)), key=values.__getitem__)
+        self.bounds = bounds[self.order]
         self.objectives: list[Optional[float]] = []
 
 
@@ -645,6 +673,7 @@ def tabu_improve(
         raise ValueError("initial routes cannot be made nominally feasible")
     best = current
     pairs = list(_target_pairs(instance))
+    pair_array = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     slack = _bound_slack(evaluator)
     scans: dict[tuple[tuple[int, ...], ...], _StateScan] = {}
     tabu = TabuList()
@@ -657,7 +686,7 @@ def tabu_improve(
         bare = current.bare
         scan = scans.get(bare)
         if scan is None:
-            scan = scans[bare] = _StateScan(evaluator, bare, pairs)
+            scan = scans[bare] = _StateScan(evaluator, bare, pair_array)
         objectives = scan.objectives
         chosen = None  # (objective, move, aspiration)
         fallback = None

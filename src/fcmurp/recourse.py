@@ -10,18 +10,19 @@ of (cost, detours, fuel since refuel) labels over each depot-to-depot leg;
 keep/detour subset and exists purely as a cross-check. Both accumulate fuel
 and cost strictly left to right along each route so that agreement is exact,
 not approximate. The DP reads list rows cached on the instance and the
-best-depot table; the oracle walks the numpy matrices. Search code scores
-single routes against a fixed scenario sample through ``LegMemo``, which
-prices each distinct (leg, scenario) once. Both price a leg through
-``_leg_recourse``.
+best-depot table, which finds an edge's best depot only when a leg that
+overflows the tank asks for it; the oracle walks the numpy matrices,
+best depots included. Search code scores single routes against a fixed
+scenario sample through ``LegMemo``, which prices each distinct (leg,
+scenario) once. Both price a leg through ``_leg_recourse``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,30 +40,54 @@ __all__ = [
 ORACLE_EDGE_CAP = 20
 
 
-@dataclass(frozen=True)
 class BestDepotTable:
     """Per ordered vertex pair: the depot with cheapest through-fuel.
 
-    ``depot[i, j]`` is the depot index minimizing ``fuel[i, d] + fuel[d, j]``
-    under one scenario's realization, ties going to the smallest index;
-    ``fuel`` is the realization itself. The evaluators read the cached list
-    rows (``depot_rows``, ``fuel_rows``), which hold the same numbers as the
-    arrays.
+    ``depot_of(i, j)`` is the depot index d minimizing ``fuel[i, d] +
+    fuel[d, j]`` under one scenario's realization ``fuel``, ties going to
+    the smallest index. It is computed the first time a pair is asked for,
+    from the list rows ``fuel_rows`` with the same additions as the numpy
+    argmin, and kept in a row list made when its row is first asked for;
+    the recourse DP asks only for target-to-target edges of legs that
+    overflow the tank, a small share of the pairs. ``depot`` is the matrix
+    of every pair from one numpy argmin, which the oracle reads and
+    ``precompute_best_depot`` fills.
     """
 
-    depot: np.ndarray
-    fuel: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.depot.flags.writeable = False
-
-    @cached_property
-    def depot_rows(self) -> list[list[int]]:
-        return self.depot.tolist()
+    def __init__(self, fuel: np.ndarray, n_depots: int) -> None:
+        self.fuel = fuel
+        self.n_depots = n_depots
+        self._rows: list[Optional[list[int]]] = [None] * len(fuel)
 
     @cached_property
     def fuel_rows(self) -> list[list[float]]:
         return self.fuel.tolist()
+
+    @cached_property
+    def depot(self) -> np.ndarray:
+        f = self.fuel
+        nd = self.n_depots
+        # through[d, i, j] = f[i, d] + f[d, j]
+        through = f[:, :nd].T[:, :, None] + f[:nd, :][:, None, :]
+        depot = through.argmin(axis=0).astype(np.int64)
+        depot.flags.writeable = False
+        return depot
+
+    def depot_of(self, i: int, j: int) -> int:
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = [-1] * len(self._rows)
+        best = row[j]
+        if best < 0:
+            fuel = self.fuel_rows
+            fuel_i = fuel[i]
+            best, through = 0, fuel_i[0] + fuel[0][j]
+            for d in range(1, self.n_depots):
+                value = fuel_i[d] + fuel[d][j]
+                if value < through:
+                    best, through = d, value
+            row[j] = best
+        return best
 
 
 @dataclass(frozen=True)
@@ -87,19 +112,22 @@ class PenaltyPolicy:
         return PenaltyPolicy(nu=base + slack)
 
 
-def precompute_best_depot(instance: Instance, scenario: Scenario) -> BestDepotTable:
-    """Vectorized argmin over depots of entry-plus-exit realized fuel."""
-    f = scenario.fuel
+def _check_shape(instance: Instance, scenario: Scenario) -> None:
     n = instance.n_vertices
-    if f.shape != (n, n):
+    if scenario.fuel.shape != (n, n):
         raise ValueError(
-            f"scenario {scenario.id} fuel shape {f.shape} does not match instance ({n}, {n})"
+            f"scenario {scenario.id} fuel shape {scenario.fuel.shape} "
+            f"does not match instance ({n}, {n})"
         )
-    nd = instance.n_depots
-    # through[d, i, j] = f[i, d] + f[d, j]
-    through = f[:, :nd].T[:, :, None] + f[:nd, :][:, None, :]
-    depot = through.argmin(axis=0).astype(np.int64)
-    return BestDepotTable(depot=depot, fuel=f)
+
+
+def precompute_best_depot(instance: Instance, scenario: Scenario) -> BestDepotTable:
+    """Best-depot table of one scenario with ``depot`` filled for every pair
+    by one vectorized argmin over depots of entry-plus-exit realized fuel."""
+    _check_shape(instance, scenario)
+    table = BestDepotTable(scenario.fuel, instance.n_depots)
+    table.depot  # noqa: B018 - fill the cached matrix now
+    return table
 
 
 def _detour_increment(cost, i: int, d: int, j: int) -> float:
@@ -129,7 +157,7 @@ def _leg_best(
     fuel: list[list[float]],
     cost: list[list[float]],
     cap: float,
-    dep_of: list[list[int]],
+    depot_of: Callable[[int, int], int],
     nd: int,
 ):
     """Cheapest detour pattern for one depot-to-depot leg, or None.
@@ -140,9 +168,10 @@ def _leg_best(
     label within reach of the edge's best depot offers a detour through it;
     the lexicographically smallest (cost, positions) offer refuels a new
     label on the far side. Fuel is accumulated edge by edge in route order so
-    feasibility decisions match the enumeration oracle bit for bit. ``fuel``,
-    ``cost`` and ``dep_of`` are list rows of the realization, the instance
-    costs and the best-depot table. Returns ``(cost, positions)``.
+    feasibility decisions match the enumeration oracle bit for bit. ``fuel``
+    and ``cost`` are list rows of the realization and the instance costs,
+    and ``depot_of`` gives an edge's best depot (``BestDepotTable.depot_of``).
+    Returns ``(cost, positions)``.
     """
     labels = [(0.0, (), 0.0)]
     for pos in range(a, b):
@@ -153,7 +182,7 @@ def _leg_best(
         offer = None
         advanced = []
         if v >= nd and nxt >= nd:
-            d = dep_of[v][nxt]
+            d = depot_of(v, nxt)
             to_depot = fuel_v[d]
             cost_v = cost[v]
             # the detour increment, same fold as _detour_increment
@@ -208,7 +237,7 @@ def _leg_recourse(
     b: int,
     fuel: list[list[float]],
     cap: float,
-    dep_of: list[list[int]],
+    depot_of: Callable[[int, int], int],
     instance: Instance,
 ):
     """Cheapest detour pattern ``(cost, positions)`` for one leg, or None.
@@ -222,13 +251,19 @@ def _leg_recourse(
     """
     if instance.min_detour_increment >= 0.0 and _direct_leg_fits(route, a, b, fuel, cap):
         return 0.0, ()
-    return _leg_best(route, a, b, fuel, instance.cost_rows, cap, dep_of, instance.n_depots)
+    return _leg_best(route, a, b, fuel, instance.cost_rows, cap, depot_of, instance.n_depots)
 
 
-def _leg_bounds(route: Sequence[int], nd: int) -> list[tuple[int, int]]:
-    """First and last positions of each depot-to-depot leg, in route order."""
+@lru_cache(maxsize=32)
+def _leg_bounds(route: tuple[int, ...], nd: int) -> tuple[tuple[int, int], ...]:
+    """First and last positions of each depot-to-depot leg, in route order.
+
+    Cached: the out-of-sample pass asks for the legs of the same few routes
+    once per scenario. The cache is small, since the searches meet thousands
+    of routes once each and would otherwise keep them all.
+    """
     stops = [p for p, v in enumerate(route) if v < nd]
-    return list(zip(stops, stops[1:]))
+    return tuple(zip(stops, stops[1:]))
 
 
 def _check_table(scenario: Scenario, table: BestDepotTable) -> None:
@@ -243,10 +278,10 @@ def _check_table(scenario: Scenario, table: BestDepotTable) -> None:
         )
 
 
-def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, list]:
-    """Fuel and best-depot rows for one scenario under its own table."""
+def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, Callable[[int, int], int]]:
+    """Fuel rows and best-depot lookup for one scenario under its own table."""
     _check_table(scenario, table)
-    return table.fuel_rows, table.depot_rows
+    return table.fuel_rows, table.depot_of
 
 
 def evaluate_recourse(
@@ -262,28 +297,25 @@ def evaluate_recourse(
     edge, each leg priced by ``_leg_recourse``. Returns an infeasible plan
     with infinite cost when some leg cannot be recovered. A given ``table``
     must be built from this scenario's fuel; another raises ValueError.
+    Without one, the plan's best depots are computed as the legs need them.
     """
-    n = instance.n_vertices
-    if scenario.fuel.shape != (n, n):
-        raise ValueError(
-            f"scenario {scenario.id} fuel shape {scenario.fuel.shape} "
-            f"does not match instance ({n}, {n})"
-        )
+    _check_shape(instance, scenario)
     if table is None:
-        table = precompute_best_depot(instance, scenario)
-    fuel, dep_of = _rows(scenario, table)
+        table = BestDepotTable(scenario.fuel, instance.n_depots)
+    fuel, depot_of = _rows(scenario, table)
     cap = instance.fuel_capacity
+    nd = instance.n_depots
     detours: list[tuple[int, int]] = []
     depots: dict[tuple[int, int], int] = {}
     for r, route in enumerate(routes.routes):
-        for a, b in _leg_bounds(route, instance.n_depots):
-            leg = _leg_recourse(route, a, b, fuel, cap, dep_of, instance)
+        for a, b in _leg_bounds(route, nd):
+            leg = _leg_recourse(route, a, b, fuel, cap, depot_of, instance)
             if leg is None:
                 return RecoursePlan(scenario.id, (), {}, math.inf)
             for p in leg[1]:
                 key = (r, p)
                 detours.append(key)
-                depots[key] = dep_of[route[p]][route[p + 1]]
+                depots[key] = depot_of(route[p], route[p + 1])
     ordered = tuple(sorted(detours))
     beta = _plan_beta(routes, ordered, depots, instance.cost_rows)
     return RecoursePlan(scenario.id, ordered, depots, beta)
@@ -336,8 +368,10 @@ class LegMemo:
     def __init__(self, instance: Instance, scenarios: Sequence[Scenario]) -> None:
         self.instance = instance
         self.scenarios = tuple(scenarios)
-        self.tables = tuple(precompute_best_depot(instance, s) for s in self.scenarios)
-        self._rows = [(t.fuel_rows, t.depot_rows) for t in self.tables]
+        for s in self.scenarios:
+            _check_shape(instance, s)
+        self.tables = tuple(BestDepotTable(s.fuel, instance.n_depots) for s in self.scenarios)
+        self._rows = [(t.fuel_rows, t.depot_of) for t in self.tables]
         self._costs: dict[tuple[int, ...], tuple[float, ...]] = {}
 
     def __len__(self) -> int:
@@ -349,8 +383,8 @@ class LegMemo:
         cap = inst.fuel_capacity
         last = len(leg) - 1
         out = []
-        for fuel, dep_of in self._rows:
-            best = _leg_recourse(leg, 0, last, fuel, cap, dep_of, inst)
+        for fuel, depot_of in self._rows:
+            best = _leg_recourse(leg, 0, last, fuel, cap, depot_of, inst)
             out.append(math.inf if best is None else best[0])
         return tuple(out)
 
@@ -398,12 +432,7 @@ def recourse_oracle(
             f"route set has {total_edges} edges; oracle enumeration is capped "
             f"at {ORACLE_EDGE_CAP}"
         )
-    n = instance.n_vertices
-    if scenario.fuel.shape != (n, n):
-        raise ValueError(
-            f"scenario {scenario.id} fuel shape {scenario.fuel.shape} "
-            f"does not match instance ({n}, {n})"
-        )
+    _check_shape(instance, scenario)
     if table is None:
         table = precompute_best_depot(instance, scenario)
     _check_table(scenario, table)

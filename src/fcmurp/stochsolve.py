@@ -29,10 +29,10 @@ from .detsolve import (
 from .instgen import QuadrantMap, sample_scenarios
 from .model import METRIC_TOL, Instance, RouteSet, ScenarioSet, route_cost
 from .recourse import (
+    BestDepotTable,
     LegMemo,
     PenaltyPolicy,
     evaluate_recourse,
-    precompute_best_depot,
 )
 
 __all__ = [
@@ -401,9 +401,10 @@ def saa_upper_bound(
 ) -> UpperBoundResult:
     """Out-of-sample cost of each candidate; returns the argmin.
 
-    One pass over ``lam``: each scenario's best-depot table is built once,
-    every scored route set gets one recourse evaluation against it, and the
-    table is dropped. The scored route sets are the candidates, then
+    One pass over ``lam``: each scenario gets one best-depot table, which
+    computes only the depots its overflowing legs ask for, every scored
+    route set gets one recourse evaluation against it, and the table is
+    dropped. The scored route sets are the candidates, then
     ``reference`` when given, unless a candidate is the same route set up to
     route order: the reference then takes that candidate's scores, so its
     estimate equals the candidate's exactly. Per-scenario values are
@@ -428,7 +429,7 @@ def saa_upper_bound(
     betas: list[list[float]] = [[] for _ in scored]
     needs_recourse = [0] * len(scored)
     for s in lam:
-        table = precompute_best_depot(instance, s)
+        table = BestDepotTable(s.fuel, instance.n_depots)
         for r, routes in enumerate(scored):
             plan = evaluate_recourse(routes, s, instance, table)
             betas[r].append(plan.beta)

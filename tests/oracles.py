@@ -38,7 +38,7 @@ def route_beta(route, scenario: Scenario, instance: Instance, table=None) -> flo
     """
     if table is None:
         table = recourse.precompute_best_depot(instance, scenario)
-    fuel, dep_of = recourse._rows(scenario, table)
+    fuel, depot_of = recourse._rows(scenario, table)
     cost = instance.cost_rows
     cap = instance.fuel_capacity
     nd = instance.n_depots
@@ -48,7 +48,7 @@ def route_beta(route, scenario: Scenario, instance: Instance, table=None) -> flo
     for a, b in recourse._leg_bounds(route, nd):
         if direct_wins and recourse._direct_leg_fits(route, a, b, fuel, cap):
             continue
-        leg = recourse._leg_best(route, a, b, fuel, cost, cap, dep_of, nd)
+        leg = recourse._leg_best(route, a, b, fuel, cost, cap, depot_of, nd)
         if leg is None:
             return math.inf
         total += leg[0]
@@ -415,7 +415,9 @@ def sample_scenarios_by_draw(
     for sid in range(count):
         fuel = np.array(mean_fuel, dtype=float)
         if distribution == "gamma":
-            rng = instgen._substream(seed, instgen._STREAM_SCENARIO, sid)
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, instgen._STREAM_SCENARIO, sid))
+            )
             for i in range(n):
                 for j in range(n):
                     if i == j:
@@ -520,7 +522,7 @@ def depot_insertion_by_sweep(seq: Sequence[int], problem: DetProblem):
     return tuple(realized), total
 
 
-def leg_best_by_sweep(route, a, b, fuel, cost, cap, dep_of, nd):
+def leg_best_by_sweep(route, a, b, fuel, cost, cap, depot_of, nd):
     """Node-by-node formulation of ``recourse._leg_best`` (same arguments).
 
     One sweep from the leg's opening depot and one from every mid-edge
@@ -545,7 +547,7 @@ def leg_best_by_sweep(route, a, b, fuel, cost, cap, dep_of, nd):
             fuel_v = fuel[v]
             idx = cand_pos.get(pos)
             if idx is not None:
-                d = dep_of[v][nxt]
+                d = depot_of(v, nxt)
                 if running + fuel_v[d] <= cap:
                     cost_v = cost[v]
                     cand = (
@@ -561,7 +563,7 @@ def leg_best_by_sweep(route, a, b, fuel, cost, cap, dep_of, nd):
     for idx, p in enumerate(cands):
         if node_val[idx] is None:
             continue
-        d = dep_of[route[p]][route[p + 1]]
+        d = depot_of(route[p], route[p + 1])
         sweep(node_val[idx], p + 1, fuel[d][route[p + 1]])
     return end_val
 
@@ -651,3 +653,67 @@ def tabu_by_full_evaluation(
         sequences=evaluator.sequences,
         infeasible_sequences=evaluator.infeasible_sequences,
     )
+
+
+def swap_bounds_by_loop(
+    evaluator: TwoStageEvaluator,
+    bare: tuple[tuple[int, ...], ...],
+    entries,
+    pairs: Sequence[tuple[int, int]],
+) -> list[float]:
+    """Reference for ``heuristics._swap_bounds``: one swap at a time.
+
+    The same bound with the same additions in the same order, written as a
+    plain loop over ``pairs`` on the list rows of the costs; the library's
+    numpy version must match it bit for bit.
+    """
+    if evaluator.instance.min_detour_increment < 0.0:
+        return [-math.inf] * len(pairs)
+    cost = evaluator.instance.cost_rows
+    padded = [(0, *seq, 0) for seq in bare]
+    alone = []
+    for route in padded:
+        total = 0.0
+        for a, b in zip(route, route[1:]):
+            total += cost[a][b]
+        alone.append(total)
+
+    def rest(*changed: int) -> float:
+        kept = [e for r, e in enumerate(entries) if r not in changed]
+        return evaluator.objective_floor(*evaluator.fold(kept))
+
+    # (first, last) changed route -> the bound before the swap's edge changes
+    base = {}
+    for r1 in range(len(padded)):
+        base[r1, r1] = rest(r1) + alone[r1]
+        for r2 in range(r1 + 1, len(padded)):
+            base[r1, r2] = rest(r1, r2) + alone[r1] + alone[r2]
+    # target -> (route, position, left and right neighbor, cost of its edges)
+    slot = {}
+    for r, route in enumerate(padded):
+        for i in range(1, len(route) - 1):
+            left, t, right = route[i - 1 : i + 2]
+            slot[t] = (r, i, left, right, cost[left][t] + cost[t][right])
+    bounds = []
+    for t1, t2 in pairs:
+        r1, i1, left1, right1, out1 = slot[t1]
+        r2, i2, left2, right2, out2 = slot[t2]
+        before = base[(r1, r2) if r1 <= r2 else (r2, r1)]
+        if r1 == r2 and abs(i1 - i2) == 1:
+            # neighbors: left -> a -> b -> right becomes left -> b -> a -> right
+            a, b = (t1, t2) if i1 < i2 else (t2, t1)
+            left, right = slot[a][2], slot[b][3]
+            bounds.append(
+                before
+                - (cost[left][a] + cost[a][b] + cost[b][right])
+                + (cost[left][b] + cost[b][a] + cost[a][right])
+            )
+            continue
+        bounds.append(
+            before
+            - out1
+            - out2
+            + (cost[left1][t2] + cost[t2][right1])
+            + (cost[left2][t1] + cost[t1][right2])
+        )
+    return bounds

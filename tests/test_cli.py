@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import fcmurp.cli
 import fcmurp.stochsolve
 from fcmurp.cli import main
+from fcmurp.detsolve import EXACT_TARGET_LIMIT
 from fcmurp.files import CSV_HEADER
 from fcmurp.instgen import SamplerError
 
@@ -192,7 +193,7 @@ def test_solve_saa_refuses_oversized_requests(runner, tmp_path):
     args = solve_args(src, str(tmp_path / "o"), "saa", **{"--m": "11"})
     assert "--mode heuristic" in invoke_one_line_error(runner, args, 2)
     big = str(tmp_path / "big")
-    assert gen(runner, big, targets=9, vehicles=3).exit_code == 0
+    assert gen(runner, big, targets=EXACT_TARGET_LIMIT + 1, vehicles=3).exit_code == 0
     args = solve_args(big, str(tmp_path / "o2"), "saa")
     assert "--mode heuristic" in invoke_one_line_error(runner, args, 2)
 
@@ -438,7 +439,14 @@ def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
             "legs",
             "scans",
             "scored",
+            "construction_nodes",
         }
+        # 5 targets: construction solves each of the 2 sampled scenarios and
+        # the discounted problem with the exact engine
+        nodes = row["construction_nodes"]
+        assert set(nodes) == {"scenarios", "final"}
+        assert len(nodes["scenarios"]) == 2
+        assert all(n > 0 for n in (*nodes["scenarios"], nodes["final"]))
         assert 1 <= row["iterations"] <= 10
         assert row["moves"] + row["stagnant"] == row["iterations"]
         assert 0 <= row["infeasible_sequences"] < row["sequences"]

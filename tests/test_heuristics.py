@@ -14,7 +14,7 @@ from conftest import (
     square_instance,
 )
 from fcmurp import heuristics
-from fcmurp.detsolve import DetProblem, solve_deterministic_greedy
+from fcmurp.detsolve import EXACT_TARGET_LIMIT, DetProblem, solve_deterministic_greedy
 from fcmurp.heuristics import (
     ConstructionWeights,
     TabuList,
@@ -27,7 +27,7 @@ from fcmurp.heuristics import (
 from fcmurp.instgen import GenConfig, assign_quadrants, generate_instance
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, nominal_feasibility, route_cost
 from fcmurp.recourse import PenaltyPolicy, evaluate_recourse
-from oracles import recompute_weights, tabu_by_full_evaluation
+from oracles import recompute_weights, swap_bounds_by_loop, tabu_by_full_evaluation
 
 
 def low_fuel_delta(instance, scale=0.4):
@@ -101,7 +101,7 @@ def test_construct_returns_routes_and_uses_exact_engine_on_small_cases():
 
 
 def test_construct_switches_to_greedy_beyond_the_exact_limit():
-    inst, qmap = make_case(seed=9, n_targets=9, vehicles=3)
+    inst, qmap = make_case(seed=9, n_targets=EXACT_TARGET_LIMIT + 1, vehicles=3)
     delta = make_scenarios(inst, qmap, seed=4, count=2)
     res = construct_detailed(inst, delta)
     assert res.engine == "greedy"
@@ -394,6 +394,31 @@ def test_swap_bounds_never_exceed_exact_objectives(monkeypatch, case):
                 assert bound <= ev.objective + slack
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("case", [*SCAN_CASES, None])
+def test_swap_bounds_match_the_one_swap_at_a_time_reference(monkeypatch, case):
+    checked = []
+    swap_bounds = heuristics._swap_bounds
+
+    def compared(evaluator, bare, entries, pairs):
+        bounds = swap_bounds(evaluator, bare, entries, pairs)
+        moves = [tuple(p) for p in pairs.tolist()]
+        assert bounds.tolist() == swap_bounds_by_loop(evaluator, bare, entries, moves)
+        checked.append(bare)
+        return bounds
+
+    monkeypatch.setattr(heuristics, "_swap_bounds", compared)
+    if case is None:
+        # a detour can pay here: every bound is -inf
+        inst = off_triangle_instance()
+        delta = make_scenarios(inst, assign_quadrants(inst, 5), seed=6, count=3)
+        start = solve_deterministic_greedy(inst).routes
+        params = TabuParams(iterations=10, stall_limit=10)
+    else:
+        inst, delta, start, params = scan_case(*case)
+    res = tabu_improve(start, delta, params, inst)
+    assert len(checked) == res.scans > 1
 
 
 def test_negative_detours_score_every_swap():

@@ -152,6 +152,16 @@ def test_gamma_moments_small_sample():
     assert abs(draws.std() - 0.5 * mean) / (0.5 * mean) < 0.05
 
 
+@pytest.fixture(params=["default", "lockstep"])
+def walk(request, monkeypatch):
+    """Run a test as the sizes choose the walk, then with every gamma sample
+    walked in lockstep (the small samples here would go one variate at a
+    time)."""
+    if request.param == "lockstep":
+        monkeypatch.setattr(instgen, "LOCKSTEP_MEMORY_SHARE", math.inf)
+    return request.param
+
+
 def assert_same_fuel(got, want):
     assert len(got) == len(want)
     assert got.rejections == want.rejections
@@ -160,10 +170,10 @@ def assert_same_fuel(got, want):
         assert a.fuel.tobytes() == b.fuel.tobytes()
 
 
-@pytest.mark.parametrize(
-    "seed,n_targets,vehicles",
-    [(4, 5, 2), (7, 5, 1), (2, 8, 3), (11, 8, 2), (12, 20, 3), (21, 20, 2)],
-)
+SAMPLER_CASES = [(4, 5, 2), (7, 5, 1), (2, 8, 3), (11, 8, 2), (12, 20, 3), (21, 20, 2)]
+
+
+@pytest.mark.parametrize("seed,n_targets,vehicles", SAMPLER_CASES)
 def test_batched_sampler_matches_per_draw_oracle(seed, n_targets, vehicles):
     inst, qmap = make_case(seed=seed, n_targets=n_targets, vehicles=vehicles)
     for sample_seed, count in ((seed + 100, 1), (seed * 1_000_003 + 999_983, 50)):
@@ -198,6 +208,97 @@ def test_rejection_limit_error_matches_the_oracle(monkeypatch):
     assert str(lib.value) == str(ref.value)
     assert str(lib.value).startswith("no acceptable ")
     assert " draw in 1 tries (shape=4.0, scale=" in str(lib.value)
+
+
+def test_lockstep_walk_matches_the_oracle_on_small_samples(monkeypatch):
+    # the three tests above, with every sample walked in lockstep: their
+    # samples are too small for it by default
+    monkeypatch.setattr(instgen, "LOCKSTEP_MEMORY_SHARE", math.inf)
+    for case in SAMPLER_CASES:
+        test_batched_sampler_matches_per_draw_oracle(*case)
+    test_batched_sampler_matches_the_oracle_off_the_default_shape()
+    test_rejection_limit_error_matches_the_oracle(monkeypatch)
+
+
+def test_sampler_refills_past_the_first_block_like_the_oracle(monkeypatch, walk):
+    # scale ratio 0.1 at shape 4: a congested edge accepts a Gamma(4, 1)
+    # draw of at least 10, about 1% of them, so scenarios run past their
+    # first block of 3 variates per edge
+    inst, qmap = make_case(seed=4, n_targets=6, vehicles=2)
+    edges = len(instgen._gamma_edges(inst, qmap, 0.1)[2])
+    shape = {"gamma_shape": 4.0, "gamma_scale_ratio": 0.1}
+    got = sample_scenarios(inst, qmap, seed=8, count=5, **shape)
+    assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, 8, 5, **shape))
+    # variates consumed: one accepted per edge plus the rejected ones
+    assert got.rejections + 5 * edges > 5 * 3 * edges
+    # a limit above the block size fails an edge only after a refill
+    monkeypatch.setattr(instgen, "REJECTION_LIMIT", 300)
+    assert 3 * edges < 300
+    with pytest.raises(SamplerError) as lib:
+        sample_scenarios(inst, qmap, seed=8, count=5, **shape)
+    with pytest.raises(SamplerError) as ref:
+        sample_scenarios_by_draw(inst, qmap, 8, 5, **shape)
+    assert str(lib.value) == str(ref.value)
+    assert " draw in 300 tries (shape=4.0, scale=" in str(lib.value)
+
+
+def test_scenarios_the_lockstep_walk_cannot_decide_are_walked_per_variate(monkeypatch):
+    inst, qmap = make_case(seed=2, n_targets=8, vehicles=3)
+    want = sample_scenarios_by_draw(inst, qmap, 41, 40)
+    walked = []
+    by_variate = instgen._draw_by_variate
+
+    def counted(*args):
+        walked.append(args)
+        return by_variate(*args)
+
+    monkeypatch.setattr(instgen, "_draw_by_variate", counted)
+    monkeypatch.setattr(instgen, "LOCKSTEP_MEMORY_SHARE", math.inf)
+    assert_same_fuel(sample_scenarios(inst, qmap, seed=41, count=40), want)
+    assert not walked
+    # a band this wide holds some accepted draws: their scenarios fall back
+    monkeypatch.setattr(instgen, "_BAND", 1e-3)
+    assert_same_fuel(sample_scenarios(inst, qmap, seed=41, count=40), want)
+    assert 0 < len(walked) < 40
+
+
+def test_large_samples_take_the_lockstep_walk(monkeypatch):
+    inst, qmap = make_case(seed=12, n_targets=20, vehicles=3)
+    walks = []
+    lockstep_walk = instgen._Lockstep.walk
+
+    def counted(self, limit):
+        walks.append(limit)
+        return lockstep_walk(self, limit)
+
+    monkeypatch.setattr(instgen._Lockstep, "walk", counted)
+    # a 20-target fuel matrix takes 5 KB and a chunk's scratch 450 KB
+    small = sample_scenarios(inst, qmap, seed=7, count=300)
+    assert not walks
+    large = sample_scenarios(inst, qmap, seed=7, count=500)
+    assert len(walks) == 32
+    assert_same_fuel(large, sample_scenarios_by_draw(inst, qmap, 7, 500))
+    assert [s.fuel.tobytes() for s in small] == [s.fuel.tobytes() for s in large][:300]
+
+
+def test_zero_scale_skips_the_lockstep_walk(walk):
+    inst, qmap = make_case(seed=4, n_targets=5, vehicles=2)
+    _, _, specs = instgen._gamma_edges(inst, qmap, 0.0)
+    assert instgen._role_bounds(specs) is None
+    with pytest.raises(SamplerError) as lib:
+        sample_scenarios(inst, qmap, seed=5, count=3, gamma_scale_ratio=0.0)
+    with pytest.raises(SamplerError) as ref:
+        sample_scenarios_by_draw(inst, qmap, 5, 3, gamma_scale_ratio=0.0)
+    assert str(lib.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "key", [(0, 3, 0), (999_983, 3, 517), (2**32 - 1, 1, 7), (2**32, 3, 1), (5 * 10**12, 2)]
+)
+def test_substreams_are_seed_sequence_streams(key):
+    got = instgen._substream(*key).standard_gamma(4.0, size=16)
+    want = np.random.default_rng(np.random.SeedSequence(key)).standard_gamma(4.0, size=16)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sampler_refuses_a_quadrant_map_of_another_instance():

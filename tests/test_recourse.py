@@ -20,6 +20,7 @@ from fcmurp.instgen import assign_quadrants, sample_scenarios
 from fcmurp.model import RouteSet, Scenario, nominal_feasibility
 from fcmurp.recourse import (
     ORACLE_EDGE_CAP,
+    BestDepotTable,
     LegMemo,
     PenaltyPolicy,
     evaluate_recourse,
@@ -129,7 +130,7 @@ def test_leg_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
     legs = voluntary = 0
     for inst, routes, scen in cases:
         table = precompute_best_depot(inst, scen)
-        args = (table.fuel_rows, inst.cost_rows, inst.fuel_capacity, table.depot_rows)
+        args = (table.fuel_rows, inst.cost_rows, inst.fuel_capacity, table.depot_of)
         nd = inst.n_depots
         as_planned = True
         for route in routes.routes:
@@ -302,6 +303,30 @@ def test_best_depot_tie_takes_smallest_index():
     s = Scenario(id=0, probability=1.0, fuel=fuel)
     table = precompute_best_depot(inst, s)
     assert table.depot[2, 3] == 0  # depots 0 and 1 tie at 4.0
+    assert BestDepotTable(fuel, inst.n_depots).depot_of(2, 3) == 0
+
+
+def test_on_demand_best_depots_match_the_numpy_argmin():
+    inst, qmap = make_case(seed=14, n_targets=6, vehicles=2)
+    n, nd = inst.n_vertices, inst.n_depots
+    scenarios = list(sample_scenarios(inst, qmap, seed=3, count=3))
+    # an exact tie in through-fuel between depots 1 and 3 on edge (t, u),
+    # with depot 2 cheaper into t but dearer out of it
+    t, u = nd, nd + 1
+    fuel = scenarios[0].fuel.copy()
+    fuel[t, 1], fuel[1, u] = 10.0, 20.0
+    fuel[t, 3], fuel[3, u] = 20.0, 10.0
+    fuel[t, 2], fuel[2, u] = 5.0, 40.0
+    for d in (0, 4):
+        fuel[t, d] = fuel[d, u] = 50.0
+    scenarios.append(Scenario(id=9, probability=1.0, fuel=fuel))
+    for s in scenarios:
+        full = precompute_best_depot(inst, s).depot
+        lazy = BestDepotTable(s.fuel, nd)
+        for i in range(n):
+            for j in range(n):
+                assert lazy.depot_of(i, j) == full[i, j], (i, j)
+    assert lazy.depot_of(t, u) == 1
 
 
 def test_route_beta_agrees_with_plan_total():
