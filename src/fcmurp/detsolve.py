@@ -130,38 +130,41 @@ class DetProblem:
         return {}
 
     @cached_property
-    def bare_predecessors(self) -> list[tuple[tuple[float, int], ...]]:
-        """Per target: the vertices a bare sequence can reach it from.
-
-        These are the home depot and every other target, never a refuel
-        depot, as ``(cost, vertex)`` pairs sorted cheapest first with the
-        vertex id breaking ties. Depots get an empty tuple.
-        """
-        cost = self.cost_rows
-        targets = self.instance.target_indices
-        table: list[tuple[tuple[float, int], ...]] = [()] * self.instance.n_vertices
-        for u in targets:
-            table[u] = tuple(sorted((cost[p][u], p) for p in (0, *targets) if p != u))
-        return table
+    def edge_floor_rows(self) -> list[list[float]]:
+        """Per edge (u, w): its cheapest realization, ``cost[u][w]`` or a
+        detour ``cost[u][d] + cost[d][w]`` through a depot ``d`` not in
+        {u, w}, added as in ``detour_options``; the cost itself wherever no
+        detour is cheaper, as on metric costs."""
+        cost = self.cost
+        depots = list(self.instance.depot_indices)
+        via = cost[:, depots, None] + cost[None, depots, :]
+        for k, d in enumerate(depots):
+            via[d, k, :] = via[:, k, d] = math.inf
+        return np.minimum(cost, via.min(axis=1)).tolist()
 
     @cached_property
-    def bare_successors(self) -> list[tuple[tuple[float, int], ...]]:
-        """Per target: the vertices a bare sequence can fly to from it, the
-        home depot and every other target, sorted as ``bare_predecessors``."""
-        cost = self.cost_rows
+    def bare_neighbours(self) -> tuple[list[tuple], list[tuple]]:
+        """Per target: the vertices a bare sequence can reach it from, and
+        those it can fly to from it. Both are the home depot and every other
+        target as ``(edge floor, vertex)`` pairs sorted cheapest first, the
+        vertex id breaking ties; depots get empty tuples."""
+        floor = self.edge_floor_rows
         targets = self.instance.target_indices
-        table: list[tuple[tuple[float, int], ...]] = [()] * self.instance.n_vertices
+        preds: list[tuple] = [()] * self.instance.n_vertices
+        succs = list(preds)
         for u in targets:
-            table[u] = tuple(sorted((cost[u][w], w) for w in (0, *targets) if w != u))
-        return table
+            others = [v for v in (0, *targets) if v != u]
+            preds[u] = tuple(sorted((floor[v][u], v) for v in others))
+            succs[u] = tuple(sorted((floor[u][v], v) for v in others))
+        return preds, succs
 
     @cached_property
     def min_insertion_delta(self) -> float:
         """Smallest possible cost delta of a single depot insertion.
 
         ``model.min_detour_increment`` of the active costs. Non-negative for
-        metric costs; with overrides it can go negative, in which case
-        completion bounds must budget one insertion per edge.
+        metric costs; with overrides it can go negative, which turns off the
+        bare-route shortcut of ``optimal_depot_insertion``.
         """
         return min_detour_increment(self.cost, self.instance.n_depots)
 
@@ -390,37 +393,33 @@ def _completion_bound(
     acc: float,
     open_bare: float,
     last: int,
-    open_len: int,
     unvisited: set[int],
     m_rem: int,
 ) -> float:
     """Lower bound on the objective of every completion of a search node.
 
-    The node has closed routes scored ``acc``, an open route of ``open_len``
-    targets ending at ``last`` whose bare edges so far cost ``open_bare``,
+    The node has closed routes scored ``acc``, an open route ending at
+    ``last`` whose bare edges so far have floors summing to ``open_bare``,
     the ``unvisited`` targets and ``m_rem`` routes still to open. A
     completion flies one bare edge into each unvisited target, one edge home
     per route not yet closed, and one edge out of ``last``, out of each
-    unvisited target and out of the home depot per route to open. The bound
-    prices the edges by whichever of two counts is larger:
+    unvisited target and out of the home depot per route to open. A realized
+    route flies each of them direct or through one inserted depot, so the
+    bound prices each at its floor (``DetProblem.edge_floor_rows``) and takes
+    whichever of two counts is larger (``DetProblem.bare_neighbours``):
 
     - *in-edges*: each unvisited target at its cheapest predecessor still
       possible (``last``, another unvisited target, or the home depot while
-      a route remains to open; ``DetProblem.bare_predecessors``), and each
-      route home at the cheapest edge home from a vertex it can end at;
+      a route remains to open), and each route home at the cheapest edge
+      home from a vertex it can end at;
     - *out-edges*: ``last`` and each unvisited target at its cheapest
-      successor still possible (an unvisited target or the home depot;
-      ``DetProblem.bare_successors``), and each route to open at the
-      cheapest edge from home to an unvisited target.
-
-    Realized routes cost at least their bare routes when no insertion pays;
-    otherwise each edge of the routes not yet closed budgets one insertion at
-    ``DetProblem.min_insertion_delta``.
+      successor still possible (an unvisited target or the home depot), and
+      each route to open at the cheapest edge from home to an unvisited
+      target.
     """
-    cost = problem.cost_rows
-    preds = problem.bare_predecessors
-    succs = problem.bare_successors
-    from_home = cost[0]
+    floor = problem.edge_floor_rows
+    preds, succs = problem.bare_neighbours
+    from_home = floor[0]
     into = leave = 0.0
     home_min = start_min = math.inf
     for u in unvisited:
@@ -432,7 +431,7 @@ def _completion_bound(
             if w == 0 or w in unvisited:
                 leave += c
                 break
-        home = cost[u][0]
+        home = floor[u][0]
         if home < home_min:
             home_min = home
         start = from_home[u]
@@ -442,16 +441,12 @@ def _completion_bound(
         if w == 0 or w in unvisited:
             leave += c
             break
-    home = cost[last][0]
+    home = floor[last][0]
     into += home if home < home_min else home_min
     if m_rem and unvisited:
         into += m_rem * home_min
         leave += m_rem * start_min
-    lb = acc + open_bare + (into if into > leave else leave)
-    slack_unit = problem.min_insertion_delta
-    if slack_unit < 0.0:
-        lb += (open_len + 1 + len(unvisited) + m_rem) * slack_unit
-    return lb
+    return acc + open_bare + (into if into > leave else leave)
 
 
 def _min_arrival_step(
@@ -479,8 +474,8 @@ def _branch_routes(
 
     ``score_route`` turns a closed bare sequence into a realized route and
     its exact contribution to the objective (None when infeasible); the
-    completion bound only uses edge costs, so scores must never undercut the
-    bare sequence cost by more than the budgeted insertion slack.
+    completion bound prices bare edges at their floors, so a score must
+    never undercut the floors of its sequence's bare edges.
 
     The incumbent is the greedy solution: its bare sequences scored by
     ``score_route``, the scores folded left to right, plus ``_BOUND_EPS``.
@@ -490,10 +485,9 @@ def _branch_routes(
     routes themselves.
     """
     inst = problem.instance
-    cost = problem.cost_rows
+    floor = problem.edge_floor_rows
     cap = inst.fuel_capacity
     exit_fuel = problem.exit_fuel_list
-    m = inst.vehicles
     order = branching_order(problem)
     rank = {t: i for i, t in enumerate(order)}
     strengthened = config.strengthened_pruning
@@ -542,9 +536,9 @@ def _branch_routes(
                     continue
                 if strengthened and fuel_lb + exit_fuel[t] > cap:
                     continue
-                bare = open_bare + cost[last_v][t]
+                bare = open_bare + floor[last_v][t]
                 rest = unvisited - {t}
-                bound = _completion_bound(problem, acc, bare, t, len(open_seq) + 1, rest, m_rem)
+                bound = _completion_bound(problem, acc, bare, t, rest, m_rem)
                 if bound > best_total + _BOUND_EPS:
                     continue
                 open_seq.append(t)
@@ -571,36 +565,32 @@ def _branch_routes(
                 best_routes = tuple(closed)
                 best_key = key
         else:
-            for f in order:
-                if f not in unvisited or rank[f] <= open_first_rank:
-                    continue
-                entry_lb = _min_arrival_step(problem, 0.0, 0, f)
-                if entry_lb > cap:
-                    continue
-                if strengthened and entry_lb + exit_fuel[f] > cap:
-                    continue
-                bare = cost[0][f]
-                rest = unvisited - {f}
-                bound = _completion_bound(problem, acc2, bare, f, 1, rest, m_rem - 1)
-                if bound > best_total + _BOUND_EPS:
-                    continue
-                descend([f], rank[f], bare, entry_lb, rest, m_rem - 1, acc2, closed)
+            open_route(open_first_rank, unvisited, m_rem, acc2, closed)
         closed.pop()
 
-    optimal = True
-    try:
-        targets = set(inst.target_indices)
+    def open_route(
+        after_rank: int, unvisited: set[int], m_open: int, acc: float, closed: list
+    ) -> None:
+        """Descend into a new route at each unvisited target ranked after
+        ``after_rank``, with ``m_open`` routes to open counting this one."""
         for f in order:
+            if f not in unvisited or rank[f] <= after_rank:
+                continue
             entry_lb = _min_arrival_step(problem, 0.0, 0, f)
             if entry_lb > cap:
                 continue
             if strengthened and entry_lb + exit_fuel[f] > cap:
                 continue
-            rest = targets - {f}
-            bound = _completion_bound(problem, 0.0, cost[0][f], f, 1, rest, m - 1)
+            bare = floor[0][f]
+            rest = unvisited - {f}
+            bound = _completion_bound(problem, acc, bare, f, rest, m_open - 1)
             if bound > best_total + _BOUND_EPS:
                 continue
-            descend([f], rank[f], cost[0][f], entry_lb, rest, m - 1, 0.0, [])
+            descend([f], rank[f], bare, entry_lb, rest, m_open - 1, acc, closed)
+
+    optimal = True
+    try:
+        open_route(-1, set(inst.target_indices), inst.vehicles, 0.0, [])
     except _SearchLimit:
         optimal = False
     return best_routes, best_total, optimal, nodes

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .instgen import QuadrantMap
+from .instgen import CONGESTED, MEAN, SPARSE, QuadrantMap
 from .model import (
     Instance,
     RouteSet,
@@ -162,14 +162,20 @@ def quadrants_to_doc(qmap: QuadrantMap) -> dict:
 
 def quadrants_from_doc(doc: dict) -> QuadrantMap:
     try:
-        return QuadrantMap(
+        qmap = QuadrantMap(
             seed=int(doc["seed"]),
             grid=float(doc["grid"]),
-            quadrant_labels=tuple(doc["quadrant_labels"]),
+            quadrant_labels=tuple(str(q) for q in doc["quadrant_labels"]),
             vertex_labels=tuple(str(q) for q in doc["vertex_labels"]),
         )
-    except (KeyError, TypeError) as exc:
+        if len(qmap.quadrant_labels) != 4:
+            raise ValueError(f"{len(qmap.quadrant_labels)} quadrant labels, expected 4")
+        unknown = set(qmap.quadrant_labels + qmap.vertex_labels) - {CONGESTED, SPARSE, MEAN}
+        if unknown:
+            raise ValueError(f"unknown labels {sorted(unknown)}")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed quadrants document: {exc}") from None
+    return qmap
 
 
 def scenarios_to_doc(scenario_set: ScenarioSet) -> dict:
@@ -195,7 +201,7 @@ def scenarios_from_doc(doc: dict) -> ScenarioSet:
             for s in doc["scenarios"]
         )
         return ScenarioSet(scenarios, label=str(doc["label"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed scenario document: {exc}") from None
 
 

@@ -622,6 +622,83 @@ def test_solve_refuses_a_quadrant_map_of_another_instance(runner, tmp_path):
     assert "quadrant map labels 11 vertices, instance has 9" in output
 
 
+@pytest.fixture(scope="module")
+def sampled_inputs(tmp_path_factory):
+    """An instance with its quadrant map, three sampled scenarios and the
+    EV solution, made once for the malformed-file cases below."""
+    runner = CliRunner()
+    src = str(tmp_path_factory.mktemp("inputs"))
+    assert gen(runner, src).exit_code == 0
+    scen = os.path.join(src, "scen.json")
+    made = runner.invoke(
+        main,
+        [
+            "scenarios",
+            "--instance", os.path.join(src, "instance.json"),
+            "--quadrants", os.path.join(src, "quadrants.json"),
+            "--count", "3",
+            "--out", scen,
+        ],
+    )
+    assert made.exit_code == 0, made.output
+    evp = os.path.join(src, "evp")
+    assert runner.invoke(main, solve_args(src, evp, "evp")).exit_code == 0
+    return src
+
+
+@pytest.mark.parametrize(
+    "name, where, value",
+    [
+        ("quadrants.json", ("seed",), "x"),
+        ("quadrants.json", ("vertex_labels", 1), "congestd"),
+        ("quadrants.json", ("quadrant_labels",), ["congested", "sparse", "mean"]),
+        ("scen.json", ("scenarios", 0, "id"), "a"),
+        ("scen.json", ("scenarios", 0, "probability"), 0.5),
+        ("scen.json", ("scenarios", 1, "id"), 0),
+        ("scen.json", ("scenarios", 0, "fuel", 2), [0.0, 1.0]),
+    ],
+    ids=[
+        "seed-not-int",
+        "unknown-vertex-label",
+        "three-quadrant-labels",
+        "id-not-int",
+        "probabilities-not-summing-to-1",
+        "duplicate-ids",
+        "ragged-fuel",
+    ],
+)
+def test_malformed_quadrant_and_scenario_files_exit_3(
+    runner, tmp_path, sampled_inputs, name, where, value
+):
+    doc = read_json(os.path.join(sampled_inputs, name))
+    *outer, last = where
+    part = doc
+    for key in outer:
+        part = part[key]
+    part[last] = value
+    bad = str(tmp_path / name)
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    instance = os.path.join(sampled_inputs, "instance.json")
+    if name == "quadrants.json":
+        args = [
+            "scenarios",
+            "--instance", instance,
+            "--quadrants", bad,
+            "--count", "3",
+            "--out", str(tmp_path / "scen.json"),
+        ]
+    else:
+        args = [
+            "evaluate",
+            "--instance", instance,
+            "--solution", os.path.join(sampled_inputs, "evp", "solution.json"),
+            "--scenarios", bad,
+        ]
+    output = invoke_one_line_error(runner, args, 3)
+    assert "malformed" in output
+
+
 def test_report_renders_both_formats(runner, tmp_path):
     src = str(tmp_path / "inst")
     assert gen(runner, src).exit_code == 0

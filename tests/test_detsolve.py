@@ -20,9 +20,10 @@ from fcmurp.detsolve import (
     solve_deterministic_exact,
     solve_deterministic_greedy,
 )
-from fcmurp.heuristics import construction_weights
+from fcmurp.heuristics import construct_detailed, construction_weights
 from fcmurp.instgen import GenConfig, generate_instance
 from fcmurp.model import RouteSet, make_instance, nominal_feasibility, route_cost
+from fcmurp.stochsolve import gamma_seed
 from oracles import best_insertion, depot_insertion_by_sweep, enumerate_deterministic
 
 
@@ -303,6 +304,48 @@ def test_exact_matches_full_double_enumeration():
         assert sol.routes.canonical().routes == tuple(sorted(ref[0]))
 
 
+def test_exact_matches_enumeration_where_insertions_pay():
+    # Discounted and off-triangle costs, where a depot detour can cost less
+    # than the edge it replaces, so edge floors fall below the costs.
+    problems = []
+    for seed in range(1, 13):
+        inst, qmap = make_case(seed=seed, n_targets=3 + seed % 4, vehicles=1 + seed % 3)
+        problems.append(discounted_problem(inst, qmap, seed))
+    off_triangle = off_triangle_instance()
+    problems.append(DetProblem(off_triangle))
+    problems.append(
+        DetProblem(off_triangle, fuel_override=np.array(off_triangle.nominal_fuel) * 1.6)
+    )
+    below = 0
+    for problem in problems:
+        floor = problem.edge_floor_rows
+        below += floor != problem.cost_rows
+        for u, w in itertools.permutations(range(problem.instance.n_vertices), 2):
+            direct, detours = problem.detour_options(u, w)
+            assert floor[u][w] == min([direct, *(via for _, _, via in detours)])
+        sol = solve_deterministic_exact(problem)
+        ref = enumerate_deterministic(
+            problem, score=lambda seq: optimal_depot_insertion(seq, problem)
+        )
+        if sol is None:
+            assert ref is None
+            continue
+        assert ref is not None
+        assert sol.cost == ref[1]
+        assert sol.routes.canonical().routes == tuple(sorted(ref[0]))
+        assert sol.optimal
+    assert below == len(problems)
+
+
+def test_discounted_construction_solves_prune_to_few_nodes():
+    # a bound that budgets one worst-case insertion per edge instead of
+    # pricing edges at their floors takes about 300,000 nodes on each
+    inst, qmap = make_case(seed=2, n_targets=8, vehicles=3)
+    for k in range(3):
+        delta = make_scenarios(inst, qmap, seed=gamma_seed(0, k), count=5)
+        assert construct_detailed(inst, delta).final_nodes <= 1_000
+
+
 def bare_completions(open_seq, unvisited, m_rem):
     """Every way to finish a search node: the rest of the open route and the
     ``m_rem`` new non-empty routes, as bare sequences (repeats allowed)."""
@@ -332,6 +375,7 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
         inst, qmap = make_case(seed=seed, n_targets=n, vehicles=m)
         for problem in (DetProblem(inst), discounted_problem(inst, qmap, seed)):
             cost = problem.cost_rows
+            floor = problem.edge_floor_rows
             budget_unit = min(0.0, problem.min_insertion_delta)
             discounted += budget_unit < 0.0
             old_min_in = [
@@ -347,27 +391,24 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
                 open_len = int(rng.integers(1, taken - closed + 1))
                 open_seq = targets[taken - open_len : taken]
                 unvisited = set(targets[taken:])
-                open_bare = 0.0
+                open_bare = open_floor = 0.0
                 for a, b in zip((0, *open_seq), open_seq):
                     open_bare += cost[a][b]
+                    open_floor += floor[a][b]
                 bound = detsolve._completion_bound(
-                    problem, 0.0, open_bare, open_seq[-1], open_len, unvisited, m_rem
+                    problem, 0.0, open_floor, open_seq[-1], unvisited, m_rem
                 )
-                best_bare = best_realized = math.inf
+                best_realized = math.inf
                 for routes in bare_completions(open_seq, unvisited, m_rem):
-                    bare = realized = 0.0
+                    realized = 0.0
                     for seq in routes:
-                        tour = (0, *seq, 0)
-                        for a, b in zip(tour, tour[1:]):
-                            bare += cost[a][b]
                         scored = optimal_depot_insertion(seq, problem)
                         realized += math.inf if scored is None else scored[1]
-                    best_bare = min(best_bare, bare)
                     best_realized = min(best_realized, realized)
-                edges = open_len + 1 + len(unvisited) + m_rem
-                assert bound <= best_bare + edges * budget_unit + detsolve._BOUND_EPS
                 assert bound <= best_realized + detsolve._BOUND_EPS
-                # the old bound priced each target at its cheapest edge from anywhere
+                # the old bound priced each target at its cheapest edge from
+                # anywhere and budgeted one worst-case insertion per edge
+                edges = open_len + 1 + len(unvisited) + m_rem
                 old = open_bare + sum(old_min_in[u] for u in unvisited)
                 old += min(cost[v][0] for v in (open_seq[-1], *unvisited))
                 if m_rem:
