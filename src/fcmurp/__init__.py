@@ -7,8 +7,6 @@ from .model import (
     RouteSet,
     RecoursePlan,
     RouteStructureError,
-    ValidationIssue,
-    ValidationResult,
     make_instance,
     validate_instance,
     check_route_structure,

@@ -11,6 +11,7 @@ or malformed artifact, 4 infeasible.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -220,6 +221,9 @@ def generate(seed, targets, vehicles, refuel_depots, fuel_factor, grid, out):
     seed = _effective_seed(seed)
     if vehicles > targets:
         raise click.UsageError("--vehicles cannot exceed --targets")
+    for flag, value in (("--fuel-factor", fuel_factor), ("--grid", grid)):
+        if not (math.isfinite(value) and value > 0):
+            raise _ExitError(f"{flag} must be a finite number > 0, got {value!r}", 2)
     config = GenConfig(
         seed=seed,
         n_targets=targets,
@@ -274,7 +278,6 @@ def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
 @click.option("--iterations", type=click.IntRange(min=1), default=500, show_default=True, help="Tabu iterations.")
 @click.option("--stall-limit", type=click.IntRange(min=1), default=None, help="Tabu stop after this many non-improving iterations, at most --iterations; default min(100, --iterations).")
 @click.option("--tenure", type=click.IntRange(min=1), default=None, help="Tabu tenure; default scales with the target count.")
-@click.option("--engine", type=click.Choice(["auto", "exact", "greedy"]), default="auto", show_default=True, help="Deterministic solver engine.")
 @click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True, expose_value=False, help="Replication threads: only 1, replications run one after another.")
 @click.option("--name", default=None, help="Instance name in reports; defaults to the instance file stem.")
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
@@ -290,7 +293,6 @@ def solve(
     iterations,
     stall_limit,
     tenure,
-    engine,
     name,
     out,
 ):
@@ -312,7 +314,7 @@ def solve(
 
     if mode == "evp":
         with _timed(stages, "evp"):
-            ev = solve_evp(instance, engine=engine)
+            ev = solve_evp(instance)
         report = SaaReport(
             instance_name=name,
             ev=ev.cost,
@@ -366,7 +368,7 @@ def solve(
                 gamma_seeds.append(gseed)
                 delta = sample_scenarios(instance, qmap, seed=gseed, count=sample_size)
                 gamma_rejections.append(delta.rejections)
-                built = construct_detailed(instance, delta, engine=engine)
+                built = construct_detailed(instance, delta)
                 improved = tabu_improve(built.routes, delta, params, instance)
                 tabu_rows.append(_tabu_counters(built, improved))
                 if improved.warning:
@@ -389,7 +391,7 @@ def solve(
                 instance, qmap, seed=lambda_seed(seed), count=lambda_size
             )
         with _timed(stages, "evp"):
-            ev = solve_evp(instance, engine=engine)
+            ev = solve_evp(instance)
         click.echo(f"evaluating {len(candidates)} candidates on {lambda_size}", err=True)
         with _timed(stages, "upper_bound"):
             best = saa_upper_bound(candidates, lam, instance, reference=ev.routes)
@@ -429,7 +431,6 @@ def solve(
         "iterations": iterations,
         "stall_limit": stall_limit,
         "tenure": tenure,
-        "engine": engine,
         "name": name,
         **extras,
     }
@@ -474,10 +475,10 @@ def evaluate(
     routes, _ = solution_from_doc(read_document(solution_path, kind="solution"), instance)
     if scenarios_path is not None:
         lam = scenarios_from_doc(read_document(scenarios_path, kind="scenario_set"))
-        fatal = [i.message for i in validate_instance(instance, lam).issues if i.fatal]
-        if fatal:
-            more = f" (and {len(fatal) - 1} more)" if len(fatal) > 1 else ""
-            raise ArtifactError(f"scenario set does not fit the instance: {fatal[0]}{more}")
+        refusals = validate_instance(instance, lam)
+        if refusals:
+            more = f" (and {len(refusals) - 1} more)" if len(refusals) > 1 else ""
+            raise ArtifactError(f"scenario set does not fit the instance: {refusals[0]}{more}")
     else:
         if quadrants_path is None:
             raise click.UsageError("provide --scenarios or --quadrants to draw them")

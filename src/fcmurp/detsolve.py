@@ -32,7 +32,6 @@ __all__ = [
     "solve_deterministic_exact",
     "solve_deterministic_greedy",
     "solve_deterministic",
-    "resolve_engine",
     "branching_order",
     "EXACT_TARGET_LIMIT",
 ]
@@ -697,22 +696,11 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
     )
 
 
-def resolve_engine(engine: str, instance: Instance) -> str:
-    """The deterministic engine to run: "auto" solves exactly up to
-    ``EXACT_TARGET_LIMIT`` targets and greedily beyond it."""
-    if engine == "auto":
-        return "exact" if instance.n_targets <= EXACT_TARGET_LIMIT else "greedy"
-    if engine in ("exact", "greedy"):
-        return engine
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def solve_deterministic(
-    problem: DetProblem | Instance, engine: str = "auto"
-) -> Optional[DetSolution]:
-    """Solve with the named engine ("auto", "exact" or "greedy")."""
+def solve_deterministic(problem: DetProblem | Instance) -> Optional[DetSolution]:
+    """Solve exactly up to ``EXACT_TARGET_LIMIT`` targets and greedily
+    beyond it."""
     if isinstance(problem, Instance):
         problem = problem.nominal_problem
-    if resolve_engine(engine, problem.instance) == "exact":
+    if problem.instance.n_targets <= EXACT_TARGET_LIMIT:
         return solve_deterministic_exact(problem)
     return solve_deterministic_greedy(problem)

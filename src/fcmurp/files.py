@@ -26,7 +26,7 @@ from .model import (
     RouteStructureError,
     Scenario,
     ScenarioSet,
-    check_route_structure,
+    nominal_feasibility,
     validate_instance,
 )
 from .stochsolve import BoundEstimate, SaaReport
@@ -142,10 +142,9 @@ def instance_from_doc(doc: dict) -> Instance:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed instance document: {exc}") from None
-    issues = validate_instance(instance)
-    if issues.fatal:
-        fatal = "; ".join(i.message for i in issues.issues if i.fatal)
-        raise ArtifactError(f"invalid instance document: {fatal}")
+    refusals = validate_instance(instance)
+    if refusals:
+        raise ArtifactError(f"invalid instance document: {'; '.join(refusals)}")
     return instance
 
 
@@ -219,16 +218,22 @@ def solution_to_doc(routes: RouteSet, meta: Optional[dict] = None) -> dict:
 def solution_from_doc(
     doc: dict, instance: Optional[Instance] = None
 ) -> tuple[RouteSet, dict]:
-    """Rebuild a solution; with ``instance``, its route structure is checked."""
+    """Rebuild a solution; with ``instance``, its route structure and its
+    nominal fuel feasibility, which recourse assumes, are checked."""
     try:
         routes = RouteSet(tuple(tuple(int(v) for v in r) for r in doc["routes"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed solution document: {exc}") from None
     if instance is not None:
         try:
-            check_route_structure(routes, instance)
+            feasible = nominal_feasibility(routes, instance)
         except RouteStructureError as exc:
             raise ArtifactError(f"solution does not fit the instance: {exc}") from None
+        if not feasible:
+            raise ArtifactError(
+                "solution does not fit the instance: its routes run out of fuel "
+                "under nominal consumption"
+            )
     return routes, doc.get("meta", {})
 
 

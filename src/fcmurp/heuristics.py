@@ -20,7 +20,6 @@ import numpy as np
 from .detsolve import (
     DetProblem,
     optimal_depot_insertion,
-    resolve_engine,
     solve_deterministic,
     solve_deterministic_greedy,
 )
@@ -66,14 +65,13 @@ class ConstructionResult:
 
     ``scenario_nodes`` holds the branch-and-bound nodes of each per-scenario
     solve in processing order and ``final_nodes`` those of the final
-    discounted solve: 0 for the greedy engine, None where a solve found no
+    discounted solve: 0 for the greedy solver, None where a solve found no
     routes. They are work counters, left out of equality.
     """
 
     routes: RouteSet
     weights: ConstructionWeights
     scenario_solutions: tuple[tuple[int, Optional[RouteSet]], ...]
-    engine: str
     fallback: str  # "none", "reinserted", or "scenario_solution"
     scenario_nodes: tuple[Optional[int], ...] = field(default=(), compare=False)
     final_nodes: Optional[int] = field(default=None, compare=False)
@@ -86,7 +84,6 @@ class TabuParams:
     iterations: int = 500
     stall_limit: int = 100
     tenure: Optional[int] = None
-    penalty: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -157,26 +154,23 @@ def _scenario_order(delta: ScenarioSet):
     return sorted(delta, key=lambda s: (-s.probability, s.id))
 
 
-def construct_detailed(
-    instance: Instance,
-    delta: ScenarioSet,
-    engine: str = "auto",
-) -> ConstructionResult:
+def construct_detailed(instance: Instance, delta: ScenarioSet) -> ConstructionResult:
     """Scenario-weighted construction with full intermediate tables.
 
     Scenarios are processed in decreasing probability order (id tie-break).
     Per-scenario problems that have no feasible solution contribute nothing
-    to the discount table but keep their weight in the expected fuel.
+    to the discount table but keep their weight in the expected fuel. Every
+    solve is ``solve_deterministic``'s: exact up to ``EXACT_TARGET_LIMIT``
+    targets, greedy beyond it.
     """
     if len(delta) == 0:
         raise ValueError("construction needs at least one scenario")
-    engine = resolve_engine(engine, instance)
     ordered = _scenario_order(delta)
     solutions: list[tuple[int, Optional[RouteSet]]] = []
     nodes: list[Optional[int]] = []
     for s in ordered:
         problem = DetProblem(instance, fuel_override=np.array(s.fuel))
-        sol = solve_deterministic(problem, engine)
+        sol = solve_deterministic(problem)
         solutions.append((s.id, None if sol is None else sol.routes))
         nodes.append(None if sol is None else sol.nodes)
     weights = construction_weights(instance, delta, solutions)
@@ -185,7 +179,7 @@ def construct_detailed(
         cost_override=weights.weighted_cost.copy(),
         fuel_override=weights.expected_fuel.copy(),
     )
-    final = solve_deterministic(final_problem, engine)
+    final = solve_deterministic(final_problem)
 
     routes, fallback = None, "none"
     if final is not None:
@@ -210,7 +204,6 @@ def construct_detailed(
         routes=routes,
         weights=weights,
         scenario_solutions=tuple(solutions),
-        engine=engine,
         fallback=fallback,
         scenario_nodes=tuple(nodes),
         final_nodes=None if final is None else final.nodes,
@@ -232,19 +225,13 @@ def _best_feasible_fallback(
     if not candidates:
         raise RuntimeError("construction found no nominally feasible routes")
     evaluator = TwoStageEvaluator(instance, delta)
-    observed: list[float] = []
-    parts = []
-    for cand in candidates:
-        part = evaluator.parts(cand.bare_sequences(instance))
-        parts.append(part)
-        if part is not None:
-            observed.extend(part[2])
-    evaluator.policy = PenaltyPolicy.from_betas(instance, observed)
+    bares = [cand.bare_sequences(instance) for cand in candidates]
+    evaluator.calibrate(*bares)
     scored = []
-    for cand, part in zip(candidates, parts):
-        if part is None:
+    for bare in bares:
+        ev = evaluator.evaluate(bare)
+        if ev is None:
             continue
-        ev = evaluator.evaluate(cand.bare_sequences(instance))
         scored.append((ev.objective, ev.routes.canonical().routes, ev.routes))
     if not scored:
         raise RuntimeError("construction found no nominally feasible routes")
@@ -283,25 +270,18 @@ class TwoStageEvaluator:
     sequence is inserted once per instance and each leg priced once per
     evaluator. Scores fold first-stage costs and recourse sums over
     the routes in route order, so a route set costs the same however its
-    routes reached the memo. The penalty is calibrated once (largest
-    recourse cost seen at calibration plus twice all home round trips) and
-    then held fixed.
+    routes reached the memo. The penalty is set once by ``calibrate``
+    (largest recourse cost seen at calibration plus twice all home round
+    trips) and then held fixed.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        delta: ScenarioSet,
-        penalty: Optional[float] = None,
-    ) -> None:
+    def __init__(self, instance: Instance, delta: ScenarioSet) -> None:
         self.instance = instance
         self.delta = delta
         self._legs = LegMemo(instance, delta)
         self._probabilities = tuple(s.probability for s in delta)
         self._memo: dict[tuple[int, ...], Optional[RouteScore]] = {}
-        self.policy: Optional[PenaltyPolicy] = (
-            None if penalty is None else PenaltyPolicy(nu=penalty)
-        )
+        self.policy: Optional[PenaltyPolicy] = None
 
     @property
     def sequences(self) -> int:
@@ -375,18 +355,25 @@ class TwoStageEvaluator:
         stage1, betas = self.fold(entries)
         return tuple(e[0] for e in entries), stage1, betas
 
-    def calibrate(self, bare: Sequence[tuple[int, ...]]) -> None:
-        parts = self.parts(bare)
-        if parts is None:
-            raise ValueError("cannot calibrate penalty: routes are not insertable")
-        self.policy = PenaltyPolicy.from_betas(self.instance, parts[2])
+    def calibrate(self, *bares: Sequence[tuple[int, ...]]) -> None:
+        """Set the penalty from the recourse costs of the given route sets
+        (``PenaltyPolicy.from_betas``); route sets with no insertion add
+        none."""
+        observed: list[float] = []
+        for bare in bares:
+            parts = self.parts(bare)
+            if parts is not None:
+                observed.extend(parts[2])
+        self.policy = PenaltyPolicy.from_betas(self.instance, observed)
 
     def evaluate(self, bare: Sequence[tuple[int, ...]]) -> Optional[Evaluation]:
-        if self.policy is None:
-            raise RuntimeError("penalty not calibrated")
+        """The penalized score of one route set; None when some route has no
+        insertion. Needs a calibrated penalty."""
         parts = self.parts(bare)
         if parts is None:
             return None
+        if self.policy is None:
+            raise RuntimeError("penalty not calibrated")
         realized, stage1, betas = parts
         return Evaluation(
             bare=tuple(tuple(q) for q in bare),
@@ -664,10 +651,9 @@ def tabu_improve(
     kind one of "move", "stagnant", "reset".
     """
     tenure = params.resolved_tenure(instance.n_targets)
-    evaluator = TwoStageEvaluator(instance, delta, penalty=params.penalty)
+    evaluator = TwoStageEvaluator(instance, delta)
     bare0 = initial.bare_sequences(instance)
-    if evaluator.policy is None:
-        evaluator.calibrate(bare0)
+    evaluator.calibrate(bare0)
     current = evaluator.evaluate(bare0)
     if current is None:
         raise ValueError("initial routes cannot be made nominally feasible")

@@ -155,8 +155,7 @@ def generate_instance(config: GenConfig) -> Instance:
             fuel_factor=config.fuel_factor,
             grid=config.grid,
         )
-        result = validate_instance(instance)
-        if not result.fatal:
+        if not validate_instance(instance):
             return instance
     raise ValueError(
         f"infeasible configuration: no reachable layout in {MAX_RETRIES} "
@@ -409,7 +408,6 @@ def sample_scenarios(
     gamma_shape: float = 4.0,
     gamma_scale_ratio: float = 0.25,
     distribution: str = "gamma",
-    label: str = "",
 ) -> ScenarioSet:
     """Draw equiprobable fuel scenarios correlated by quadrant role.
 
@@ -486,6 +484,5 @@ def sample_scenarios(
             # one accepted variate per edge, every other one consumed was rejected
             rejected += used - len(specs)
             scenarios.append(Scenario(id=sid, probability=prob, fuel=fuel))
-    if not label:
-        label = f"{distribution}:seed={seed}:count={count}"
+    label = f"{distribution}:seed={seed}:count={count}"
     return ScenarioSet(tuple(scenarios), label=label, rejections=rejected)

@@ -25,8 +25,6 @@ __all__ = [
     "ScenarioSet",
     "RouteSet",
     "RecoursePlan",
-    "ValidationIssue",
-    "ValidationResult",
     "make_instance",
     "euclidean_matrix",
     "is_metric",
@@ -297,28 +295,6 @@ class RecoursePlan:
         return math.isfinite(self.beta)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    message: str
-    fatal: bool = False
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    issues: tuple[ValidationIssue, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    @property
-    def fatal(self) -> bool:
-        return any(i.fatal for i in self.issues)
-
-    def messages(self) -> tuple[str, ...]:
-        return tuple(i.message for i in self.issues)
-
-
 def make_instance(
     target_coords: Sequence[tuple[float, float]],
     refuel_coords: Sequence[tuple[float, float]],
@@ -369,67 +345,55 @@ def make_instance(
 
 def validate_instance(
     instance: Instance, scenario_set: Optional[ScenarioSet] = None
-) -> ValidationResult:
-    """Check structural invariants; reachability failures are fatal."""
-    issues: list[ValidationIssue] = []
+) -> tuple[str, ...]:
+    """Reasons to refuse the instance, and the scenario set when given: bad
+    shapes, non-finite numbers, a capacity that is not positive and targets
+    no depot round trip can reach. Empty when both are usable."""
+    refusals: list[str] = []
     n = instance.n_vertices
     if instance.n_targets < 1:
-        issues.append(ValidationIssue("instance has no targets", fatal=True))
+        refusals.append("instance has no targets")
     if instance.vehicles < 1:
-        issues.append(ValidationIssue("vehicle count must be at least 1", fatal=True))
+        refusals.append("vehicle count must be at least 1")
     if instance.n_targets >= 1 and instance.vehicles > instance.n_targets:
-        issues.append(
-            ValidationIssue(
-                f"{instance.vehicles} vehicles exceed {instance.n_targets} targets "
-                "(empty routes are not allowed)",
-                fatal=True,
-            )
+        refusals.append(
+            f"{instance.vehicles} vehicles exceed {instance.n_targets} targets "
+            "(empty routes are not allowed)"
         )
+    shapes_ok = True
     for name, mat in (("cost", instance.cost), ("nominal_fuel", instance.nominal_fuel)):
         if mat.shape != (n, n):
-            issues.append(ValidationIssue(f"{name} matrix shape {mat.shape} != ({n}, {n})", fatal=True))
-            continue
-        off = ~np.eye(n, dtype=bool)
-        if not np.all(mat[off] > 0):
-            issues.append(ValidationIssue(f"{name} has non-positive off-diagonal entries"))
-    coords_ok = instance.coordinates.shape == (n, 2)
-    if not coords_ok:
-        issues.append(
-            ValidationIssue(
-                f"coordinates shape {instance.coordinates.shape} != ({n}, 2)", fatal=True
-            )
-        )
-    if coords_ok and instance.cost.shape == (n, n) and instance.nominal_fuel.shape == (n, n):
-        if instance.fuel_capacity <= 0:
-            issues.append(ValidationIssue("fuel capacity must be positive", fatal=True))
+            refusals.append(f"{name} matrix shape {mat.shape} != ({n}, {n})")
+            shapes_ok = False
+    if instance.coordinates.shape != (n, 2):
+        refusals.append(f"coordinates shape {instance.coordinates.shape} != ({n}, 2)")
+        shapes_ok = False
+    for name, arr in (
+        ("coordinates", instance.coordinates),
+        ("cost", instance.cost),
+        ("nominal_fuel", instance.nominal_fuel),
+    ):
+        if not np.isfinite(arr).all():
+            refusals.append(f"{name} has non-finite entries")
+    capacity = instance.fuel_capacity
+    if not (math.isfinite(capacity) and capacity > 0):
+        refusals.append(f"fuel capacity must be finite and positive, got {capacity!r}")
+    elif shapes_ok:
         exit_fuel = instance.min_exit_fuel
         entry_fuel = instance.min_entry_fuel
         for t in instance.target_indices:
-            if entry_fuel[t] + exit_fuel[t] > instance.fuel_capacity:
-                issues.append(
-                    ValidationIssue(
-                        f"target {instance.vertices[t]} unreachable: cheapest depot "
-                        f"round trip needs {entry_fuel[t] + exit_fuel[t]:.6g} fuel, "
-                        f"capacity is {instance.fuel_capacity:.6g}",
-                        fatal=True,
-                    )
+            if entry_fuel[t] + exit_fuel[t] > capacity:
+                refusals.append(
+                    f"target {instance.vertices[t]} unreachable: cheapest depot "
+                    f"round trip needs {entry_fuel[t] + exit_fuel[t]:.6g} fuel, "
+                    f"capacity is {capacity:.6g}"
                 )
-    if scenario_set is not None:
-        total = math.fsum(s.probability for s in scenario_set)
-        if abs(total - 1.0) > PROB_TOL:
-            issues.append(
-                ValidationIssue(f"scenario probabilities sum to {total!r}", fatal=True)
-            )
-        for s in scenario_set:
-            if s.fuel.shape != (n, n):
-                issues.append(
-                    ValidationIssue(f"scenario {s.id} fuel shape {s.fuel.shape} != ({n}, {n})", fatal=True)
-                )
-            else:
-                off = ~np.eye(n, dtype=bool)
-                if not np.all(s.fuel[off] > 0):
-                    issues.append(ValidationIssue(f"scenario {s.id} has non-positive fuel entries"))
-    return ValidationResult(tuple(issues))
+    for s in scenario_set or ():
+        if s.fuel.shape != (n, n):
+            refusals.append(f"scenario {s.id} fuel shape {s.fuel.shape} != ({n}, {n})")
+        elif not np.isfinite(s.fuel).all():
+            refusals.append(f"scenario {s.id} fuel has non-finite entries")
+    return tuple(refusals)
 
 
 def check_route_structure(routes: RouteSet, instance: Instance) -> None:

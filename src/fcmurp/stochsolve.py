@@ -396,7 +396,6 @@ def saa_upper_bound(
     candidates: Sequence[RouteSet],
     lam: ScenarioSet,
     instance: Instance,
-    policy: Optional[PenaltyPolicy] = None,
     reference: Optional[RouteSet] = None,
 ) -> UpperBoundResult:
     """Out-of-sample cost of each candidate; returns the argmin.
@@ -410,8 +409,8 @@ def saa_upper_bound(
     estimate equals the candidate's exactly. Per-scenario values are
     first-stage cost plus that scenario's recourse cost, so each estimate
     mean is the sampled expectation. Scenarios no detour plan can recover are
-    charged the penalty and counted; without an explicit ``policy`` the
-    penalty is calibrated on every finite recourse cost of the same pass, so
+    charged the penalty and counted. The penalty is calibrated on every
+    finite recourse cost of the same pass (``PenaltyPolicy.from_betas``), so
     candidate and reference scores stay comparable.
     """
     if not candidates:
@@ -434,8 +433,7 @@ def saa_upper_bound(
             plan = evaluate_recourse(routes, s, instance, table)
             betas[r].append(plan.beta)
             needs_recourse[r] += bool(plan.detoured_edges) or not plan.feasible
-    if policy is None:
-        policy = PenaltyPolicy.from_betas(instance, [b for row in betas for b in row])
+    policy = PenaltyPolicy.from_betas(instance, [b for row in betas for b in row])
     estimates = []
     penalized = []
     for routes, row in zip(scored, betas):
@@ -462,22 +460,18 @@ def saa_upper_bound(
     )
 
 
-def solve_evp(
-    instance: Instance,
-    engine: str = "auto",
-    mean_fuel: Optional[np.ndarray] = None,
-) -> DetSolution:
+def solve_evp(instance: Instance, mean_fuel: Optional[np.ndarray] = None) -> DetSolution:
     """Mean-value problem: deterministic solve with fuel at its mean.
 
     The default mean is the instance's nominal matrix; pass ``mean_fuel`` to
-    use a distribution mean instead. Engine "auto" solves exactly up to the
-    desk-scale limit and greedily beyond it.
+    use a distribution mean instead. ``solve_deterministic`` solves it:
+    exactly up to ``EXACT_TARGET_LIMIT`` targets, greedily beyond it.
     """
     if mean_fuel is None:
         problem = instance.nominal_problem
     else:
         problem = DetProblem(instance, fuel_override=np.array(mean_fuel, dtype=float))
-    sol = solve_deterministic(problem, engine)
+    sol = solve_deterministic(problem)
     if sol is None:
         raise RuntimeError("mean-value problem is infeasible")
     return sol

@@ -581,10 +581,9 @@ def tabu_by_full_evaluation(
     neighbor's insertion.
     """
     tenure = params.resolved_tenure(instance.n_targets)
-    evaluator = TwoStageEvaluator(instance, delta, penalty=params.penalty)
+    evaluator = TwoStageEvaluator(instance, delta)
     bare0 = initial.bare_sequences(instance)
-    if evaluator.policy is None:
-        evaluator.calibrate(bare0)
+    evaluator.calibrate(bare0)
     current = evaluator.evaluate(bare0)
     if current is None:
         raise ValueError("initial routes cannot be made nominally feasible")

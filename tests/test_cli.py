@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, seeds, and stable bytes."""
 
 import json
+import math
 import os
 
 import pytest
@@ -10,7 +11,7 @@ import fcmurp.cli
 import fcmurp.stochsolve
 from fcmurp.cli import main
 from fcmurp.detsolve import EXACT_TARGET_LIMIT
-from fcmurp.files import CSV_HEADER
+from fcmurp.files import CSV_HEADER, FORMAT_VERSION
 from fcmurp.instgen import SamplerError
 
 
@@ -62,6 +63,24 @@ def test_generate_usage_and_infeasibility_exit_codes(runner, tmp_path):
     assert "--vehicles" in surplus.output
     cramped = gen(runner, str(tmp_path), extra=("--fuel-factor", "0.05"))
     assert cramped.exit_code == 4
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--grid", "nan"),
+        ("--grid", "inf"),
+        ("--grid", "-5"),
+        ("--fuel-factor", "nan"),
+        ("--fuel-factor", "inf"),
+    ],
+)
+def test_generate_refuses_sizes_that_are_not_finite_and_positive(runner, tmp_path, flag, value):
+    out = tmp_path / "inst"
+    args = ["generate", "--targets", "4", "--out", str(out), flag, value]
+    output = invoke_one_line_error(runner, args, 2)
+    assert flag in output
+    assert not out.exists()
 
 
 def test_environment_seed_overrides_the_flag(runner, tmp_path):
@@ -185,6 +204,14 @@ def test_solve_threads_accepts_only_1(runner, tmp_path):
     )
     assert two.exit_code == 2
     assert not (tmp_path / "two").exists()
+
+
+def test_solve_option_names_are_pinned():
+    names = {opt for param in fcmurp.cli.solve.params for opt in param.opts}
+    assert names == {
+        "--instance", "--quadrants", "--mode", "--seed", "--n", "--m", "--lambda",
+        "--iterations", "--stall-limit", "--tenure", "--threads", "--name", "--out",
+    }
 
 
 def test_solve_saa_refuses_oversized_requests(runner, tmp_path):
@@ -605,6 +632,75 @@ def test_solve_refuses_a_truncated_cost_matrix(runner, tmp_path):
         args = solve_args(src, str(tmp_path / "out"), "saa", **{"--instance": bad})
         output = invoke_one_line_error(runner, args, 3)
         assert "instance document" in output
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("fuel_capacity",), math.nan),
+        (("fuel_capacity",), math.inf),
+        (("coordinates", 5, 0), math.nan),
+        (("cost", 5, 6), math.nan),
+        (("nominal_fuel", 6, 5), math.inf),
+    ],
+    ids=["capacity-nan", "capacity-inf", "coordinate-nan", "cost-nan", "fuel-inf"],
+)
+def test_solve_refuses_non_finite_instance_numbers(runner, tmp_path, where, value):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    doc = read_json(os.path.join(src, "instance.json"))
+    *outer, last = where
+    part = doc
+    for key in outer:
+        part = part[key]
+    part[last] = value
+    bad = os.path.join(src, "bad.json")
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    args = solve_args(src, str(tmp_path / "out"), "evp", **{"--instance": bad})
+    output = invoke_one_line_error(runner, args, 3)
+    assert "invalid instance document" in output
+
+
+def test_evaluate_refuses_a_non_finite_scenario_fuel_entry(runner, tmp_path, sampled_inputs):
+    doc = read_json(os.path.join(sampled_inputs, "scen.json"))
+    doc["scenarios"][1]["fuel"][5][6] = math.nan
+    bad = str(tmp_path / "scen.json")
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    args = [
+        "evaluate",
+        "--instance", os.path.join(sampled_inputs, "instance.json"),
+        "--solution", os.path.join(sampled_inputs, "evp", "solution.json"),
+        "--scenarios", bad,
+    ]
+    output = invoke_one_line_error(runner, args, 3)
+    assert "scenario 1 fuel has non-finite entries" in output
+
+
+def test_evaluate_refuses_routes_that_run_out_of_nominal_fuel(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    made = gen(runner, src, seed=7, targets=5, extra=("--fuel-factor", "1.2"))
+    assert made.exit_code == 0, made.output
+    solution = os.path.join(src, "solution.json")
+    with open(solution, "w", encoding="utf-8") as handle:
+        json.dump(
+            {
+                "format_version": FORMAT_VERSION,
+                "kind": "solution",
+                "routes": [[0, 5, 6, 7, 0], [0, 8, 9, 0]],
+            },
+            handle,
+        )
+    args = [
+        "evaluate",
+        "--instance", os.path.join(src, "instance.json"),
+        "--solution", solution,
+        "--quadrants", os.path.join(src, "quadrants.json"),
+        "--lambda", "20",
+    ]
+    output = invoke_one_line_error(runner, args, 3)
+    assert "run out of fuel under nominal consumption" in output
 
 
 def test_solve_refuses_a_quadrant_map_of_another_instance(runner, tmp_path):

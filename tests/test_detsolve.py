@@ -15,7 +15,6 @@ from fcmurp.detsolve import (
     DetProblem,
     branching_order,
     optimal_depot_insertion,
-    resolve_engine,
     solve_deterministic,
     solve_deterministic_exact,
     solve_deterministic_greedy,
@@ -513,14 +512,9 @@ def test_exact_enumeration_agreement_property(seed):
 def test_engine_rule_is_one_target_limit():
     small, _ = make_case(seed=6, n_targets=EXACT_TARGET_LIMIT, vehicles=2)
     large, _ = make_case(seed=6, n_targets=EXACT_TARGET_LIMIT + 1, vehicles=2)
-    assert resolve_engine("auto", small) == "exact"
-    assert resolve_engine("auto", large) == "greedy"
-    assert resolve_engine("greedy", small) == "greedy"
-    with pytest.raises(ValueError, match="unknown engine 'simplex'"):
-        resolve_engine("simplex", small)
-    with pytest.raises(ValueError, match="unknown engine 'simplex'"):
-        solve_deterministic(small, "simplex")
-    inst, _ = make_case(seed=6, n_targets=4, vehicles=2)
-    exact = solve_deterministic(inst)
-    assert exact == solve_deterministic_exact(DetProblem(inst))
-    assert solve_deterministic(inst, "greedy") == solve_deterministic_greedy(inst)
+    exact = solve_deterministic(small)
+    assert exact == solve_deterministic_exact(DetProblem(small))
+    assert exact.optimal and exact.nodes > 0
+    greedy = solve_deterministic(large)
+    assert greedy == solve_deterministic_greedy(large)
+    assert not greedy.optimal and greedy.nodes == 0

@@ -95,7 +95,7 @@ def test_construct_returns_routes_and_uses_exact_engine_on_small_cases():
     inst, qmap = make_case(seed=9, n_targets=5, vehicles=2)
     delta = make_scenarios(inst, qmap, seed=4, count=3)
     res = construct_detailed(inst, delta)
-    assert res.engine == "exact"
+    assert res.final_nodes > 0
     assert res.fallback == "none"
     assert nominal_feasibility(res.routes, inst)
 
@@ -104,7 +104,7 @@ def test_construct_switches_to_greedy_beyond_the_exact_limit():
     inst, qmap = make_case(seed=9, n_targets=EXACT_TARGET_LIMIT + 1, vehicles=3)
     delta = make_scenarios(inst, qmap, seed=4, count=2)
     res = construct_detailed(inst, delta)
-    assert res.engine == "greedy"
+    assert res.final_nodes == 0
     assert nominal_feasibility(res.routes, inst)
 
 
@@ -128,12 +128,6 @@ def test_construct_rejects_an_empty_scenario_set():
     inst = square_instance()
     with pytest.raises(ValueError):
         construct_detailed(inst, ScenarioSet((), label="empty"))
-
-
-def test_unknown_engine_is_rejected():
-    inst = square_instance()
-    with pytest.raises(ValueError):
-        construct_detailed(inst, point_mass(inst), engine="simplex")
 
 
 def test_evaluator_requires_calibration_before_scoring():
@@ -179,7 +173,7 @@ def test_evaluator_charges_the_penalty_for_unrecoverable_scenarios():
 
 def test_evaluator_returns_none_for_uninsertable_groupings():
     inst = square_instance(vehicles=1, fuel_factor=1.5)
-    ev = TwoStageEvaluator(inst, point_mass(inst), penalty=100.0)
+    ev = TwoStageEvaluator(inst, point_mass(inst))
     assert ev.parts(((2, 3),)) is None
     assert ev.evaluate(((2, 3),)) is None
 
@@ -315,18 +309,18 @@ def test_tabu_improves_on_a_poor_start():
     assert nominal_feasibility(res.routes, inst)
 
 
-# (seed, targets, fuel factor, scale of scenario 0's fuel, penalty)
+# (seed, targets, fuel factor, scale of scenario 0's fuel)
 SCAN_CASES = (
-    (2, 8, 1.0, 1.0, None),
-    (5, 8, 1.0, 1.0, 400.0),
-    (14, 8, 2.25, 2.2, None),
-    (3, 20, 1.05, 1.0, None),
-    (3, 20, 1.0, 1.0, None),
-    (12, 20, 2.25, 1.0, 600.0),
+    (2, 8, 1.0, 1.0),
+    (5, 8, 1.0, 1.0),
+    (14, 8, 2.25, 2.2),
+    (3, 20, 1.05, 1.0),
+    (3, 20, 1.0, 1.0),
+    (12, 20, 2.25, 1.0),
 )
 
 
-def scan_case(seed, n, fuel_factor, scale, penalty):
+def scan_case(seed, n, fuel_factor, scale):
     """Instance, sample (scenario 0's fuel scaled), greedy start and params."""
     inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3, fuel_factor=fuel_factor)
     sampled = make_scenarios(inst, qmap, seed=seed + 1, count=3)
@@ -338,7 +332,7 @@ def scan_case(seed, n, fuel_factor, scale, penalty):
         label=f"scaled:{scale}",
     )
     start = solve_deterministic_greedy(inst).routes
-    return inst, delta, start, TabuParams(iterations=30, stall_limit=30, penalty=penalty)
+    return inst, delta, start, TabuParams(iterations=30, stall_limit=30)
 
 
 def test_tabu_scan_matches_full_evaluation():

@@ -15,12 +15,14 @@ from conftest import (
     square_instance,
 )
 from fcmurp.detsolve import (
+    EXACT_TARGET_LIMIT,
     DetProblem,
     optimal_depot_insertion,
     solve_deterministic_exact,
+    solve_deterministic_greedy,
 )
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, make_instance, route_cost
-from fcmurp.recourse import LegMemo, PenaltyPolicy, evaluate_recourse, precompute_best_depot
+from fcmurp.recourse import LegMemo, evaluate_recourse, precompute_best_depot
 from fcmurp.stochsolve import (
     BoundEstimate,
     SaaConfig,
@@ -259,8 +261,6 @@ def test_upper_bound_charges_the_penalty_for_unrecoverable_scenarios():
         float(inst.cost[0, t]) + float(inst.cost[t, 0]) for t in inst.target_indices
     )
     assert res.estimate.values == (stage1, stage1 + expected_nu)
-    explicit = saa_upper_bound([routes], lam, inst, policy=PenaltyPolicy(nu=7.0))
-    assert explicit.estimate.values == (stage1, stage1 + 7.0)
 
 
 def test_eev_is_the_single_candidate_out_of_sample_cost():
@@ -298,15 +298,14 @@ def test_a_reference_equal_to_a_candidate_up_to_route_order_shares_its_score():
 
 def test_evp_engines_agree_and_validate():
     inst, _ = make_case(seed=13, n_targets=5, vehicles=2)
-    auto = solve_evp(inst)
-    exact = solve_evp(inst, engine="exact")
-    greedy = solve_evp(inst, engine="greedy")
-    assert auto.cost == exact.cost
+    exact = solve_evp(inst)
+    assert exact == solve_deterministic_exact(inst.nominal_problem)
+    greedy = solve_deterministic_greedy(inst)
     assert greedy.cost >= exact.cost - 1e-9
+    large, _ = make_case(seed=13, n_targets=EXACT_TARGET_LIMIT + 1, vehicles=2)
+    assert solve_evp(large) == solve_deterministic_greedy(large)
     laxer = solve_evp(inst, mean_fuel=np.array(inst.nominal_fuel) * 0.5)
     assert laxer.cost <= exact.cost + 1e-9
-    with pytest.raises(ValueError):
-        solve_evp(inst, engine="simplex")
     with pytest.raises(RuntimeError):
         solve_evp(inst, mean_fuel=np.array(inst.nominal_fuel) * 100.0)
 
