@@ -23,7 +23,6 @@ from .recourse import (
 )
 from .detsolve import (
     DetProblem,
-    BnBConfig,
     DetSolution,
     optimal_depot_insertion,
     solve_deterministic_exact,

@@ -352,10 +352,7 @@ def solve(
         gamma_seeds, gamma_rejections = list(lb.gamma_seeds), list(lb.rejections)
         lb_estimate = lb.estimate
         search_counters = {
-            "saa_replications": [
-                {"nodes": s.nodes, "optimal": s.optimal, "legs": s.legs}
-                for s in lb.solutions
-            ]
+            "saa_replications": [{"nodes": s.nodes, "legs": s.legs} for s in lb.solutions]
         }
     else:
         params = TabuParams(
@@ -473,6 +470,8 @@ def evaluate(
     seed = _effective_seed(seed)
     instance = _read_instance(instance_path)
     routes, _ = solution_from_doc(read_document(solution_path, kind="solution"), instance)
+    if result_path is not None:
+        report = report_from_doc(read_document(result_path, kind="result"))
     if scenarios_path is not None:
         lam = scenarios_from_doc(read_document(scenarios_path, kind="scenario_set"))
         refusals = validate_instance(instance, lam)
@@ -493,7 +492,6 @@ def evaluate(
     if res.penalized_scenarios:
         click.echo(f"penalized scenarios: {res.penalized_scenarios}", err=True)
     if result_path is not None:
-        report = report_from_doc(read_document(result_path, kind="result"))
         try:
             report = replace(report, **{column: est})
         except ValueError as exc:

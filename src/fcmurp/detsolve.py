@@ -26,7 +26,6 @@ from .model import (
 
 __all__ = [
     "DetProblem",
-    "BnBConfig",
     "DetSolution",
     "optimal_depot_insertion",
     "solve_deterministic_exact",
@@ -188,23 +187,11 @@ class DetProblem:
 
 
 @dataclass(frozen=True)
-class BnBConfig:
-    """Search limits and pruning switches for the exact solver."""
-
-    node_limit: Optional[int] = None
-    strengthened_pruning: bool = True
-
-
-@dataclass(frozen=True)
 class DetSolution:
     routes: RouteSet
     cost: float
     optimal: bool
     nodes: int
-
-
-class _SearchLimit(Exception):
-    pass
 
 
 # Completion bounds are mathematically admissible but folded in a different
@@ -466,9 +453,9 @@ def _min_arrival_step(
 
 def _branch_routes(
     problem: DetProblem,
-    config: BnBConfig,
     score_route: Callable[[tuple[int, ...]], Optional[tuple[tuple[int, ...], float]]],
-) -> tuple[Optional[tuple[tuple[int, ...], ...]], float, bool, int]:
+    strengthened_pruning: bool = True,
+) -> tuple[Optional[tuple[tuple[int, ...], ...]], float, int]:
     """Shared search over target partitions and orders.
 
     ``score_route`` turns a closed bare sequence into a realized route and
@@ -479,9 +466,8 @@ def _branch_routes(
     The incumbent is the greedy solution: its bare sequences scored by
     ``score_route``, the scores folded left to right, plus ``_BOUND_EPS``.
     Seeding slightly above its value forces the search to revisit it as a
-    leaf, so the answer always carries the canonical fold and tie-break
-    key; only a node limit that cuts the search first returns the greedy
-    routes themselves.
+    leaf, so the answer carries the canonical fold and tie-break key.
+    Returns the best routes, their total and the number of nodes.
     """
     inst = problem.instance
     floor = problem.edge_floor_rows
@@ -489,7 +475,6 @@ def _branch_routes(
     exit_fuel = problem.exit_fuel_list
     order = branching_order(problem)
     rank = {t: i for i, t in enumerate(order)}
-    strengthened = config.strengthened_pruning
 
     best_total = math.inf
     best_routes = None
@@ -506,52 +491,65 @@ def _branch_routes(
             best_key = tuple(sorted(best_routes))
     nodes = 0
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if config.node_limit is not None and nodes > config.node_limit:
-            raise _SearchLimit()
-
-    def descend(
-        open_seq: list[int],
-        open_first_rank: int,
-        open_bare: float,
-        open_fuel_lb: float,
+    def extend(
+        seq: list[int],
+        first_rank: int,
+        last: int,
+        bare: float,
+        fuel_lb: float,
         unvisited: set[int],
         m_rem: int,
         acc: float,
         closed: list[tuple[int, ...]],
     ) -> None:
-        nonlocal best_total, best_routes, best_key
-        tick()
-        last_v = open_seq[-1]
-        # extend the open route
-        if len(unvisited) > m_rem:
-            for t in order:
-                if t not in unvisited:
-                    continue
-                fuel_lb = _min_arrival_step(problem, open_fuel_lb, last_v, t)
-                if fuel_lb > cap:
-                    continue
-                if strengthened and fuel_lb + exit_fuel[t] > cap:
-                    continue
-                bare = open_bare + floor[last_v][t]
-                rest = unvisited - {t}
-                bound = _completion_bound(problem, acc, bare, t, rest, m_rem)
-                if bound > best_total + _BOUND_EPS:
-                    continue
-                open_seq.append(t)
-                descend(open_seq, open_first_rank, bare, fuel_lb, rest, m_rem, acc, closed)
-                open_seq.pop()
-        # close the open route
+        """Descend into each child that appends an unvisited target to the
+        open route ``seq`` ending at ``last``. An empty ``seq`` opens a route
+        from home, and its first target must rank after ``first_rank``, the
+        just-closed route's first target."""
+        if len(unvisited) <= m_rem:
+            return
+        opening = not seq
+        for t in order:
+            if t not in unvisited or (opening and rank[t] <= first_rank):
+                continue
+            t_fuel_lb = _min_arrival_step(problem, fuel_lb, last, t)
+            if t_fuel_lb > cap:
+                continue
+            if strengthened_pruning and t_fuel_lb + exit_fuel[t] > cap:
+                continue
+            t_bare = bare + floor[last][t]
+            rest = unvisited - {t}
+            bound = _completion_bound(problem, acc, t_bare, t, rest, m_rem)
+            if bound > best_total + _BOUND_EPS:
+                continue
+            seq.append(t)
+            descend(
+                seq, rank[t] if opening else first_rank, t_bare, t_fuel_lb,
+                rest, m_rem, acc, closed,
+            )
+            seq.pop()
+
+    def descend(
+        seq: list[int],
+        first_rank: int,
+        bare: float,
+        fuel_lb: float,
+        unvisited: set[int],
+        m_rem: int,
+        acc: float,
+        closed: list[tuple[int, ...]],
+    ) -> None:
+        """Count the node, extend its open route ``seq``, then close it."""
+        nonlocal best_total, best_routes, best_key, nodes
+        nodes += 1
+        last = seq[-1]
+        extend(seq, first_rank, last, bare, fuel_lb, unvisited, m_rem, acc, closed)
         if m_rem == 0 and unvisited:
             return
-        if m_rem > 0 and not unvisited:
-            return
-        end_lb = _min_arrival_step(problem, open_fuel_lb, last_v, 0)
+        end_lb = _min_arrival_step(problem, fuel_lb, last, 0)
         if end_lb > cap:
             return
-        scored = score_route(tuple(open_seq))
+        scored = score_route(tuple(seq))
         if scored is None:
             return
         realized, score = scored
@@ -564,62 +562,36 @@ def _branch_routes(
                 best_routes = tuple(closed)
                 best_key = key
         else:
-            open_route(open_first_rank, unvisited, m_rem, acc2, closed)
+            extend([], first_rank, 0, 0.0, 0.0, unvisited, m_rem - 1, acc2, closed)
         closed.pop()
 
-    def open_route(
-        after_rank: int, unvisited: set[int], m_open: int, acc: float, closed: list
-    ) -> None:
-        """Descend into a new route at each unvisited target ranked after
-        ``after_rank``, with ``m_open`` routes to open counting this one."""
-        for f in order:
-            if f not in unvisited or rank[f] <= after_rank:
-                continue
-            entry_lb = _min_arrival_step(problem, 0.0, 0, f)
-            if entry_lb > cap:
-                continue
-            if strengthened and entry_lb + exit_fuel[f] > cap:
-                continue
-            bare = floor[0][f]
-            rest = unvisited - {f}
-            bound = _completion_bound(problem, acc, bare, f, rest, m_open - 1)
-            if bound > best_total + _BOUND_EPS:
-                continue
-            descend([f], rank[f], bare, entry_lb, rest, m_open - 1, acc, closed)
-
-    optimal = True
-    try:
-        open_route(-1, set(inst.target_indices), inst.vehicles, 0.0, [])
-    except _SearchLimit:
-        optimal = False
-    return best_routes, best_total, optimal, nodes
+    extend([], -1, 0, 0.0, 0.0, set(inst.target_indices), inst.vehicles - 1, 0.0, [])
+    return best_routes, best_total, nodes
 
 
 def solve_deterministic_exact(
-    problem: DetProblem | Instance, config: Optional[BnBConfig] = None
+    problem: DetProblem | Instance, strengthened_pruning: bool = True
 ) -> Optional[DetSolution]:
     """Minimum-cost routes under the active matrices, or None if infeasible.
 
-    The optimality flag drops to false when the node limit interrupts the
-    search; the best incumbent found so far is still returned.
+    ``strengthened_pruning`` also cuts a child whose arrival fuel leaves no
+    reserve to exit to a depot; the answer is the same either way.
     """
     if isinstance(problem, Instance):
         problem = problem.nominal_problem
-    if config is None:
-        config = BnBConfig()
     inst = problem.instance
     if inst.vehicles > inst.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
 
-    routes, total, optimal, nodes = _branch_routes(
-        problem, config, lambda seq: optimal_depot_insertion(seq, problem)
+    routes, total, nodes = _branch_routes(
+        problem, lambda seq: optimal_depot_insertion(seq, problem), strengthened_pruning
     )
     if routes is None:
         return None
     return DetSolution(
         routes=RouteSet.from_sequences(routes, inst.n_depots),
         cost=float(total),
-        optimal=optimal,
+        optimal=True,
         nodes=nodes,
     )
 

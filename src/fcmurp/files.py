@@ -283,9 +283,12 @@ def report_to_doc(report: SaaReport) -> dict:
 
 def report_from_doc(doc: dict) -> SaaReport:
     try:
+        ev = float(doc["ev"])
+        if not math.isfinite(ev):
+            raise ValueError(f"ev must be finite, got {ev!r}")
         return SaaReport(
             instance_name=str(doc["instance_name"]),
-            ev=float(doc["ev"]),
+            ev=ev,
             ev_optimal=bool(doc["ev_optimal"]),
             eev=estimate_from_doc(doc["eev"]),
             lb=estimate_from_doc(doc["lb"]),

@@ -355,6 +355,8 @@ def validate_instance(
         refusals.append("instance has no targets")
     if instance.vehicles < 1:
         refusals.append("vehicle count must be at least 1")
+    if instance.n_refuel < 0:
+        refusals.append(f"refuel depot count must be at least 0, got {instance.n_refuel}")
     if instance.n_targets >= 1 and instance.vehicles > instance.n_targets:
         refusals.append(
             f"{instance.vehicles} vehicles exceed {instance.n_targets} targets "
@@ -378,7 +380,7 @@ def validate_instance(
     capacity = instance.fuel_capacity
     if not (math.isfinite(capacity) and capacity > 0):
         refusals.append(f"fuel capacity must be finite and positive, got {capacity!r}")
-    elif shapes_ok:
+    elif shapes_ok and instance.n_refuel >= 0:
         exit_fuel = instance.min_exit_fuel
         entry_fuel = instance.min_entry_fuel
         for t in instance.target_indices:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .detsolve import (
     _BOUND_EPS,
-    BnBConfig,
     DetProblem,
     DetSolution,
     _branch_routes,
@@ -88,12 +87,12 @@ def lambda_seed(seed: int) -> int:
 class BoundEstimate:
     """Replicated values, their mean and two spread statistics.
 
-    ``values`` are stored as floats and must not be empty; the statistics
-    are computed from them. ``dispersion`` is the squared spread sum divided
-    by count minus one (0.0 for one value), reported verbatim;
+    ``values`` are stored as floats and must be finite and not empty; the
+    statistics are computed from them. ``dispersion`` is the squared spread
+    sum divided by count minus one (0.0 for one value), reported verbatim;
     ``standard_error`` is the conventional sqrt(dispersion / count).
-    ``rigorous`` is false when any underlying solve stopped at a search
-    limit.
+    ``rigorous`` is a field of the result format; every estimate the
+    pipeline makes comes from complete searches and sets it true.
     """
 
     values: tuple[float, ...]
@@ -104,6 +103,8 @@ class BoundEstimate:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("cannot estimate from zero values")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("estimate values must be finite")
         object.__setattr__(self, "values", values)
 
     @cached_property
@@ -129,7 +130,6 @@ class SaaSolution:
 
     routes: RouteSet
     value: float
-    optimal: bool
     nodes: int
     legs: int = field(default=0, compare=False)
 
@@ -333,7 +333,7 @@ def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSol
             memo[seq] = _pattern_score(seq, legs)
         return memo[seq]
 
-    routes, total, optimal, nodes = _branch_routes(problem, BnBConfig(), score)
+    routes, total, nodes = _branch_routes(problem, score)
     if routes is None:
         return None
     route_set = RouteSet.from_sequences(routes, instance.n_depots)
@@ -343,9 +343,7 @@ def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSol
     for k, s in enumerate(gamma):
         plan = evaluate_recourse(route_set, s, instance, legs.tables[k])
         value += s.probability * plan.beta
-    return SaaSolution(
-        routes=route_set, value=float(value), optimal=optimal, nodes=nodes, legs=len(legs)
-    )
+    return SaaSolution(routes=route_set, value=float(value), nodes=nodes, legs=len(legs))
 
 
 def saa_lower_bound(
@@ -356,8 +354,7 @@ def saa_lower_bound(
     """Replicated sampled optima and their mean, the statistical lower bound.
 
     Each replication draws its own scenario sample from a replication-keyed
-    stream, solves it exactly, and contributes one value; the estimate is
-    marked non-rigorous if any replication stopped early. Replications run
+    stream, solves it exactly, and contributes one value. Replications run
     one after another in seed order: the work is pure Python, so threads
     would share one interpreter lock and finish no sooner.
     """
@@ -381,7 +378,6 @@ def saa_lower_bound(
     solutions = tuple(sol for sol, _ in solved)
     estimate = BoundEstimate(
         [s.value for s in solutions],
-        rigorous=all(s.optimal for s in solutions),
         label=f"gamma:seed={config.seed}:N={config.replications}:M={config.sample_size}",
     )
     return LowerBoundResult(
@@ -439,7 +435,7 @@ def saa_upper_bound(
     for routes, row in zip(scored, betas):
         stage1 = route_cost(routes, instance)
         values = [stage1 + b if math.isfinite(b) else stage1 + policy.nu for b in row]
-        estimates.append(BoundEstimate(values, rigorous=True, label=lam.label))
+        estimates.append(BoundEstimate(values, label=lam.label))
         penalized.append(sum(not math.isfinite(b) for b in row))
     # cheapest mean, ties to the smallest canonical route set, then the first
     index = min(

@@ -13,7 +13,7 @@ from fcmurp.instgen import (
     generate_instance,
     sample_scenarios,
 )
-from fcmurp.model import Instance, Scenario, ScenarioSet, make_instance
+from fcmurp.model import Instance, Scenario, ScenarioSet, make_instance, validate_instance
 
 
 def make_case(seed: int, n_targets: int, vehicles: int, **kwargs):
@@ -64,6 +64,26 @@ def off_triangle_instance() -> Instance:
         mat[1, :] *= 0.3
         mat[:, 1] *= 0.3
     return dataclasses.replace(inst, cost=cost, nominal_fuel=fuel)
+
+
+def tight_layouts(count: int, seed: int) -> list[Instance]:
+    """``count`` valid layouts whose tank barely covers them: 3-6 targets,
+    1-2 vehicles and 1-3 refuel depots at random sites on a 20 x 20 square
+    around home, fuel factor 1.0-1.6. On such layouts the exact search's
+    exit-reserve prune (``strengthened_pruning``) cuts nodes now and then,
+    where on ``make_case`` instances it has not been seen to cut any."""
+    rng = np.random.default_rng(seed)
+    made = []
+    while len(made) < count:
+        n = int(rng.integers(3, 7))
+        vehicles = int(rng.integers(1, 3))
+        targets = rng.uniform(-10.0, 10.0, size=(n, 2)).tolist()
+        refuel = rng.uniform(-10.0, 10.0, size=(int(rng.integers(1, 4)), 2)).tolist()
+        fuel_factor = float(rng.uniform(1.0, 1.6))
+        inst = make_instance(targets, refuel, (0.0, 0.0), vehicles, fuel_factor=fuel_factor)
+        if not validate_instance(inst):
+            made.append(inst)
+    return made
 
 
 def point_mass(instance: Instance, scale: float = 1.0, sid: int = 0) -> ScenarioSet:

@@ -517,8 +517,8 @@ def test_solve_manifest_counts_the_ev_search(runner, tmp_path):
             rows = blocks[0]["saa_replications"]
             assert len(rows) == 2
             for row in rows:
-                assert set(row) == {"nodes", "optimal", "legs"}
-                assert row["nodes"] > 0 and row["optimal"] is True
+                assert set(row) == {"nodes", "legs"}
+                assert row["nodes"] > 0
             assert_rejection_counters(blocks[0]["rejections"], replications=2)
         else:
             assert "saa_replications" not in blocks[0]
@@ -859,3 +859,63 @@ def test_report_and_evaluate_recompute_hand_edited_statistics(runner, tmp_path):
     output = invoke_one_line_error(runner, ["report", edited], 3)
     assert "zero values" in output
 
+
+
+@pytest.fixture(scope="module")
+def saa_result(tmp_path_factory):
+    """An instance with its quadrant map and a finished saa run."""
+    runner = CliRunner()
+    src = str(tmp_path_factory.mktemp("saa"))
+    assert gen(runner, src).exit_code == 0
+    out = os.path.join(src, "saa")
+    assert runner.invoke(main, solve_args(src, out, "saa")).exit_code == 0
+    return src, out
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("eev", "values", 0), math.nan, "estimate values must be finite"),
+        (("ev",), math.nan, "ev must be finite"),
+        (("lb", "values", 0), math.inf, "estimate values must be finite"),
+    ],
+    ids=["eev-nan", "ev-nan", "lb-inf"],
+)
+def test_report_and_evaluate_refuse_non_finite_result_values(
+    runner, tmp_path, saa_result, where, value, message
+):
+    src, out = saa_result
+    doc = read_json(os.path.join(out, "result.json"))
+    *outer, last = where
+    part = doc
+    for key in outer:
+        part = part[key]
+    part[last] = value
+    bad = str(tmp_path / "result.json")
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    assert message in invoke_one_line_error(runner, ["report", bad], 3)
+    before = open(bad, "rb").read()
+    args = [
+        "evaluate",
+        "--instance", os.path.join(src, "instance.json"),
+        "--solution", os.path.join(out, "solution.json"),
+        "--quadrants", os.path.join(src, "quadrants.json"),
+        "--lambda", "30",
+        "--result", bad,
+    ]
+    assert message in invoke_one_line_error(runner, args, 3)
+    assert open(bad, "rb").read() == before
+
+
+def test_solve_refuses_a_negative_refuel_depot_count(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    doc = read_json(os.path.join(src, "instance.json"))
+    doc["n_refuel"] = -1
+    bad = os.path.join(src, "bad.json")
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    args = solve_args(src, str(tmp_path / "out"), "evp", **{"--instance": bad})
+    output = invoke_one_line_error(runner, args, 3)
+    assert "refuel depot count must be at least 0, got -1" in output
