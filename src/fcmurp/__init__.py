@@ -14,13 +14,7 @@ from .model import (
     nominal_feasibility,
 )
 from .instgen import GenConfig, QuadrantMap, generate_instance, assign_quadrants, sample_scenarios
-from .recourse import (
-    BestDepotTable,
-    PenaltyPolicy,
-    precompute_best_depot,
-    evaluate_recourse,
-    recourse_oracle,
-)
+from .recourse import BestDepotTable, evaluate_recourse, recourse_oracle
 from .detsolve import (
     DetProblem,
     DetSolution,

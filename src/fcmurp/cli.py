@@ -2,8 +2,7 @@
 
 All artifacts are versioned JSON documents (see ``files``); result documents
 carry no timestamps, so a rerun with the same seeds reproduces them byte for
-byte. The environment variable ``FCMURP_SEED`` overrides every ``--seed``
-flag, which lets a whole pipeline be repinned without editing commands.
+byte. Every random stream derives from the command's ``--seed`` flag.
 Exit codes: 0 success, 1 runtime failure (sampler error), 2 usage, 3 missing
 or malformed artifact, 4 infeasible.
 """
@@ -94,16 +93,6 @@ def _translate_errors(fn):
             raise _ExitError(str(exc), 4) from None
 
     return wrapper
-
-
-def _effective_seed(seed: int) -> int:
-    env = os.environ.get("FCMURP_SEED")
-    if env is None:
-        return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise click.UsageError(f"FCMURP_SEED must be an integer, got {env!r}")
 
 
 def _read_instance(path: str) -> Instance:
@@ -218,7 +207,6 @@ def main() -> None:
 @_translate_errors
 def generate(seed, targets, vehicles, refuel_depots, fuel_factor, grid, out):
     """Generate an instance and its quadrant map."""
-    seed = _effective_seed(seed)
     if vehicles > targets:
         raise click.UsageError("--vehicles cannot exceed --targets")
     for flag, value in (("--fuel-factor", fuel_factor), ("--grid", grid)):
@@ -257,7 +245,6 @@ def generate(seed, targets, vehicles, refuel_depots, fuel_factor, grid, out):
 @_translate_errors
 def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
     """Sample a fuel-scenario set against an instance."""
-    seed = _effective_seed(seed)
     instance = _read_instance(instance_path)
     qmap = _read_quadrants(quadrants_path)
     scen = sample_scenarios(
@@ -297,7 +284,6 @@ def solve(
     out,
 ):
     """Solve an instance and write solution, result, and manifest files."""
-    seed = _effective_seed(seed)
     if stall_limit is None:
         stall_limit = min(100, iterations)
     elif mode == "heuristic" and stall_limit > iterations:
@@ -467,7 +453,6 @@ def evaluate(
     column,
 ):
     """Score a solution out of sample; optionally merge into a result file."""
-    seed = _effective_seed(seed)
     instance = _read_instance(instance_path)
     routes, _ = solution_from_doc(read_document(solution_path, kind="solution"), instance)
     if result_path is not None:

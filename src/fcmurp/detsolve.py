@@ -589,7 +589,7 @@ def solve_deterministic_exact(
     if routes is None:
         return None
     return DetSolution(
-        routes=RouteSet.from_sequences(routes, inst.n_depots),
+        routes=RouteSet(routes),
         cost=float(total),
         optimal=True,
         nodes=nodes,
@@ -661,7 +661,7 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
         realized.append(route)
         total += rcost
     return DetSolution(
-        routes=RouteSet.from_sequences(realized, inst.n_depots),
+        routes=RouteSet(tuple(realized)),
         cost=float(total),
         optimal=False,
         nodes=0,

@@ -6,7 +6,10 @@ rename, and key order is fixed, making artifact bytes a pure function of the
 data. Derived values (an instance's ``lam`` and ``metric``, an estimate's
 ``count``, ``mean``, ``dispersion`` and ``standard_error``, a result's
 ``vss`` and ``vss_pct``) are written for readers; the readers ignore those
-keys and compute the values again from the data they describe.
+keys and compute the values again from the data they describe. Readers
+check types rather than convert them: an integer must be a JSON integer, a
+number a JSON number (not a string or a boolean), a flag a JSON boolean and
+a matrix hold numbers only; anything else is an ``ArtifactError``.
 """
 
 from __future__ import annotations
@@ -106,8 +109,29 @@ def _matrix(arr: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(arr)]
 
 
-def _from_matrix(rows: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array(rows, dtype=float)
+def _from_matrix(rows: Sequence[Sequence[float]], what: str) -> np.ndarray:
+    """Rows of JSON numbers as a float matrix; the inferred dtype tells
+    numbers from strings, booleans and nulls in one pass."""
+    arr = np.array(rows)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold numbers only")
+    return arr.astype(float, copy=False)
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _routes(rows) -> RouteSet:
+    return RouteSet(tuple(tuple(_integer(v, "route vertex") for v in r) for r in rows))
 
 
 def instance_to_doc(instance: Instance) -> dict:
@@ -132,13 +156,13 @@ def instance_from_doc(doc: dict) -> Instance:
     try:
         instance = Instance(
             vertices=tuple(doc["vertices"]),
-            n_refuel=int(doc["n_refuel"]),
-            coordinates=_from_matrix(doc["coordinates"]),
-            cost=_from_matrix(doc["cost"]),
-            nominal_fuel=_from_matrix(doc["nominal_fuel"]),
-            vehicles=int(doc["vehicles"]),
-            fuel_capacity=float(doc["fuel_capacity"]),
-            grid=None if doc.get("grid") is None else float(doc["grid"]),
+            n_refuel=_integer(doc["n_refuel"], "n_refuel"),
+            coordinates=_from_matrix(doc["coordinates"], "coordinates"),
+            cost=_from_matrix(doc["cost"], "cost"),
+            nominal_fuel=_from_matrix(doc["nominal_fuel"], "nominal_fuel"),
+            vehicles=_integer(doc["vehicles"], "vehicles"),
+            fuel_capacity=_number(doc["fuel_capacity"], "fuel_capacity"),
+            grid=None if doc.get("grid") is None else _number(doc["grid"], "grid"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed instance document: {exc}") from None
@@ -162,8 +186,8 @@ def quadrants_to_doc(qmap: QuadrantMap) -> dict:
 def quadrants_from_doc(doc: dict) -> QuadrantMap:
     try:
         qmap = QuadrantMap(
-            seed=int(doc["seed"]),
-            grid=float(doc["grid"]),
+            seed=_integer(doc["seed"], "seed"),
+            grid=_number(doc["grid"], "grid"),
             quadrant_labels=tuple(str(q) for q in doc["quadrant_labels"]),
             vertex_labels=tuple(str(q) for q in doc["vertex_labels"]),
         )
@@ -193,9 +217,9 @@ def scenarios_from_doc(doc: dict) -> ScenarioSet:
     try:
         scenarios = tuple(
             Scenario(
-                id=int(s["id"]),
-                probability=float(s["probability"]),
-                fuel=_from_matrix(s["fuel"]),
+                id=_integer(s["id"], "scenario id"),
+                probability=_number(s["probability"], "probability"),
+                fuel=_from_matrix(s["fuel"], "fuel"),
             )
             for s in doc["scenarios"]
         )
@@ -221,7 +245,7 @@ def solution_from_doc(
     """Rebuild a solution; with ``instance``, its route structure and its
     nominal fuel feasibility, which recourse assumes, are checked."""
     try:
-        routes = RouteSet(tuple(tuple(int(v) for v in r) for r in doc["routes"]))
+        routes = _routes(doc["routes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed solution document: {exc}") from None
     if instance is not None:
@@ -246,7 +270,8 @@ def estimate_to_doc(estimate: Optional[BoundEstimate]) -> Optional[dict]:
         "standard_error": estimate.standard_error,
         "count": len(estimate.values),
         "values": list(estimate.values),
-        "rigorous": estimate.rigorous,
+        # a key of the format: every estimate comes from complete searches
+        "rigorous": True,
         "label": estimate.label,
     }
 
@@ -256,8 +281,7 @@ def estimate_from_doc(doc: Optional[dict]) -> Optional[BoundEstimate]:
         return None
     try:
         return BoundEstimate(
-            values=doc["values"],
-            rigorous=bool(doc["rigorous"]),
+            values=[_number(v, "estimate value") for v in doc["values"]],
             label=str(doc["label"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -283,18 +307,21 @@ def report_to_doc(report: SaaReport) -> dict:
 
 def report_from_doc(doc: dict) -> SaaReport:
     try:
-        ev = float(doc["ev"])
+        ev = _number(doc["ev"], "ev")
         if not math.isfinite(ev):
             raise ValueError(f"ev must be finite, got {ev!r}")
+        ev_optimal = doc["ev_optimal"]
+        if type(ev_optimal) is not bool:
+            raise ValueError(f"ev_optimal must be true or false, got {ev_optimal!r}")
         return SaaReport(
             instance_name=str(doc["instance_name"]),
             ev=ev,
-            ev_optimal=bool(doc["ev_optimal"]),
+            ev_optimal=ev_optimal,
             eev=estimate_from_doc(doc["eev"]),
             lb=estimate_from_doc(doc["lb"]),
             ub=estimate_from_doc(doc["ub"]),
             h=estimate_from_doc(doc["h"]),
-            solution=RouteSet(tuple(tuple(int(v) for v in r) for r in doc["solution"])),
+            solution=_routes(doc["solution"]),
         )
     except ArtifactError:
         raise

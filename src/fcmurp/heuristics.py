@@ -24,7 +24,7 @@ from .detsolve import (
     solve_deterministic_greedy,
 )
 from .model import Instance, RouteSet, ScenarioSet, nominal_feasibility
-from .recourse import LegMemo, PenaltyPolicy
+from .recourse import LegMemo, penalty
 
 __all__ = [
     "ConstructionWeights",
@@ -195,7 +195,7 @@ def construct_detailed(instance: Instance, delta: ScenarioSet) -> ConstructionRe
                     break
                 reinserted.append(ins[0])
             if reinserted is not None:
-                routes = RouteSet.from_sequences(reinserted, instance.n_depots)
+                routes = RouteSet(tuple(reinserted))
                 fallback = "reinserted"
     if routes is None:
         routes = _best_feasible_fallback(instance, delta, solutions)
@@ -281,7 +281,7 @@ class TwoStageEvaluator:
         self._legs = LegMemo(instance, delta)
         self._probabilities = tuple(s.probability for s in delta)
         self._memo: dict[tuple[int, ...], Optional[RouteScore]] = {}
-        self.policy: Optional[PenaltyPolicy] = None
+        self.nu: Optional[float] = None
 
     @property
     def sequences(self) -> int:
@@ -322,7 +322,7 @@ class TwoStageEvaluator:
 
     def objective(self, stage1: float, betas: Sequence[float]) -> float:
         """Penalized objective: the penalty replaces unrecoverable scenarios."""
-        nu = self.policy.nu
+        nu = self.nu
         objective = stage1
         for p, b in zip(self._probabilities, betas):
             objective += p * (b if math.isfinite(b) else nu)
@@ -336,7 +336,7 @@ class TwoStageEvaluator:
         recourse part of the objective of any route set holding these
         routes; an inf sum still costs nu.
         """
-        nu = self.policy.nu
+        nu = self.nu
         objective = stage1
         for p, b in zip(self._probabilities, betas):
             objective += p * min(nu, b)
@@ -357,14 +357,14 @@ class TwoStageEvaluator:
 
     def calibrate(self, *bares: Sequence[tuple[int, ...]]) -> None:
         """Set the penalty from the recourse costs of the given route sets
-        (``PenaltyPolicy.from_betas``); route sets with no insertion add
+        (``recourse.penalty``); route sets with no insertion add
         none."""
         observed: list[float] = []
         for bare in bares:
             parts = self.parts(bare)
             if parts is not None:
                 observed.extend(parts[2])
-        self.policy = PenaltyPolicy.from_betas(self.instance, observed)
+        self.nu = penalty(self.instance, observed)
 
     def evaluate(self, bare: Sequence[tuple[int, ...]]) -> Optional[Evaluation]:
         """The penalized score of one route set; None when some route has no
@@ -372,7 +372,7 @@ class TwoStageEvaluator:
         parts = self.parts(bare)
         if parts is None:
             return None
-        if self.policy is None:
+        if self.nu is None:
             raise RuntimeError("penalty not calibrated")
         realized, stage1, betas = parts
         return Evaluation(
@@ -505,7 +505,7 @@ def _bound_slack(evaluator: TwoStageEvaluator) -> float:
     instance = evaluator.instance
     edges = 2 * (instance.n_targets + instance.vehicles)
     size = edges * float(np.abs(instance.cost).max())
-    magnitude = 3.0 * size + max(abs(evaluator.policy.nu), 2.0 * size)
+    magnitude = 3.0 * size + max(abs(evaluator.nu), 2.0 * size)
     steps = 4 * edges + 2 * len(evaluator.delta) + 16
     return 4.0 * steps * 2.0**-53 * magnitude
 

@@ -4,14 +4,16 @@ All randomness flows through numpy's seeded 64-bit PCG64 generator. Substreams
 are derived per purpose (coordinates, quadrant roles, each scenario) from a
 ``SeedSequence`` over ``(seed, stream tag, ...)`` so results do not depend on
 evaluation order or thread count. Gamma variates come from the generator's
-built-in sampler (Marsaglia-Tsang for shape >= 1). The scenario sampler
-draws them in blocks of ``standard_gamma`` and multiplies each by its edge's
-scale, which on PCG64 equals one ``gamma(shape, scale)`` call per draw, bit
-for bit; a scenario owns its substream, so unused variates at the end of a
-block change nothing. A large sample's scenarios are walked through their
-first blocks in chunks, in lockstep, with one numpy call per edge per chunk;
-a scenario that walk cannot decide is walked again one variate at a time,
-so both give the same values and rejection counts (``sample_scenarios``).
+built-in sampler (Marsaglia-Tsang for shape >= 1), with the testbed's shape
+and scale ratio fixed as ``GAMMA_SHAPE`` and ``GAMMA_SCALE_RATIO``. The
+scenario sampler draws them in blocks of ``standard_gamma`` and multiplies
+each by its edge's scale, which on PCG64 equals one ``gamma(shape, scale)``
+call per draw, bit for bit; a scenario owns its substream, so unused
+variates at the end of a block change nothing. A large sample's scenarios
+are walked through their first blocks in chunks, in lockstep, with one
+numpy call per edge per chunk; a scenario that walk cannot decide is walked
+again one variate at a time, so both give the same values and rejection
+counts (``sample_scenarios``).
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ _STREAM_COORDS = 1
 _STREAM_QUADRANT = 2
 _STREAM_SCENARIO = 3
 
+# The testbed's gamma draws: shape 4 and scale a quarter of the edge's
+# nominal fuel, so the unconditioned mean is nominal and the spread half of it.
+GAMMA_SHAPE = 4.0
+GAMMA_SCALE_RATIO = 0.25
 REJECTION_LIMIT = 10_000
 # Layouts ``generate_instance`` draws before it calls a configuration infeasible.
 MAX_RETRIES = 50
@@ -195,7 +201,7 @@ def _edge_label(qmap: QuadrantMap, i: int, j: int) -> str:
 
 
 def _gamma_edges(
-    instance: Instance, qmap: QuadrantMap, gamma_scale_ratio: float
+    instance: Instance, qmap: QuadrantMap
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[bool, float, float]]]:
     """Non-neutral directed edges in row-major order.
 
@@ -211,7 +217,7 @@ def _gamma_edges(
             label = _edge_label(qmap, i, j)
             if label == MEAN:
                 continue
-            scale = gamma_scale_ratio * mean
+            scale = GAMMA_SCALE_RATIO * mean
             if scale < 0:
                 raise ValueError(f"negative gamma scale {scale!r} on edge ({i}, {j})")
             rows.append(i)
@@ -405,8 +411,6 @@ def sample_scenarios(
     qmap: QuadrantMap,
     seed: int,
     count: int,
-    gamma_shape: float = 4.0,
-    gamma_scale_ratio: float = 0.25,
     distribution: str = "gamma",
 ) -> ScenarioSet:
     """Draw equiprobable fuel scenarios correlated by quadrant role.
@@ -415,7 +419,7 @@ def sample_scenarios(
     edge with a congested endpoint is rejection-sampled at or above its
     mean, edges with a sparse but no congested endpoint at or below it, and
     purely neutral edges consume exactly the mean. Draws are gamma with
-    shape ``gamma_shape`` and scale ``gamma_scale_ratio`` times the edge's
+    shape ``GAMMA_SHAPE`` and scale ``GAMMA_SCALE_RATIO`` times the edge's
     nominal fuel; each try consumes one variate, at most ``REJECTION_LIMIT``
     per edge, edges taken in row-major order, and the predicate
     ``draw * scale >= mean`` (``<= mean`` for sparse edges) decides each
@@ -447,8 +451,9 @@ def sample_scenarios(
             f"instance has {n}"
         )
     mean_fuel = instance.nominal_fuel
+    gamma_shape = GAMMA_SHAPE
     if distribution == "gamma":
-        rows, cols, specs = _gamma_edges(instance, qmap, gamma_scale_ratio)
+        rows, cols, specs = _gamma_edges(instance, qmap)
     else:
         rows, cols, specs = None, None, []
     limit = REJECTION_LIMIT

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,13 +51,14 @@ def euclidean_matrix(coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(axis=2))
 
 
-def is_metric(matrix: np.ndarray, tol: float = METRIC_TOL) -> bool:
-    """True when the matrix satisfies the triangle inequality within tol."""
+def is_metric(matrix: np.ndarray) -> bool:
+    """True when the matrix satisfies the triangle inequality within
+    ``METRIC_TOL``."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     for k in range(n):
-        # broadcast check of m[i,j] <= m[i,k] + m[k,j] + tol for all i, j
-        if np.any(m > m[:, k][:, None] + m[k, :][None, :] + tol):
+        # broadcast check of m[i,j] <= m[i,k] + m[k,j] + METRIC_TOL for all i, j
+        if np.any(m > m[:, k][:, None] + m[k, :][None, :] + METRIC_TOL):
             return False
     return True
 
@@ -250,19 +251,6 @@ class RouteSet:
 
     routes: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def from_sequences(routes: Iterable[Sequence[int]], n_depots: int) -> "RouteSet":
-        """Build a route set, collapsing consecutive duplicate depot visits."""
-        cleaned = []
-        for seq in routes:
-            out: list[int] = []
-            for v in seq:
-                if out and v == out[-1] and v < n_depots:
-                    continue
-                out.append(v)
-            cleaned.append(tuple(out))
-        return RouteSet(tuple(cleaned))
-
     def canonical(self) -> "RouteSet":
         """Route order normalized for comparisons; visit order untouched."""
         return RouteSet(tuple(sorted(self.routes)))
@@ -305,7 +293,6 @@ def make_instance(
     cost: Optional[np.ndarray] = None,
     nominal_fuel: Optional[np.ndarray] = None,
     grid: Optional[float] = None,
-    vertex_ids: Optional[Sequence[str]] = None,
 ) -> Instance:
     """Assemble an instance, deriving Euclidean matrices where not given.
 
@@ -315,12 +302,9 @@ def make_instance(
     coords = np.array([home_coord, *refuel_coords, *target_coords], dtype=float)
     n_refuel = len(refuel_coords)
     n_depots = n_refuel + 1
-    if vertex_ids is None:
-        vertex_ids = (
-            ["d0"]
-            + [f"d{i}" for i in range(1, n_depots)]
-            + [f"t{i}" for i in range(1, len(target_coords) + 1)]
-        )
+    vertex_ids = [f"d{i}" for i in range(n_depots)] + [
+        f"t{i}" for i in range(1, len(target_coords) + 1)
+    ]
     if cost is None:
         cost = euclidean_matrix(coords)
     else:
@@ -347,10 +331,12 @@ def validate_instance(
     instance: Instance, scenario_set: Optional[ScenarioSet] = None
 ) -> tuple[str, ...]:
     """Reasons to refuse the instance, and the scenario set when given: bad
-    shapes, non-finite numbers, a capacity that is not positive and targets
-    no depot round trip can reach. Empty when both are usable."""
+    shapes, non-finite numbers, negative fuel between two vertices, a
+    capacity that is not positive and targets no depot round trip can
+    reach. Empty when both are usable."""
     refusals: list[str] = []
     n = instance.n_vertices
+    off_diagonal = ~np.eye(n, dtype=bool)
     if instance.n_targets < 1:
         refusals.append("instance has no targets")
     if instance.vehicles < 1:
@@ -377,6 +363,8 @@ def validate_instance(
     ):
         if not np.isfinite(arr).all():
             refusals.append(f"{name} has non-finite entries")
+    if shapes_ok and (instance.nominal_fuel[off_diagonal] < 0).any():
+        refusals.append("nominal_fuel has negative entries off the diagonal")
     capacity = instance.fuel_capacity
     if not (math.isfinite(capacity) and capacity > 0):
         refusals.append(f"fuel capacity must be finite and positive, got {capacity!r}")
@@ -395,6 +383,8 @@ def validate_instance(
             refusals.append(f"scenario {s.id} fuel shape {s.fuel.shape} != ({n}, {n})")
         elif not np.isfinite(s.fuel).all():
             refusals.append(f"scenario {s.id} fuel has non-finite entries")
+        elif (s.fuel[off_diagonal] < 0).any():
+            refusals.append(f"scenario {s.id} fuel has negative entries off the diagonal")
     return tuple(refusals)
 
 

@@ -11,16 +11,16 @@ keep/detour subset and exists purely as a cross-check. Both accumulate fuel
 and cost strictly left to right along each route so that agreement is exact,
 not approximate. The DP reads list rows cached on the instance and the
 best-depot table, which finds an edge's best depot only when a leg that
-overflows the tank asks for it; the oracle walks the numpy matrices,
-best depots included. Search code scores single routes against a fixed
-scenario sample through ``LegMemo``, which prices each distinct (leg,
-scenario) once. Both price a leg through ``_leg_recourse``.
+overflows the tank asks for it; the oracle walks the numpy matrices and
+finds every pair's best depot with its own numpy argmin. ``penalty`` prices
+a scenario no detour plan recovers. Search code scores single routes
+against a fixed scenario sample through ``LegMemo``, which prices each
+distinct (leg, scenario) once. Both price a leg through ``_leg_recourse``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -30,8 +30,7 @@ from .model import Instance, RecoursePlan, RouteSet, Scenario
 
 __all__ = [
     "BestDepotTable",
-    "PenaltyPolicy",
-    "precompute_best_depot",
+    "penalty",
     "evaluate_recourse",
     "LegMemo",
     "recourse_oracle",
@@ -49,9 +48,7 @@ class BestDepotTable:
     from the list rows ``fuel_rows`` with the same additions as the numpy
     argmin, and kept in a row list made when its row is first asked for;
     the recourse DP asks only for target-to-target edges of legs that
-    overflow the tank, a small share of the pairs. ``depot`` is the matrix
-    of every pair from one numpy argmin, which the oracle reads and
-    ``precompute_best_depot`` fills.
+    overflow the tank, a small share of the pairs.
     """
 
     def __init__(self, fuel: np.ndarray, n_depots: int) -> None:
@@ -62,16 +59,6 @@ class BestDepotTable:
     @cached_property
     def fuel_rows(self) -> list[list[float]]:
         return self.fuel.tolist()
-
-    @cached_property
-    def depot(self) -> np.ndarray:
-        f = self.fuel
-        nd = self.n_depots
-        # through[d, i, j] = f[i, d] + f[d, j]
-        through = f[:, :nd].T[:, :, None] + f[:nd, :][:, None, :]
-        depot = through.argmin(axis=0).astype(np.int64)
-        depot.flags.writeable = False
-        return depot
 
     def depot_of(self, i: int, j: int) -> int:
         row = self._rows[i]
@@ -90,26 +77,20 @@ class BestDepotTable:
         return best
 
 
-@dataclass(frozen=True)
-class PenaltyPolicy:
-    """Objective penalty charged per unrecoverable scenario."""
+def penalty(instance: Instance, betas: Sequence[float]) -> float:
+    """Objective penalty charged per unrecoverable scenario: the largest
+    finite recourse cost in ``betas`` plus twice all home round trips.
 
-    nu: float
-
-    @staticmethod
-    def from_betas(instance: Instance, betas: Sequence[float]) -> "PenaltyPolicy":
-        """Largest observed recourse cost plus twice all home round trips.
-
-        The additive term dominates any single detour cost on the testbed, so
-        the penalty stays above every recourse cost met during a search.
-        """
-        finite = [b for b in betas if math.isfinite(b)]
-        base = max(finite, default=0.0)
-        cost = instance.cost
-        slack = 2.0 * math.fsum(
-            float(cost[0, t]) + float(cost[t, 0]) for t in instance.target_indices
-        )
-        return PenaltyPolicy(nu=base + slack)
+    The additive term dominates any single detour cost on the testbed, so
+    the penalty stays above every recourse cost met during a search.
+    """
+    finite = [b for b in betas if math.isfinite(b)]
+    base = max(finite, default=0.0)
+    cost = instance.cost
+    slack = 2.0 * math.fsum(
+        float(cost[0, t]) + float(cost[t, 0]) for t in instance.target_indices
+    )
+    return base + slack
 
 
 def _check_shape(instance: Instance, scenario: Scenario) -> None:
@@ -119,15 +100,6 @@ def _check_shape(instance: Instance, scenario: Scenario) -> None:
             f"scenario {scenario.id} fuel shape {scenario.fuel.shape} "
             f"does not match instance ({n}, {n})"
         )
-
-
-def precompute_best_depot(instance: Instance, scenario: Scenario) -> BestDepotTable:
-    """Best-depot table of one scenario with ``depot`` filled for every pair
-    by one vectorized argmin over depots of entry-plus-exit realized fuel."""
-    _check_shape(instance, scenario)
-    table = BestDepotTable(scenario.fuel, instance.n_depots)
-    table.depot  # noqa: B018 - fill the cached matrix now
-    return table
 
 
 def _detour_increment(cost, i: int, d: int, j: int) -> float:
@@ -266,21 +238,17 @@ def _leg_bounds(route: tuple[int, ...], nd: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(stops, stops[1:]))
 
 
-def _check_table(scenario: Scenario, table: BestDepotTable) -> None:
-    """Refuse a best-depot table built for another fuel realization.
+def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, Callable[[int, int], int]]:
+    """Fuel rows and best-depot lookup for one scenario under its own table.
 
-    The identity test comes first, so a table built from this scenario
-    costs one pointer comparison.
+    Refuses a table built for another fuel realization. The identity test
+    comes first, so a table built from this scenario costs one pointer
+    comparison.
     """
     if table.fuel is not scenario.fuel and not np.array_equal(table.fuel, scenario.fuel):
         raise ValueError(
             f"best-depot table was built for another realization than scenario {scenario.id}"
         )
-
-
-def _rows(scenario: Scenario, table: BestDepotTable) -> tuple[list, Callable[[int, int], int]]:
-    """Fuel rows and best-depot lookup for one scenario under its own table."""
-    _check_table(scenario, table)
     return table.fuel_rows, table.depot_of
 
 
@@ -417,14 +385,14 @@ def recourse_oracle(
     routes: RouteSet,
     scenario: Scenario,
     instance: Instance,
-    table: Optional[BestDepotTable] = None,
 ) -> RecoursePlan:
     """Brute-force recourse by enumerating every keep/detour subset.
 
-    Independent cross-check for ``evaluate_recourse``; refuses route sets
-    with more than twenty edges in total and, like it, a ``table`` built for
-    another realization. Ties between equal-cost patterns go to the
-    lexicographically smallest detour-position set.
+    Independent cross-check for ``evaluate_recourse``, best depots included:
+    it finds every pair's with one numpy argmin, not through
+    ``BestDepotTable``. Refuses route sets with more than twenty edges in
+    total. Ties between equal-cost patterns go to the lexicographically
+    smallest detour-position set.
     """
     total_edges = sum(len(rt) - 1 for rt in routes.routes)
     if total_edges > ORACLE_EDGE_CAP:
@@ -433,14 +401,14 @@ def recourse_oracle(
             f"at {ORACLE_EDGE_CAP}"
         )
     _check_shape(instance, scenario)
-    if table is None:
-        table = precompute_best_depot(instance, scenario)
-    _check_table(scenario, table)
     fuel = scenario.fuel
     cost = instance.cost
     cap = instance.fuel_capacity
     nd = instance.n_depots
-    dep_of = table.depot
+    # through[d, i, j] = fuel[i, d] + fuel[d, j]; argmin ties go to the
+    # smallest depot index
+    through = fuel[:, :nd].T[:, :, None] + fuel[:nd, :][:, None, :]
+    dep_of = through.argmin(axis=0)
     detours: list[tuple[int, int]] = []
     depots: dict[tuple[int, int], int] = {}
     for r, route in enumerate(routes.routes):

@@ -27,12 +27,7 @@ from .detsolve import (
 )
 from .instgen import QuadrantMap, sample_scenarios
 from .model import METRIC_TOL, Instance, RouteSet, ScenarioSet, route_cost
-from .recourse import (
-    BestDepotTable,
-    LegMemo,
-    PenaltyPolicy,
-    evaluate_recourse,
-)
+from .recourse import BestDepotTable, LegMemo, evaluate_recourse, penalty
 
 __all__ = [
     "SaaConfig",
@@ -91,12 +86,9 @@ class BoundEstimate:
     statistics are computed from them. ``dispersion`` is the squared spread
     sum divided by count minus one (0.0 for one value), reported verbatim;
     ``standard_error`` is the conventional sqrt(dispersion / count).
-    ``rigorous`` is a field of the result format; every estimate the
-    pipeline makes comes from complete searches and sets it true.
     """
 
     values: tuple[float, ...]
-    rigorous: bool = True
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -336,7 +328,7 @@ def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSol
     routes, total, nodes = _branch_routes(problem, score)
     if routes is None:
         return None
-    route_set = RouteSet.from_sequences(routes, instance.n_depots)
+    route_set = RouteSet(routes)
     # report the canonical composition: first-stage cost plus plan-level
     # recourse, identical to an oracle re-evaluation of the same routes
     value = route_cost(route_set, instance)
@@ -406,7 +398,7 @@ def saa_upper_bound(
     first-stage cost plus that scenario's recourse cost, so each estimate
     mean is the sampled expectation. Scenarios no detour plan can recover are
     charged the penalty and counted. The penalty is calibrated on every
-    finite recourse cost of the same pass (``PenaltyPolicy.from_betas``), so
+    finite recourse cost of the same pass (``recourse.penalty``), so
     candidate and reference scores stay comparable.
     """
     if not candidates:
@@ -429,12 +421,12 @@ def saa_upper_bound(
             plan = evaluate_recourse(routes, s, instance, table)
             betas[r].append(plan.beta)
             needs_recourse[r] += bool(plan.detoured_edges) or not plan.feasible
-    policy = PenaltyPolicy.from_betas(instance, [b for row in betas for b in row])
+    nu = penalty(instance, [b for row in betas for b in row])
     estimates = []
     penalized = []
     for routes, row in zip(scored, betas):
         stage1 = route_cost(routes, instance)
-        values = [stage1 + b if math.isfinite(b) else stage1 + policy.nu for b in row]
+        values = [stage1 + b if math.isfinite(b) else stage1 + nu for b in row]
         estimates.append(BoundEstimate(values, label=lam.label))
         penalized.append(sum(not math.isfinite(b) for b in row))
     # cheapest mean, ties to the smallest canonical route set, then the first
@@ -449,7 +441,7 @@ def saa_upper_bound(
         per_candidate=tuple(e.mean for e in estimates[: len(candidates)]),
         index=index,
         penalized_scenarios=penalized[index] + (0 if ref is None else penalized[ref]),
-        penalty=policy.nu,
+        penalty=nu,
         reference=None if ref is None else estimates[ref],
         recourse_shares=tuple(needs_recourse[r] / len(lam) for r in rows),
         scored_route_sets=len(scored),

@@ -37,7 +37,7 @@ def route_beta(route, scenario: Scenario, instance: Instance, table=None) -> flo
     patches them patches this reference too.
     """
     if table is None:
-        table = recourse.precompute_best_depot(instance, scenario)
+        table = recourse.BestDepotTable(scenario.fuel, instance.n_depots)
     fuel, depot_of = recourse._rows(scenario, table)
     cost = instance.cost_rows
     cap = instance.fuel_capacity

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 
 import pytest
 from click.testing import CliRunner
@@ -83,25 +84,49 @@ def test_generate_refuses_sizes_that_are_not_finite_and_positive(runner, tmp_pat
     assert not out.exists()
 
 
-def test_environment_seed_overrides_the_flag(runner, tmp_path):
-    env_run = runner.invoke(
-        main,
-        ["generate", "--seed", "1", "--targets", "4", "--vehicles", "2", "--out", str(tmp_path / "env")],
-        env={"FCMURP_SEED": "2"},
-    )
-    assert env_run.exit_code == 0
-    flag_run = gen(runner, str(tmp_path / "flag"), seed=2)
-    assert flag_run.exit_code == 0
-    assert (tmp_path / "env" / "instance.json").read_bytes() == (
-        tmp_path / "flag" / "instance.json"
-    ).read_bytes()
-    bad = runner.invoke(
-        main,
-        ["generate", "--targets", "4", "--out", str(tmp_path / "bad")],
-        env={"FCMURP_SEED": "many"},
-    )
-    assert bad.exit_code == 2
-    assert "FCMURP_SEED" in bad.output
+def test_generate_takes_its_seed_from_the_flag_alone(runner, tmp_path):
+    args = ["generate", "--seed", "1", "--targets", "4", "--vehicles", "2", "--out"]
+    plain = runner.invoke(main, [*args, str(tmp_path / "plain")])
+    assert plain.exit_code == 0, plain.output
+    env = runner.invoke(main, [*args, str(tmp_path / "env")], env={"FCMURP_SEED": "2"})
+    assert env.exit_code == 0, env.output
+    for name in ("instance.json", "quadrants.json"):
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def readme_quick_start():
+    """The README's quick-start commands, each with the output lines shown
+    under it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    steps = []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("$ "):
+            command = line[2:]
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines)
+            steps.append((shlex.split(command), []))
+        elif line:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_quick_start_matches_the_cli(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_quick_start()
+    assert [argv[:2] for argv, _ in steps] == [
+        ["fcmurp", "generate"], ["fcmurp", "solve"], ["fcmurp", "report"],
+    ]
+    for argv, shown in steps:
+        res = runner.invoke(main, argv[1:])
+        assert res.exit_code == 0, res.output
+        printed = iter(res.stdout.splitlines())
+        for line in shown:
+            # in order: each search resumes after the previous match
+            assert line in printed, (argv, line, res.stdout)
 
 
 def test_scenarios_command_writes_a_scenario_set(runner, tmp_path):
@@ -919,3 +944,131 @@ def test_solve_refuses_a_negative_refuel_depot_count(runner, tmp_path):
     args = solve_args(src, str(tmp_path / "out"), "evp", **{"--instance": bad})
     output = invoke_one_line_error(runner, args, 3)
     assert "refuel depot count must be at least 0, got -1" in output
+
+
+@pytest.mark.parametrize(
+    "name, where, change, message",
+    [
+        ("instance.json", ("vehicles",), lambda v: 2.9, "vehicles must be an integer, got 2.9"),
+        ("instance.json", ("vehicles",), str, "vehicles must be an integer, got '2'"),
+        ("instance.json", ("n_refuel",), lambda v: 4.6, "n_refuel must be an integer, got 4.6"),
+        ("instance.json", ("fuel_capacity",), lambda v: "1e9", "fuel_capacity must be a number"),
+        ("instance.json", ("grid",), str, "grid must be a number"),
+        ("instance.json", ("coordinates", 5, 0), str, "coordinates must hold numbers only"),
+        ("instance.json", ("cost", 5, 6), str, "cost must hold numbers only"),
+        ("instance.json", ("nominal_fuel", 6, 5), str, "nominal_fuel must hold numbers only"),
+        ("quadrants.json", ("seed",), lambda v: 2.5, "seed must be an integer, got 2.5"),
+        ("quadrants.json", ("grid",), str, "grid must be a number"),
+        ("scen.json", ("scenarios", 0, "id"), lambda v: 0.5, "scenario id must be an integer, got 0.5"),
+        ("scen.json", ("scenarios", 0, "probability"), str, "probability must be a number"),
+        ("scen.json", ("scenarios", 0, "fuel", 5, 6), str, "fuel must hold numbers only"),
+        ("solution.json", ("routes", 0, 1), lambda v: v + 0.4, "route vertex must be an integer"),
+        ("result.json", ("solution", 0, 1), float, "route vertex must be an integer"),
+        ("result.json", ("ev",), str, "ev must be a number"),
+        ("result.json", ("ev_optimal",), lambda v: "false", "ev_optimal must be true or false"),
+        ("result.json", ("eev", "values", 0), str, "estimate value must be a number"),
+    ],
+    ids=[
+        "vehicles-float",
+        "vehicles-string",
+        "n_refuel-float",
+        "fuel_capacity-string",
+        "grid-string",
+        "coordinates-string",
+        "cost-string",
+        "nominal_fuel-string",
+        "quadrant-seed-float",
+        "quadrant-grid-string",
+        "scenario-id-float",
+        "probability-string",
+        "scenario-fuel-string",
+        "solution-vertex-float",
+        "result-vertex-float",
+        "ev-string",
+        "ev_optimal-string",
+        "estimate-value-string",
+    ],
+)
+def test_readers_refuse_values_of_the_wrong_type(
+    runner, tmp_path, sampled_inputs, saa_result, name, where, change, message
+):
+    """A value of the wrong JSON type exits 3 with one line: readers check
+    types and convert nothing. ``change`` maps the written value to the bad
+    one; at ``str`` a number becomes a string that reads as that number."""
+    src = sampled_inputs
+    path = {
+        "solution.json": os.path.join(src, "evp", "solution.json"),
+        "result.json": os.path.join(saa_result[1], "result.json"),
+    }.get(name, os.path.join(src, name))
+    doc = read_json(path)
+    *outer, last = where
+    part = doc
+    for key in outer:
+        part = part[key]
+    part[last] = change(part[last])
+    bad = str(tmp_path / name)
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    instance = os.path.join(src, "instance.json")
+    scenarios = os.path.join(src, "scen.json")
+    solution = os.path.join(src, "evp", "solution.json")
+    if name == "instance.json":
+        args = solve_args(src, str(tmp_path / "out"), "evp", **{"--instance": bad})
+    elif name == "quadrants.json":
+        args = [
+            "scenarios",
+            "--instance", instance,
+            "--quadrants", bad,
+            "--count", "3",
+            "--out", str(tmp_path / "scen.json"),
+        ]
+    elif name == "result.json":
+        args = ["report", bad]
+    else:
+        args = [
+            "evaluate",
+            "--instance", instance,
+            "--solution", bad if name == "solution.json" else solution,
+            "--scenarios", bad if name == "scen.json" else scenarios,
+        ]
+    assert message in invoke_one_line_error(runner, args, 3)
+
+
+def test_negative_nominal_fuel_is_refused(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    doc = read_json(os.path.join(src, "instance.json"))
+    doc["nominal_fuel"][5][0] = -1.0
+    bad = os.path.join(src, "bad.json")
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    sample = [
+        "scenarios",
+        "--instance", bad,
+        "--quadrants", os.path.join(src, "quadrants.json"),
+        "--count", "3",
+        "--out", str(tmp_path / "scen.json"),
+    ]
+    for args in (
+        sample,
+        solve_args(src, str(tmp_path / "evp"), "evp", **{"--instance": bad}),
+        solve_args(src, str(tmp_path / "heur"), "heuristic", **{"--instance": bad}),
+    ):
+        output = invoke_one_line_error(runner, args, 3)
+        assert "nominal_fuel has negative entries off the diagonal" in output
+
+
+def test_evaluate_refuses_a_negative_scenario_fuel_entry(runner, tmp_path, sampled_inputs):
+    doc = read_json(os.path.join(sampled_inputs, "scen.json"))
+    doc["scenarios"][1]["fuel"][5][6] = -3.0
+    bad = str(tmp_path / "scen.json")
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    args = [
+        "evaluate",
+        "--instance", os.path.join(sampled_inputs, "instance.json"),
+        "--solution", os.path.join(sampled_inputs, "evp", "solution.json"),
+        "--scenarios", bad,
+    ]
+    output = invoke_one_line_error(runner, args, 3)
+    assert "scenario 1 fuel has negative entries off the diagonal" in output

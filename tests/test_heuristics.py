@@ -26,7 +26,7 @@ from fcmurp.heuristics import (
 )
 from fcmurp.instgen import GenConfig, assign_quadrants, generate_instance
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, nominal_feasibility, route_cost
-from fcmurp.recourse import PenaltyPolicy, evaluate_recourse
+from fcmurp.recourse import evaluate_recourse, penalty
 from oracles import recompute_weights, swap_bounds_by_loop, tabu_by_full_evaluation
 
 
@@ -144,7 +144,7 @@ def test_evaluator_matches_recourse_and_insertion_modules():
     bare = start.bare_sequences(inst)
     ev = TwoStageEvaluator(inst, delta)
     ev.calibrate(bare)
-    assert ev.policy.nu == PenaltyPolicy.from_betas(inst, ev.parts(bare)[2]).nu
+    assert ev.nu == penalty(inst, ev.parts(bare)[2])
     scored = ev.evaluate(bare)
     assert scored.stage1 == pytest.approx(route_cost(scored.routes, inst), abs=1e-9)
     for k, s in enumerate(delta):
@@ -152,7 +152,7 @@ def test_evaluator_matches_recourse_and_insertion_modules():
         assert scored.betas[k] == pytest.approx(plan.beta, abs=1e-9)
     objective = scored.stage1
     for k, s in enumerate(delta):
-        term = scored.betas[k] if math.isfinite(scored.betas[k]) else ev.policy.nu
+        term = scored.betas[k] if math.isfinite(scored.betas[k]) else ev.nu
         objective += s.probability * term
     assert scored.objective == objective
     again = ev.evaluate(bare)
@@ -168,7 +168,7 @@ def test_evaluator_charges_the_penalty_for_unrecoverable_scenarios():
     scored = ev.evaluate(bare)
     assert scored.betas == (math.inf,)
     assert not scored.feasible
-    assert scored.objective == scored.stage1 + ev.policy.nu
+    assert scored.objective == scored.stage1 + ev.nu
 
 
 def test_evaluator_returns_none_for_uninsertable_groupings():

@@ -1,6 +1,7 @@
 """Instance generator and quadrant-correlated scenario sampler."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -141,6 +142,12 @@ def test_sample_scenarios_rejects_bad_arguments():
         sample_scenarios(inst, qmap, seed=1, count=2, distribution="uniform")
 
 
+def test_sample_scenarios_signature_is_pinned():
+    params = inspect.signature(sample_scenarios).parameters
+    assert list(params) == ["instance", "qmap", "seed", "count", "distribution"]
+    assert (instgen.GAMMA_SHAPE, instgen.GAMMA_SCALE_RATIO) == (4.0, 0.25)
+
+
 def test_gamma_moments_small_sample():
     """Quick version of the moment check; the full-scale one is in acceptance."""
     rng = np.random.default_rng(123)
@@ -184,12 +191,13 @@ def test_batched_sampler_matches_per_draw_oracle(seed, n_targets, vehicles):
     )
 
 
-def test_batched_sampler_matches_the_oracle_off_the_default_shape():
+def test_batched_sampler_matches_the_oracle_off_the_default_shape(monkeypatch):
     inst, qmap = make_case(seed=4, n_targets=6, vehicles=2)
     for shape, ratio in ((2.0, 0.5), (9.0, 1.0 / 9.0), (4.5, 0.3)):
-        got = sample_scenarios(
-            inst, qmap, seed=8, count=20, gamma_shape=shape, gamma_scale_ratio=ratio
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(instgen, "GAMMA_SHAPE", shape)
+            patch.setattr(instgen, "GAMMA_SCALE_RATIO", ratio)
+            got = sample_scenarios(inst, qmap, seed=8, count=20)
         want = sample_scenarios_by_draw(
             inst, qmap, 8, 20, gamma_shape=shape, gamma_scale_ratio=ratio
         )
@@ -214,7 +222,7 @@ def test_lockstep_walk_matches_the_oracle_on_small_samples(monkeypatch):
     monkeypatch.setattr(instgen, "LOCKSTEP_MEMORY_SHARE", math.inf)
     for case in SAMPLER_CASES:
         test_batched_sampler_matches_per_draw_oracle(*case)
-    test_batched_sampler_matches_the_oracle_off_the_default_shape()
+    test_batched_sampler_matches_the_oracle_off_the_default_shape(monkeypatch)
     test_rejection_limit_error_matches_the_oracle(monkeypatch)
 
 
@@ -223,9 +231,10 @@ def test_sampler_refills_past_the_first_block_like_the_oracle(monkeypatch, walk)
     # draw of at least 10, about 1% of them, so scenarios run past their
     # first block of 3 variates per edge
     inst, qmap = make_case(seed=4, n_targets=6, vehicles=2)
-    edges = len(instgen._gamma_edges(inst, qmap, 0.1)[2])
+    monkeypatch.setattr(instgen, "GAMMA_SCALE_RATIO", 0.1)
+    edges = len(instgen._gamma_edges(inst, qmap)[2])
     shape = {"gamma_shape": 4.0, "gamma_scale_ratio": 0.1}
-    got = sample_scenarios(inst, qmap, seed=8, count=5, **shape)
+    got = sample_scenarios(inst, qmap, seed=8, count=5)
     assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, 8, 5, **shape))
     # variates consumed: one accepted per edge plus the rejected ones
     assert got.rejections + 5 * edges > 5 * 3 * edges
@@ -233,7 +242,7 @@ def test_sampler_refills_past_the_first_block_like_the_oracle(monkeypatch, walk)
     monkeypatch.setattr(instgen, "REJECTION_LIMIT", 300)
     assert 3 * edges < 300
     with pytest.raises(SamplerError) as lib:
-        sample_scenarios(inst, qmap, seed=8, count=5, **shape)
+        sample_scenarios(inst, qmap, seed=8, count=5)
     with pytest.raises(SamplerError) as ref:
         sample_scenarios_by_draw(inst, qmap, 8, 5, **shape)
     assert str(lib.value) == str(ref.value)
@@ -279,12 +288,13 @@ def test_large_samples_take_the_lockstep_walk(monkeypatch):
     assert [s.fuel.tobytes() for s in small] == [s.fuel.tobytes() for s in large][:300]
 
 
-def test_zero_scale_skips_the_lockstep_walk(walk):
+def test_zero_scale_skips_the_lockstep_walk(monkeypatch, walk):
     inst, qmap = make_case(seed=4, n_targets=5, vehicles=2)
-    _, _, specs = instgen._gamma_edges(inst, qmap, 0.0)
+    monkeypatch.setattr(instgen, "GAMMA_SCALE_RATIO", 0.0)
+    _, _, specs = instgen._gamma_edges(inst, qmap)
     assert instgen._role_bounds(specs) is None
     with pytest.raises(SamplerError) as lib:
-        sample_scenarios(inst, qmap, seed=5, count=3, gamma_scale_ratio=0.0)
+        sample_scenarios(inst, qmap, seed=5, count=3)
     with pytest.raises(SamplerError) as ref:
         sample_scenarios_by_draw(inst, qmap, 5, 3, gamma_scale_ratio=0.0)
     assert str(lib.value) == str(ref.value)

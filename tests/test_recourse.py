@@ -1,6 +1,7 @@
 """Recourse evaluator: leg dynamic program against two enumerations."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -22,9 +23,8 @@ from fcmurp.recourse import (
     ORACLE_EDGE_CAP,
     BestDepotTable,
     LegMemo,
-    PenaltyPolicy,
     evaluate_recourse,
-    precompute_best_depot,
+    penalty,
     recourse_oracle,
 )
 from oracles import (
@@ -129,7 +129,7 @@ def test_leg_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
     betas = []
     legs = voluntary = 0
     for inst, routes, scen in cases:
-        table = precompute_best_depot(inst, scen)
+        table = BestDepotTable(scen.fuel, inst.n_depots)
         args = (table.fuel_rows, inst.cost_rows, inst.fuel_capacity, table.depot_of)
         nd = inst.n_depots
         as_planned = True
@@ -206,7 +206,7 @@ def test_leg_memo_matches_route_beta_bit_for_bit(monkeypatch):
             *(Scenario(id=10 + s.id, probability=1.0, fuel=s.fuel * 1.6) for s in sampled),
             scaled(inst, 100.0, sid=99),
         ]
-        tables = [precompute_best_depot(inst, s) for s in scenarios]
+        tables = [BestDepotTable(s.fuel, inst.n_depots) for s in scenarios]
         memo = LegMemo(inst, scenarios)
         routes = list(random_realized_routes(inst, rng, 30))
         for route in routes:
@@ -282,28 +282,30 @@ def test_unrecoverable_scenario_is_flagged():
     assert not slow.feasible
 
 
+def manual_best_depot(fuel, depots, i, j):
+    """Cheapest entry-plus-exit depot of edge (i, j), ties to the smallest."""
+    return min(depots, key=lambda d: (float(fuel[i, d]) + float(fuel[d, j]), d))
+
+
 def test_best_depot_table_matches_manual_argmin():
     inst, qmap = make_case(seed=14, n_targets=5, vehicles=2)
     s = sample_scenarios(inst, qmap, seed=3, count=1).scenarios[0]
-    table = precompute_best_depot(inst, s)
+    table = BestDepotTable(s.fuel, inst.n_depots)
     n = inst.n_vertices
     for i in range(n):
         for j in range(n):
-            best = min(
-                inst.depot_indices,
-                key=lambda d: (float(s.fuel[i, d]) + float(s.fuel[d, j]), d),
-            )
-            assert table.depot[i, j] == best
+            assert table.depot_of(i, j) == manual_best_depot(s.fuel, inst.depot_indices, i, j)
 
 
 def test_best_depot_tie_takes_smallest_index():
     inst = square_instance()
     fuel = np.full((4, 4), 2.0)
     np.fill_diagonal(fuel, 0.0)
-    s = Scenario(id=0, probability=1.0, fuel=fuel)
-    table = precompute_best_depot(inst, s)
-    assert table.depot[2, 3] == 0  # depots 0 and 1 tie at 4.0
-    assert BestDepotTable(fuel, inst.n_depots).depot_of(2, 3) == 0
+    table = BestDepotTable(fuel, inst.n_depots)
+    assert table.depot_of(2, 3) == 0  # depots 0 and 1 tie at 4.0
+    for i in range(4):
+        for j in range(4):
+            assert table.depot_of(i, j) == manual_best_depot(fuel, inst.depot_indices, i, j)
 
 
 def test_on_demand_best_depots_match_the_numpy_argmin():
@@ -321,11 +323,10 @@ def test_on_demand_best_depots_match_the_numpy_argmin():
         fuel[t, d] = fuel[d, u] = 50.0
     scenarios.append(Scenario(id=9, probability=1.0, fuel=fuel))
     for s in scenarios:
-        full = precompute_best_depot(inst, s).depot
         lazy = BestDepotTable(s.fuel, nd)
         for i in range(n):
             for j in range(n):
-                assert lazy.depot_of(i, j) == full[i, j], (i, j)
+                assert lazy.depot_of(i, j) == manual_best_depot(s.fuel, range(nd), i, j), (i, j)
     assert lazy.depot_of(t, u) == 1
 
 
@@ -345,13 +346,12 @@ def test_evaluators_refuse_a_table_of_another_scenario():
     inst, qmap = make_case(seed=21, n_targets=6, vehicles=2)
     routes = solve_deterministic_greedy(inst).routes
     first, second = sample_scenarios(inst, qmap, seed=5, count=2)
-    table = precompute_best_depot(inst, first)
-    for evaluate in (evaluate_recourse, recourse_oracle):
-        with pytest.raises(ValueError, match="another realization"):
-            evaluate(routes, second, inst, table)
-        # an equal realization in another array fits the same table
-        twin = dataclasses.replace(first, fuel=first.fuel.copy())
-        assert evaluate(routes, twin, inst, table) == evaluate(routes, first, inst)
+    table = BestDepotTable(first.fuel, inst.n_depots)
+    with pytest.raises(ValueError, match="another realization"):
+        evaluate_recourse(routes, second, inst, table)
+    # an equal realization in another array fits the same table
+    twin = dataclasses.replace(first, fuel=first.fuel.copy())
+    assert evaluate_recourse(routes, twin, inst, table) == evaluate_recourse(routes, first, inst)
 
 
 def test_oracle_refuses_oversized_route_sets():
@@ -364,12 +364,21 @@ def test_oracle_refuses_oversized_route_sets():
 
 def test_penalty_policy_dominates_observed_betas():
     inst, _ = make_case(seed=8, n_targets=5, vehicles=2)
-    policy = PenaltyPolicy.from_betas(inst, [3.0, 11.5, math.inf])
+    nu = penalty(inst, [3.0, 11.5, math.inf])
     round_trips = 2.0 * math.fsum(
         float(inst.cost[0, t]) + float(inst.cost[t, 0]) for t in inst.target_indices
     )
-    assert policy.nu == 11.5 + round_trips
-    assert PenaltyPolicy.from_betas(inst, []).nu == round_trips
+    assert nu == 11.5 + round_trips
+    assert penalty(inst, []) == round_trips
+
+
+def test_recourse_surface_is_pinned():
+    params = inspect.signature(recourse_oracle).parameters
+    assert list(params) == ["routes", "scenario", "instance"]
+    assert list(inspect.signature(penalty).parameters) == ["instance", "betas"]
+    for gone in ("precompute_best_depot", "PenaltyPolicy"):
+        assert not hasattr(recourse, gone)
+    assert not hasattr(BestDepotTable, "depot")
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Sampled two-stage solving, bound estimators, and the VSS pipeline."""
 
+import dataclasses
 import itertools
 import math
 import statistics
@@ -22,7 +23,7 @@ from fcmurp.detsolve import (
     solve_deterministic_greedy,
 )
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, make_instance, route_cost
-from fcmurp.recourse import LegMemo, evaluate_recourse, precompute_best_depot
+from fcmurp.recourse import BestDepotTable, LegMemo, evaluate_recourse
 from fcmurp.stochsolve import (
     BoundEstimate,
     SaaConfig,
@@ -67,7 +68,7 @@ def check_pattern_search(seq, inst, problem, gamma):
     the deterministic pattern if that ties, else the first one enumerated.
     Returns the number of tied optima (0 when nothing is recoverable).
     """
-    tables = tuple(precompute_best_depot(inst, s) for s in gamma)
+    tables = tuple(BestDepotTable(s.fuel, inst.n_depots) for s in gamma)
     got = _pattern_score(seq, LegMemo(inst, gamma))
     ref = best_pattern_by_enumeration(seq, inst, gamma, tables)
     if ref is None:
@@ -194,7 +195,10 @@ def test_bound_estimate_statistics_match_the_stdlib():
     assert single.dispersion == 0.0
     with pytest.raises(ValueError):
         BoundEstimate(())
-    assert not BoundEstimate([1.0], rigorous=False).rigorous
+
+
+def test_bound_estimate_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(BoundEstimate)] == ["values", "label"]
 
 
 def test_saa_config_is_validated():
@@ -215,7 +219,6 @@ def test_lower_bound_replication_arithmetic_and_determinism():
         math.fsum(res.estimate.values) / 3, abs=1e-12
     )
     assert res.estimate.label == "gamma:seed=9:N=3:M=2"
-    assert res.estimate.rigorous
     again = saa_lower_bound(inst, qmap, config)
     assert again.estimate == res.estimate
 
@@ -255,7 +258,7 @@ def test_upper_bound_charges_the_penalty_for_unrecoverable_scenarios():
     res = saa_upper_bound([routes], lam, inst)
     assert res.penalized_scenarios == 1
     stage1 = route_cost(routes, inst)
-    # auto policy: no observed detour cost, so twice the home round trips
+    # calibrated penalty: no observed detour cost, so twice the home round trips
     expected_nu = 2.0 * math.fsum(
         float(inst.cost[0, t]) + float(inst.cost[t, 0]) for t in inst.target_indices
     )
