@@ -4,8 +4,11 @@ The exact solver enumerates target-to-vehicle assignments and visit orders by
 appending one target at a time, closing routes in canonical first-target
 order so every route multiset is met exactly once. Closed routes are scored
 immediately by the depot-insertion DP, which both completes the costing and
-catches fuel-infeasible sequences early. The search is intended for roughly a
-dozen targets; beyond that use the greedy solver or the tabu search.
+catches fuel-infeasible sequences early. Nodes are bounded by an assignment
+relaxation whose duals each child inherits, so a child is priced in O(1) and
+re-solved by an augmenting path or two only when it is entered. The search
+is intended for roughly a dozen targets; beyond that use the greedy solver
+or the tabu search.
 """
 
 from __future__ import annotations
@@ -139,22 +142,6 @@ class DetProblem:
         for k, d in enumerate(depots):
             via[d, k, :] = via[:, k, d] = math.inf
         return np.minimum(cost, via.min(axis=1)).tolist()
-
-    @cached_property
-    def bare_neighbours(self) -> tuple[list[tuple], list[tuple]]:
-        """Per target: the vertices a bare sequence can reach it from, and
-        those it can fly to from it. Both are the home depot and every other
-        target as ``(edge floor, vertex)`` pairs sorted cheapest first, the
-        vertex id breaking ties; depots get empty tuples."""
-        floor = self.edge_floor_rows
-        targets = self.instance.target_indices
-        preds: list[tuple] = [()] * self.instance.n_vertices
-        succs = list(preds)
-        for u in targets:
-            others = [v for v in (0, *targets) if v != u]
-            preds[u] = tuple(sorted((floor[v][u], v) for v in others))
-            succs[u] = tuple(sorted((floor[u][v], v) for v in others))
-        return preds, succs
 
     @cached_property
     def min_insertion_delta(self) -> float:
@@ -374,65 +361,117 @@ def _insertion_sweep(route: tuple[int, ...], problem: DetProblem) -> Optional[tu
     return tuple(realized)
 
 
-def _completion_bound(
-    problem: DetProblem,
-    acc: float,
-    open_bare: float,
-    last: int,
-    unvisited: set[int],
-    m_rem: int,
-) -> float:
-    """Lower bound on the objective of every completion of a search node.
+def _augment(
+    cost: list[list[float]],
+    u: list[float],
+    v: list[float],
+    owner: list[int],
+    cols: list[int],
+    row: int,
+) -> bool:
+    """Assign ``row`` along one shortest augmenting path (Jonker & Volgenant
+    1987), over the active columns ``cols``.
 
-    The node has closed routes scored ``acc``, an open route ending at
-    ``last`` whose bare edges so far have floors summing to ``open_bare``,
-    the ``unvisited`` targets and ``m_rem`` routes still to open. A
-    completion flies one bare edge into each unvisited target, one edge home
-    per route not yet closed, and one edge out of ``last``, out of each
-    unvisited target and out of the home depot per route to open. A realized
-    route flies each of them direct or through one inserted depot, so the
-    bound prices each at its floor (``DetProblem.edge_floor_rows``) and takes
-    whichever of two counts is larger (``DetProblem.bare_neighbours``):
-
-    - *in-edges*: each unvisited target at its cheapest predecessor still
-      possible (``last``, another unvisited target, or the home depot while
-      a route remains to open), and each route home at the cheapest edge
-      home from a vertex it can end at;
-    - *out-edges*: ``last`` and each unvisited target at its cheapest
-      successor still possible (an unvisited target or the home depot), and
-      each route to open at the cheapest edge from home to an unvisited
-      target.
+    ``owner[j]`` is the row holding column j, or -1 while it is free. The
+    duals ``u`` (rows) and ``v`` (columns) satisfy ``u[i] + v[j] <= cost[i][j]``
+    for every holding row i and active column j, with equality on the arcs
+    held; they stay so and ``row`` joins them, whatever its dual was. A
+    Dijkstra search over reduced costs grows a tree from ``row`` until it
+    reaches a free column, shifting the duals of the tree by each step's
+    slack, then flips the held arcs along the path. Returns False when every
+    path to a free column crosses an infinite (forbidden) arc.
     """
-    floor = problem.edge_floor_rows
-    preds, succs = problem.bare_neighbours
-    from_home = floor[0]
-    into = leave = 0.0
-    home_min = start_min = math.inf
-    for u in unvisited:
-        for c, p in preds[u]:
-            if p in unvisited or p == last or (p == 0 and m_rem):
-                into += c
-                break
-        for c, w in succs[u]:
-            if w == 0 or w in unvisited:
-                leave += c
-                break
-        home = floor[u][0]
-        if home < home_min:
-            home_min = home
-        start = from_home[u]
-        if start < start_min:
-            start_min = start
-    for c, w in succs[last]:
-        if w == 0 or w in unvisited:
-            leave += c
+    inf = math.inf
+    slack = [inf] * len(cost)
+    via = [-1] * len(cost)
+    unreached = list(cols)
+    reached: list[int] = []
+    i = row
+    j_in = -1
+    while True:
+        cost_i = cost[i]
+        u_i = u[i]
+        delta = inf
+        pick = -1
+        for j in unreached:
+            s = cost_i[j] - u_i - v[j]
+            if s < slack[j]:
+                slack[j] = s
+                via[j] = j_in
+            else:
+                s = slack[j]
+            if s < delta:
+                delta = s
+                pick = j
+        if pick < 0:
+            return False
+        u[row] += delta
+        for j in reached:
+            u[owner[j]] += delta
+            v[j] -= delta
+        for j in unreached:
+            slack[j] -= delta
+        unreached.remove(pick)
+        reached.append(pick)
+        i = owner[pick]
+        if i < 0:
             break
-    home = floor[last][0]
-    into += home if home < home_min else home_min
-    if m_rem and unvisited:
-        into += m_rem * home_min
-        leave += m_rem * start_min
-    return acc + open_bare + (into if into > leave else leave)
+        j_in = pick
+    j = pick
+    while j >= 0:
+        prev = via[j]
+        owner[j] = row if prev < 0 else owner[prev]
+        j = prev
+    return True
+
+
+# An assignment problem part way through being solved: the row and column
+# duals, each column's holding row (-1 while free), the active columns, and
+# the active rows that hold no column yet.
+_Assignment = tuple[list[float], list[float], list[int], list[int], list[int]]
+
+
+def _settle(cost: list[list[float]], relax: _Assignment) -> bool:
+    """Augment until every active row of ``relax`` holds a column, in place;
+    False when that needs a forbidden arc."""
+    u, v, owner, cols, loose = relax
+    while loose:
+        if not _augment(cost, u, v, owner, cols, loose.pop()):
+            return False
+    return True
+
+
+def _drop(relax: _Assignment, row: int, col: int) -> _Assignment:
+    """A copy of ``relax`` without ``row`` and ``col``.
+
+    Deleting a row and a column leaves the duals feasible, so the rest of
+    the duals still bound the smaller problem from below. The column ``row``
+    held is freed and the row that held ``col`` waits to be reassigned.
+    """
+    u, v, owner, cols, loose = relax
+    owner = owner[:]
+    holder = owner[col]
+    cols = [j for j in cols if j != col]
+    if row in loose:
+        loose = [r for r in loose if r != row]
+    else:
+        loose = loose[:]
+        for j in cols:
+            if owner[j] == row:
+                owner[j] = -1
+                break
+    if holder >= 0 and holder != row:
+        loose.append(holder)
+    return u[:], v[:], owner, cols, loose
+
+
+def _dual_value(relax: _Assignment) -> float:
+    """The dual objective of a settled assignment: its minimum cost."""
+    u, v, owner, cols, _ = relax
+    total = 0.0
+    for j in cols:
+        total += u[owner[j]] + v[j]
+    return total
 
 
 def _min_arrival_step(
@@ -451,6 +490,19 @@ def _min_arrival_step(
     return best
 
 
+def _relaxation_arcs(problem: DetProblem) -> list[list[float]]:
+    """Arc costs of the search's assignment relaxation.
+
+    Row and column j stand for vertex j up to the last target, then for one
+    home copy per vehicle; the refuel depots' rows and columns stay unused.
+    An arc costs its edge floor (``DetProblem.edge_floor_rows``), and arcs
+    from a vertex to itself, home to home included, are forbidden (inf).
+    """
+    floor = problem.edge_floor_rows
+    ends = [*range(problem.instance.n_vertices), *[0] * problem.instance.vehicles]
+    return [[math.inf if a == b else floor[a][b] for b in ends] for a in ends]
+
+
 def _branch_routes(
     problem: DetProblem,
     score_route: Callable[[tuple[int, ...]], Optional[tuple[tuple[int, ...], float]]],
@@ -462,6 +514,23 @@ def _branch_routes(
     its exact contribution to the objective (None when infeasible); the
     completion bound prices bare edges at their floors, so a score must
     never undercut the floors of its sequence's bare edges.
+
+    The completion bound is an assignment relaxation (Carpaneto & Toth
+    1980) over ``DetProblem.edge_floor_rows``. Every completion of a node
+    gives one successor to each of its sources (the open route's last
+    vertex, each unvisited target, and one home copy per route still to
+    open) among its sinks (each unvisited target, and one home copy per
+    route still to close), so the cheapest such assignment bounds it, with
+    self-loops and home-to-home arcs forbidden. The relaxation has one row
+    and one column per target and per vehicle's home copy, and a node's is
+    the root's with rows and columns deleted: a child appending t after
+    ``last`` deletes row ``last`` and column t, and closing a route deletes
+    row ``last`` and a home column, opening one a home row. Deleting keeps
+    the parent's duals feasible, so a child is priced in O(1) as its
+    parent's dual value less the deleted duals plus the fixed arcs. A child
+    that passes is re-solved from its parent's duals by the few augmenting
+    paths the deletions call for, and cut before it is counted, extended or
+    scored when the exact value exceeds the incumbent.
 
     The incumbent is the greedy solution: its bare sequences scored by
     ``score_route``, the scores folded left to right, plus ``_BOUND_EPS``.
@@ -475,6 +544,9 @@ def _branch_routes(
     exit_fuel = problem.exit_fuel_list
     order = branching_order(problem)
     rank = {t: i for i, t in enumerate(order)}
+
+    arcs = _relaxation_arcs(problem)
+    home = inst.n_vertices
 
     best_total = math.inf
     best_routes = None
@@ -501,31 +573,38 @@ def _branch_routes(
         m_rem: int,
         acc: float,
         closed: list[tuple[int, ...]],
+        relax: _Assignment,
+        end_row: int,
+        rest: float,
     ) -> None:
         """Descend into each child that appends an unvisited target to the
         open route ``seq`` ending at ``last``. An empty ``seq`` opens a route
         from home, and its first target must rank after ``first_rank``, the
-        just-closed route's first target."""
+        just-closed route's first target. ``relax`` is the relaxation the
+        children are cut from, ``end_row`` its row for the open route's end
+        and ``rest`` its dual value without that row."""
         if len(unvisited) <= m_rem:
             return
         opening = not seq
+        v = relax[1]
+        owner = relax[2]
         for t in order:
             if t not in unvisited or (opening and rank[t] <= first_rank):
+                continue
+            t_bare = bare + floor[last][t]
+            if acc + t_bare + (rest - v[t]) > best_total + _BOUND_EPS:
                 continue
             t_fuel_lb = _min_arrival_step(problem, fuel_lb, last, t)
             if t_fuel_lb > cap:
                 continue
             if strengthened_pruning and t_fuel_lb + exit_fuel[t] > cap:
                 continue
-            t_bare = bare + floor[last][t]
-            rest = unvisited - {t}
-            bound = _completion_bound(problem, acc, t_bare, t, rest, m_rem)
-            if bound > best_total + _BOUND_EPS:
-                continue
+            # home rows are interchangeable: drop the one already holding t
+            row = owner[t] if opening and owner[t] >= home else end_row
             seq.append(t)
             descend(
                 seq, rank[t] if opening else first_rank, t_bare, t_fuel_lb,
-                rest, m_rem, acc, closed,
+                unvisited - {t}, m_rem, acc, closed, _drop(relax, row, t),
             )
             seq.pop()
 
@@ -538,13 +617,36 @@ def _branch_routes(
         m_rem: int,
         acc: float,
         closed: list[tuple[int, ...]],
+        relax: _Assignment,
     ) -> None:
-        """Count the node, extend its open route ``seq``, then close it."""
+        """Settle the node's relaxation and cut it on its exact value, or
+        count it, extend its open route ``seq``, then close it."""
         nonlocal best_total, best_routes, best_key, nodes
+        if not _settle(arcs, relax):
+            return
+        value = _dual_value(relax)
+        if acc + bare + value > best_total + _BOUND_EPS:
+            return
         nodes += 1
         last = seq[-1]
-        extend(seq, first_rank, last, bare, fuel_lb, unvisited, m_rem, acc, closed)
+        u, v, owner, cols, _ = relax
+        extend(
+            seq, first_rank, last, bare, fuel_lb, unvisited, m_rem, acc, closed,
+            relax, last, value - u[last],
+        )
         if m_rem == 0 and unvisited:
+            return
+        # closing deletes row ``last`` and a home column, the one ``last``
+        # holds if it holds one; the rest of the duals price every completion
+        # that closes here, before the route is scored
+        home_col = cols[-1]
+        for j in cols:
+            if owner[j] == last:
+                if j >= home:
+                    home_col = j
+                break
+        rest = value - u[last] - v[home_col]
+        if acc + bare + floor[last][0] + rest > best_total + _BOUND_EPS:
             return
         end_lb = _min_arrival_step(problem, fuel_lb, last, 0)
         if end_lb > cap:
@@ -562,10 +664,21 @@ def _branch_routes(
                 best_routes = tuple(closed)
                 best_key = key
         else:
-            extend([], first_rank, 0, 0.0, 0.0, unvisited, m_rem - 1, acc2, closed)
+            start_row = next(owner[j] for j in cols if owner[j] >= home)
+            extend(
+                [], first_rank, 0, 0.0, 0.0, unvisited, m_rem - 1, acc2, closed,
+                _drop(relax, last, home_col), start_row, rest - u[start_row],
+            )
         closed.pop()
 
-    extend([], -1, 0, 0.0, 0.0, set(inst.target_indices), inst.vehicles - 1, 0.0, [])
+    size = len(arcs)
+    slots = [*inst.target_indices, *range(home, size)]
+    root = ([0.0] * size, [0.0] * size, [-1] * size, slots, list(slots))
+    if _settle(arcs, root):
+        extend(
+            [], -1, 0, 0.0, 0.0, set(inst.target_indices), inst.vehicles - 1, 0.0, [],
+            root, home, _dual_value(root) - root[0][home],
+        )
     return best_routes, best_total, nodes
 
 

@@ -130,6 +130,18 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _string(value, what: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _strings(values, what: str) -> tuple[str, ...]:
+    if type(values) is not list or any(type(v) is not str for v in values):
+        raise ValueError(f"{what} must be a list of strings")
+    return tuple(values)
+
+
 def _routes(rows) -> RouteSet:
     return RouteSet(tuple(tuple(_integer(v, "route vertex") for v in r) for r in rows))
 
@@ -155,7 +167,7 @@ def instance_from_doc(doc: dict) -> Instance:
     """Rebuild an instance; fatal validation issues are artifact errors."""
     try:
         instance = Instance(
-            vertices=tuple(doc["vertices"]),
+            vertices=_strings(doc["vertices"], "vertices"),
             n_refuel=_integer(doc["n_refuel"], "n_refuel"),
             coordinates=_from_matrix(doc["coordinates"], "coordinates"),
             cost=_from_matrix(doc["cost"], "cost"),
@@ -188,8 +200,8 @@ def quadrants_from_doc(doc: dict) -> QuadrantMap:
         qmap = QuadrantMap(
             seed=_integer(doc["seed"], "seed"),
             grid=_number(doc["grid"], "grid"),
-            quadrant_labels=tuple(str(q) for q in doc["quadrant_labels"]),
-            vertex_labels=tuple(str(q) for q in doc["vertex_labels"]),
+            quadrant_labels=_strings(doc["quadrant_labels"], "quadrant_labels"),
+            vertex_labels=_strings(doc["vertex_labels"], "vertex_labels"),
         )
         if len(qmap.quadrant_labels) != 4:
             raise ValueError(f"{len(qmap.quadrant_labels)} quadrant labels, expected 4")
@@ -223,7 +235,7 @@ def scenarios_from_doc(doc: dict) -> ScenarioSet:
             )
             for s in doc["scenarios"]
         )
-        return ScenarioSet(scenarios, label=str(doc["label"]))
+        return ScenarioSet(scenarios, label=_string(doc["label"], "label"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed scenario document: {exc}") from None
 
@@ -282,7 +294,7 @@ def estimate_from_doc(doc: Optional[dict]) -> Optional[BoundEstimate]:
     try:
         return BoundEstimate(
             values=[_number(v, "estimate value") for v in doc["values"]],
-            label=str(doc["label"]),
+            label=_string(doc["label"], "estimate label"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed estimate document: {exc}") from None
@@ -314,7 +326,7 @@ def report_from_doc(doc: dict) -> SaaReport:
         if type(ev_optimal) is not bool:
             raise ValueError(f"ev_optimal must be true or false, got {ev_optimal!r}")
         return SaaReport(
-            instance_name=str(doc["instance_name"]),
+            instance_name=_string(doc["instance_name"], "instance_name"),
             ev=ev,
             ev_optimal=ev_optimal,
             eev=estimate_from_doc(doc["eev"]),

@@ -263,6 +263,19 @@ def enumerate_deterministic(problem: DetProblem, score=None):
     return best_routes, best_total
 
 
+def assignment_by_enumeration(cost: Sequence[Sequence[float]]) -> float:
+    """Minimum cost of a perfect assignment of a square matrix, trying every
+    permutation. A forbidden arc is priced at inf, so a matrix without a
+    finite assignment gives inf."""
+    best = math.inf
+    for perm in itertools.permutations(range(len(cost))):
+        total = 0.0
+        for i, j in enumerate(perm):
+            total += cost[i][j]
+        best = min(best, total)
+    return best
+
+
 def segments_feasible(realized: Sequence[int], fuel: np.ndarray, instance: Instance) -> bool:
     """Plain capacity walk: recourse legs carry no exit reserve at targets."""
     cap = instance.fuel_capacity

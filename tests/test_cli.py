@@ -967,6 +967,12 @@ def test_solve_refuses_a_negative_refuel_depot_count(runner, tmp_path):
         ("result.json", ("ev",), str, "ev must be a number"),
         ("result.json", ("ev_optimal",), lambda v: "false", "ev_optimal must be true or false"),
         ("result.json", ("eev", "values", 0), str, "estimate value must be a number"),
+        ("instance.json", ("vertices",), lambda v: "x" * len(v), "vertices must be a list of strings"),
+        ("instance.json", ("vertices",), lambda v: list(range(len(v))), "vertices must be a list of strings"),
+        ("quadrants.json", ("quadrant_labels",), lambda v: "csms", "quadrant_labels must be a list of strings"),
+        ("scen.json", ("label",), lambda v: None, "label must be a string, got None"),
+        ("result.json", ("eev", "label"), lambda v: None, "estimate label must be a string, got None"),
+        ("result.json", ("instance_name",), lambda v: 7, "instance_name must be a string, got 7"),
     ],
     ids=[
         "vehicles-float",
@@ -987,6 +993,12 @@ def test_solve_refuses_a_negative_refuel_depot_count(runner, tmp_path):
         "ev-string",
         "ev_optimal-string",
         "estimate-value-string",
+        "vertices-string",
+        "vertices-integers",
+        "quadrant-labels-string",
+        "scenario-label-null",
+        "estimate-label-null",
+        "instance-name-integer",
     ],
 )
 def test_readers_refuse_values_of_the_wrong_type(

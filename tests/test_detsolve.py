@@ -29,8 +29,13 @@ from fcmurp.detsolve import (
 from fcmurp.heuristics import construct_detailed, construction_weights
 from fcmurp.instgen import GenConfig, generate_instance
 from fcmurp.model import RouteSet, make_instance, nominal_feasibility, route_cost
-from fcmurp.stochsolve import SaaSolution, gamma_seed
-from oracles import best_insertion, depot_insertion_by_sweep, enumerate_deterministic
+from fcmurp.stochsolve import SaaSolution, gamma_seed, solve_saa_problem
+from oracles import (
+    assignment_by_enumeration,
+    best_insertion,
+    depot_insertion_by_sweep,
+    enumerate_deterministic,
+)
 
 
 def exact_cases(count, start=0, max_targets=5, max_vehicles=2):
@@ -369,19 +374,136 @@ def bare_completions(open_seq, unvisited, m_rem):
                 )
 
 
+def settle_cold(cost, rows, cols):
+    """The library's assignment solver from zero duals with every row
+    unassigned: the relaxation and its value, inf without an assignment."""
+    size = len(cost)
+    relax = ([0.0] * size, [0.0] * size, [-1] * size, list(cols), list(rows))
+    if not detsolve._settle(cost, relax):
+        return relax, math.inf
+    return relax, detsolve._dual_value(relax)
+
+
+def degree_counts(floor, last, unvisited, m_rem):
+    """The larger of two degree counts of a node's completions: each sink at
+    its cheapest possible source, or each source at its cheapest possible
+    sink, with edges priced at their floors."""
+    ends = (last, *unvisited)
+    into = leave = 0.0
+    for u in unvisited:
+        into += min(floor[p][u] for p in (*ends, *((0,) if m_rem else ())) if p != u)
+    into += min(floor[v][0] for v in ends)
+    for v in ends:
+        leave += min(floor[v][w] for w in (0, *unvisited) if w != v)
+    if m_rem and unvisited:
+        into += m_rem * min(floor[u][0] for u in unvisited)
+        leave += m_rem * min(floor[0][u] for u in unvisited)
+    return max(into, leave)
+
+
+def random_costs(rng, k, forbidden_share):
+    """A k x k matrix of integer-valued floats in [-20, 100), negative as on
+    discounted floors, with a share of its arcs forbidden (inf)."""
+    cost = rng.integers(-20, 100, size=(k, k)).astype(float)
+    cost[rng.random((k, k)) < forbidden_share] = math.inf
+    return cost.tolist()
+
+
+def test_assignment_matches_enumeration():
+    rng = np.random.default_rng(18)
+    infeasible = negative = 0
+    for k in range(1, 8):
+        for trial in range(24):
+            cost = random_costs(rng, k, (0.0, 0.2, 0.6)[trial % 3])
+            if trial % 4 == 3:
+                # real-valued costs: the fold order may move the last bits
+                cost = [[c + float(rng.random()) for c in row] for row in cost]
+            _, value = settle_cold(cost, range(k), range(k))
+            expected = assignment_by_enumeration(cost)
+            if trial % 4 == 3:
+                assert value == pytest.approx(expected, abs=1e-9)
+            else:
+                assert value == expected
+            infeasible += expected == math.inf
+            negative += expected < 0.0
+    assert infeasible >= 10 and negative >= 5
+    # layouts without a finite assignment
+    inf = math.inf
+    layouts = [
+        ([[inf]], [0], [0]),
+        ([[1.0, 2.0], [inf, inf]], [0, 1], [0, 1]),
+        # two rows can only use the same column
+        ([[4.0, inf, inf], [5.0, inf, inf], [1.0, 2.0, 3.0]], [0, 1, 2], [0, 1, 2]),
+    ]
+    # the search's arcs at a node with fewer unvisited targets than routes
+    # to open: rows t1, t2 and two home copies, columns t2 and three home
+    # copies, and home copies may not follow each other
+    problem = DetProblem(make_case(seed=3, n_targets=3, vehicles=3)[0])
+    home = problem.instance.n_vertices
+    t1, t2, _ = problem.instance.target_indices
+    layouts.append(
+        (detsolve._relaxation_arcs(problem), [t1, t2, home, home + 1], [t2, home, home + 1, home + 2])
+    )
+    for cost, rows, cols in layouts:
+        assert assignment_by_enumeration([[cost[i][j] for j in cols] for i in rows]) == inf
+        assert settle_cold(cost, rows, cols)[1] == inf
+
+
+def test_warm_resolve_equals_a_cold_solve():
+    rng = np.random.default_rng(19)
+    checked = 0
+    for k in range(2, 8):
+        for trial in range(30):
+            cost = random_costs(rng, k, 0.15)
+            parent, value = settle_cold(cost, range(k), range(k))
+            if value == math.inf:
+                continue
+            saved = [list(part) for part in parent]
+            # one deleted pair extends a route; two close one and open the next
+            pairs = 1 + trial % 2 if k > 2 else 1
+            rows = [int(r) for r in rng.choice(k, size=pairs, replace=False)]
+            cols = [int(c) for c in rng.choice(k, size=pairs, replace=False)]
+            child = parent
+            for r, c in zip(rows, cols):
+                child = detsolve._drop(child, r, c)
+            u, v = child[0], child[1]
+            kept_rows = [i for i in range(k) if i not in rows]
+            kept_cols = [j for j in range(k) if j not in cols]
+            # the parent's duals stay feasible, so what is left bounds the child
+            floor_value = sum(u[i] for i in kept_rows) + sum(v[j] for j in kept_cols)
+            sub = [[cost[i][j] for j in kept_cols] for i in kept_rows]
+            expected = assignment_by_enumeration(sub)
+            assert settle_cold(sub, range(k - pairs), range(k - pairs))[1] == expected
+            settled = detsolve._settle(cost, child)
+            assert settled == (expected < math.inf)
+            if settled:
+                assert floor_value <= expected
+                assert detsolve._dual_value(child) == expected
+                checked += 1
+            # the parent is left as it was
+            assert [list(part) for part in parent] == saved
+    assert checked >= 120
+
+
 def test_completion_bound_never_exceeds_the_cheapest_completion():
     # Closed routes only remove targets and add the same score to both sides,
     # so each partial state is an open route, the unvisited targets and the
-    # routes still to open, with nothing scored yet.
+    # routes still to open, with nothing scored yet. Its bound is the
+    # assignment relaxation the search settles there: the root's with the
+    # visited targets and used home copies deleted, re-solved warm.
     rng = np.random.default_rng(10)
     states = feasible = discounted = tight = 0
     for seed in range(1, 13):
         n = 3 + seed % 4
         m = 1 + seed % 3
         inst, qmap = make_case(seed=seed, n_targets=n, vehicles=m)
+        home = inst.n_vertices
         for problem in (DetProblem(inst), discounted_problem(inst, qmap, seed)):
             cost = problem.cost_rows
             floor = problem.edge_floor_rows
+            arcs = detsolve._relaxation_arcs(problem)
+            slots = [*inst.target_indices, *range(home, home + m)]
+            root, _ = settle_cold(arcs, slots, slots)
             budget_unit = min(0.0, problem.min_insertion_delta)
             discounted += budget_unit < 0.0
             old_min_in = [
@@ -401,9 +523,20 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
                 for a, b in zip((0, *open_seq), open_seq):
                     open_bare += cost[a][b]
                     open_floor += floor[a][b]
-                bound = detsolve._completion_bound(
-                    problem, 0.0, open_floor, open_seq[-1], unvisited, m_rem
-                )
+                # delete the rows of visited targets but the last, the home
+                # copies of the routes opened, the columns of visited targets
+                # and the home copies of the routes closed
+                relax = root
+                rows = [*targets[: taken - 1], *range(home, home + closed + 1)]
+                cols = [*targets[:taken], *range(home, home + closed)]
+                for r, c in zip(rows, cols):
+                    relax = detsolve._drop(relax, r, c)
+                assert detsolve._settle(arcs, relax)
+                value = detsolve._dual_value(relax)
+                node_rows = [open_seq[-1], *unvisited, *range(home + closed + 1, home + m)]
+                node_cols = [*unvisited, *range(home + closed, home + m)]
+                assert value == pytest.approx(settle_cold(arcs, node_rows, node_cols)[1], abs=1e-9)
+                bound = open_floor + value
                 best_realized = math.inf
                 for routes in bare_completions(open_seq, unvisited, m_rem):
                     realized = 0.0
@@ -412,8 +545,11 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
                         realized += math.inf if scored is None else scored[1]
                     best_realized = min(best_realized, realized)
                 assert bound <= best_realized + detsolve._BOUND_EPS
-                # the old bound priced each target at its cheapest edge from
-                # anywhere and budgeted one worst-case insertion per edge
+                # the bound before the relaxation took the larger degree count
+                counts = open_floor + degree_counts(floor, open_seq[-1], unvisited, m_rem)
+                assert bound >= counts - detsolve._BOUND_EPS
+                # the bound before that priced each target at its cheapest
+                # edge from anywhere and budgeted one worst-case insertion per edge
                 edges = open_len + 1 + len(unvisited) + m_rem
                 old = open_bare + sum(old_min_in[u] for u in unvisited)
                 old += min(cost[v][0] for v in (open_seq[-1], *unvisited))
@@ -426,6 +562,21 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
                 tight += bound > old + detsolve._BOUND_EPS
     assert discounted >= 4
     assert states >= 150 and feasible >= 150 and tight >= 100
+
+
+def test_saa_n8_searches_stay_small():
+    # the benchmark's saa-n8 instance and replications: the degree-count
+    # bound took 1,101 nodes on the EV solve and 1,169 and 1,166 nodes on
+    # the replications, which priced 714 and 722 legs; the assignment bound
+    # takes 412, 410 and 410 nodes and prices 160 and 156 legs (171 and 168
+    # without pricing the closing arc before a route is scored)
+    inst, qmap = make_case(seed=2, n_targets=8, vehicles=3)
+    assert solve_deterministic_exact(DetProblem(inst)).nodes <= 430
+    for k in range(2):
+        sample = make_scenarios(inst, qmap, seed=gamma_seed(0, k), count=5)
+        solution = solve_saa_problem(inst, sample)
+        assert solution.nodes <= 430
+        assert solution.legs <= 165
 
 
 def test_pruning_toggle_preserves_the_optimum():
