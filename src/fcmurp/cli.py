@@ -197,7 +197,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True, help="Layout seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Layout seed.")
 @click.option("--targets", type=click.IntRange(min=1), required=True, help="Number of targets.")
 @click.option("--vehicles", type=click.IntRange(min=1), default=1, show_default=True, help="Fleet size.")
 @click.option("--refuel-depots", type=click.IntRange(min=1), default=4, show_default=True, help="Refuel depots besides the home depot.")
@@ -238,7 +238,7 @@ def generate(seed, targets, vehicles, refuel_depots, fuel_factor, grid, out):
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(), required=True, help="Instance document.")
 @click.option("--quadrants", "quadrants_path", type=click.Path(), required=True, help="Quadrant-map document.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Sampling seed.")
 @click.option("--count", type=click.IntRange(min=1), required=True, help="Number of scenarios.")
 @click.option("--distribution", type=click.Choice(["gamma", "point-mass"]), default="gamma", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output scenario file.")
@@ -258,7 +258,7 @@ def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
 @click.option("--instance", "instance_path", type=click.Path(), required=True, help="Instance document.")
 @click.option("--quadrants", "quadrants_path", type=click.Path(), required=True, help="Quadrant-map document.")
 @click.option("--mode", type=click.Choice(["evp", "saa", "heuristic"]), required=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="Base seed for all sampling streams.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Base seed for all sampling streams.")
 @click.option("--n", "replications", type=click.IntRange(min=2), default=10, show_default=True, help="Replications.")
 @click.option("--m", "sample_size", type=click.IntRange(min=1), default=10, show_default=True, help="Scenarios per replication sample.")
 @click.option("--lambda", "lambda_size", type=click.IntRange(min=1), default=1000, show_default=True, help="Evaluation sample size.")
@@ -398,7 +398,7 @@ def solve(
             "rejections": {"gamma": gamma_rejections, "lambda": lam.rejections},
         }
     counters["ev_solve"] = {"nodes": ev.nodes, "optimal": ev.optimal}
-    counters["insertions"] = len(instance.nominal_problem.insertions)
+    counters["insertions"] = len(instance.insertions)
 
     solution_path = os.path.join(out, "solution.json")
     result_path = os.path.join(out, "result.json")
@@ -437,7 +437,7 @@ def solve(
 @click.option("--solution", "solution_path", type=click.Path(), required=True, help="Solution document to score.")
 @click.option("--scenarios", "scenarios_path", type=click.Path(), default=None, help="Existing scenario file; otherwise drawn from --seed.")
 @click.option("--quadrants", "quadrants_path", type=click.Path(), default=None, help="Quadrant map, required when drawing scenarios.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Base seed; evaluation scenarios come from its evaluation substream.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Base seed; evaluation scenarios come from its evaluation substream.")
 @click.option("--lambda", "lambda_size", type=click.IntRange(min=1), default=1000, show_default=True, help="Evaluation sample size.")
 @click.option("--result", "result_path", type=click.Path(), default=None, help="Result document to update in place.")
 @click.option("--column", type=click.Choice(["eev", "ub", "h"]), default="h", show_default=True, help="Which result column receives the estimate.")

@@ -9,26 +9,22 @@ relaxation whose duals each child inherits, so a child is priced in O(1) and
 re-solved by an augmenting path or two only when it is entered. The search
 is intended for roughly a dozen targets; beyond that use the greedy solver
 or the tabu search.
+
+Every solver takes a ``model.Instance`` and routes under its ``cost`` and
+``nominal_fuel``. A deterministic problem under other fuel or costs is an
+instance with its matrices swapped in by ``dataclasses.replace``, and the
+tables and insertion memo the solvers use are cached on the instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .model import (
-    Instance,
-    RouteSet,
-    min_detour_increment,
-    min_exit_fuel,
-)
+from .model import Instance, RouteSet
 
 __all__ = [
-    "DetProblem",
     "DetSolution",
     "optimal_depot_insertion",
     "solve_deterministic_exact",
@@ -42,135 +38,6 @@ __all__ = [
 # used for; beyond it callers switch to the greedy solver or tabu search,
 # since the search is exponential in the target count.
 EXACT_TARGET_LIMIT = 8
-
-
-@dataclass(frozen=True)
-class DetProblem:
-    """A deterministic routing problem, optionally with matrix overrides.
-
-    Overrides replace the instance's cost or fuel for every ordered pair;
-    structure (vertices, vehicles, capacity) always comes from the instance.
-    """
-
-    instance: Instance
-    cost_override: Optional[np.ndarray] = None
-    fuel_override: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        n = self.instance.n_vertices
-        for name, mat in (("cost_override", self.cost_override), ("fuel_override", self.fuel_override)):
-            if mat is not None:
-                if mat.shape != (n, n):
-                    raise ValueError(f"{name} shape {mat.shape} != ({n}, {n})")
-                mat.flags.writeable = False
-
-    @cached_property
-    def cost(self) -> np.ndarray:
-        return self.cost_override if self.cost_override is not None else self.instance.cost
-
-    @cached_property
-    def fuel(self) -> np.ndarray:
-        return self.fuel_override if self.fuel_override is not None else self.instance.nominal_fuel
-
-    @cached_property
-    def exit_fuel(self) -> np.ndarray:
-        """Cheapest fuel from each vertex to any depot under the active matrix."""
-        return min_exit_fuel(self.fuel, self.instance.n_depots)
-
-    # Plain-list mirrors of the matrices for scalar hot loops: indexing a
-    # list of floats is several times cheaper than a numpy scalar lookup, and
-    # the values and the IEEE arithmetic on them are the same.
-    @cached_property
-    def cost_rows(self) -> list[list[float]]:
-        return self.cost.tolist()
-
-    @cached_property
-    def fuel_rows(self) -> list[list[float]]:
-        return self.fuel.tolist()
-
-    @cached_property
-    def exit_fuel_list(self) -> list[float]:
-        return self.exit_fuel.tolist()
-
-    @cached_property
-    def _detour_rows(self) -> list[Optional[list]]:
-        return [None] * self.instance.n_vertices
-
-    def detour_options(self, v: int, w: int) -> tuple[float, tuple[tuple[int, float, float], ...]]:
-        """The direct cost of edge (v, w) and the depot detours off it.
-
-        Each detour is ``(d, fuel[v][d], cost[v][d] + cost[d][w])`` for a depot
-        ``d`` other than ``v`` and ``w``, sorted by the fuel to reach it, so a
-        sweep can stop at the first depot out of reach. Built the first time
-        a sweep crosses the edge and kept in a row list made when its row is
-        first asked for, so a problem pays only for the edges its sweeps
-        cross.
-        """
-        rows = self._detour_rows
-        row = rows[v]
-        if row is None:
-            row = rows[v] = [None] * len(rows)
-        entry = row[w]
-        if entry is None:
-            cost = self.cost_rows
-            cost_v = cost[v]
-            fuel_v = self.fuel_rows[v]
-            detours = [
-                (d, fuel_v[d], cost_v[d] + cost[d][w])
-                for d in self.instance.depot_indices
-                if d != v and d != w
-            ]
-            detours.sort(key=lambda option: option[1])
-            entry = row[w] = (cost_v[w], tuple(detours))
-        return entry
-
-    @cached_property
-    def insertions(self) -> dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]]:
-        """Memo of ``optimal_depot_insertion`` on this problem, keyed by the
-        bare sequence; the answer depends on nothing else."""
-        return {}
-
-    @cached_property
-    def edge_floor_rows(self) -> list[list[float]]:
-        """Per edge (u, w): its cheapest realization, ``cost[u][w]`` or a
-        detour ``cost[u][d] + cost[d][w]`` through a depot ``d`` not in
-        {u, w}, added as in ``detour_options``; the cost itself wherever no
-        detour is cheaper, as on metric costs."""
-        cost = self.cost
-        depots = list(self.instance.depot_indices)
-        via = cost[:, depots, None] + cost[None, depots, :]
-        for k, d in enumerate(depots):
-            via[d, k, :] = via[:, k, d] = math.inf
-        return np.minimum(cost, via.min(axis=1)).tolist()
-
-    @cached_property
-    def min_insertion_delta(self) -> float:
-        """Smallest possible cost delta of a single depot insertion.
-
-        ``model.min_detour_increment`` of the active costs. Non-negative for
-        metric costs; with overrides it can go negative, which turns off the
-        bare-route shortcut of ``optimal_depot_insertion``.
-        """
-        return min_detour_increment(self.cost, self.instance.n_depots)
-
-    @cached_property
-    def label_slack_unit(self) -> float:
-        """Per-problem factor of the insertion sweep's dominance margin.
-
-        ``optimal_depot_insertion`` drops a label only when its delta exceeds
-        a dominating label's by more than ``slack = unit * L * (L + 1)`` on a
-        route of L edges. A dropped label must end strictly worse than its
-        dominator after every remaining fold, so the slack has to cover the
-        worst rounding drift of those folds. Let C be the largest |cost|. A
-        delta sums at most L increments of at most 3C each, so with rounding
-        every |delta| and every |delta + via| stays below B = 4(L + 1)C. One
-        ``(x + via) - direct`` step rounds twice per label, each time by at
-        most u|result| with u = 2**-53, so it shrinks the gap between two
-        labels by at most 4uB; at most L steps remain, a drift of at most
-        16uL(L + 1)C. Twice that, the unit 32uC, also covers the rounding of
-        ``best + slack`` in the test itself.
-        """
-        return 32.0 * 2.0**-53 * float(np.abs(self.cost).max())
 
 
 @dataclass(frozen=True)
@@ -188,17 +55,16 @@ class DetSolution:
 _BOUND_EPS = 1e-9
 
 
-def branching_order(problem: DetProblem) -> tuple[int, ...]:
+def branching_order(instance: Instance) -> tuple[int, ...]:
     """Targets sorted by decreasing cost from the home depot, id tie-break."""
-    inst = problem.instance
-    cost = problem.cost
+    cost = instance.cost
     return tuple(
-        sorted(inst.target_indices, key=lambda t: (-float(cost[0, t]), t))
+        sorted(instance.target_indices, key=lambda t: (-float(cost[0, t]), t))
     )
 
 
 def optimal_depot_insertion(
-    seq: Sequence[int], problem: DetProblem
+    seq: Sequence[int], instance: Instance
 ) -> Optional[tuple[tuple[int, ...], float]]:
     """Cheapest depot insertion making one target sequence fuel feasible.
 
@@ -221,7 +87,7 @@ def optimal_depot_insertion(
     Two rules skip work whose answer is forced, and leave every answer and
     its tie-break as the full sweep would:
 
-    - *Bare route.* When ``problem.min_insertion_delta >= 0.0`` and the
+    - *Bare route.* When ``instance.min_detour_increment >= 0.0`` and the
       route flown without insertions passes the sweep's checks, the bare
       route is returned without a sweep. Every insertion delta starts at
       ``via - direct >= 0.0`` and rounding is monotone, so no label ends
@@ -229,41 +95,40 @@ def optimal_depot_insertion(
     - *Dominance.* After each position the labels are sorted by fuel, and a
       label is dropped when its delta exceeds the smallest delta of a kept
       label (which has at most its fuel) by more than a slack (see
-      ``DetProblem.label_slack_unit``). The kept label can make every move
+      ``Instance.label_slack_unit``). The kept label can make every move
       the dropped one can, and since the slack outlasts the rounding drift
       of the remaining folds it stays strictly cheaper, so the dropped
       label's pattern could never have won a tie either.
 
-    Answers are memoised on ``problem`` (``DetProblem.insertions``), so each
-    bare sequence is swept at most once per problem.
+    Answers are memoised on ``instance`` (``Instance.insertions``), so each
+    bare sequence is swept at most once per instance.
     """
     if not seq:
         raise ValueError("cannot route an empty target sequence")
     seq = tuple(seq)
-    memo = problem.insertions
+    memo = instance.insertions
     if seq in memo:
         return memo[seq]
-    memo[seq] = answer = _insert_depots(seq, problem)
+    memo[seq] = answer = _insert_depots(seq, instance)
     return answer
 
 
 def _insert_depots(
-    seq: tuple[int, ...], problem: DetProblem
+    seq: tuple[int, ...], instance: Instance
 ) -> Optional[tuple[tuple[int, ...], float]]:
     """``optimal_depot_insertion`` without its memo."""
-    inst = problem.instance
     route = (0, *seq, 0)
-    fuel = problem.fuel_rows
-    cap = inst.fuel_capacity
-    exit_fuel = problem.exit_fuel_list
-    nd = inst.n_depots
-    if problem.min_insertion_delta >= 0.0 and _bare_route_fits(route, fuel, cap, exit_fuel, nd):
+    fuel = instance.fuel_rows
+    cap = instance.fuel_capacity
+    exit_fuel = instance.exit_fuel_list
+    nd = instance.n_depots
+    if instance.min_detour_increment >= 0.0 and _bare_route_fits(route, fuel, cap, exit_fuel, nd):
         realized = route
     else:
-        realized = _insertion_sweep(route, problem)
+        realized = _insertion_sweep(route, instance)
         if realized is None:
             return None
-    cost = problem.cost_rows
+    cost = instance.cost_rows
     total = 0.0
     for a, b in zip(realized, realized[1:]):
         total += cost[a][b]
@@ -291,17 +156,16 @@ def _bare_route_fits(
     return running <= cap
 
 
-def _insertion_sweep(route: tuple[int, ...], problem: DetProblem) -> Optional[tuple[int, ...]]:
+def _insertion_sweep(route: tuple[int, ...], instance: Instance) -> Optional[tuple[int, ...]]:
     """The label sweep of ``optimal_depot_insertion``: the realized route of
     the best pattern, or None."""
-    inst = problem.instance
-    fuel = problem.fuel_rows
-    options = problem.detour_options
-    cap = inst.fuel_capacity
-    exit_fuel = problem.exit_fuel_list
-    nd = inst.n_depots
+    fuel = instance.fuel_rows
+    options = instance.detour_options
+    cap = instance.fuel_capacity
+    exit_fuel = instance.exit_fuel_list
+    nd = instance.n_depots
     last = len(route) - 1
-    slack = problem.label_slack_unit * last * (last + 1)
+    slack = instance.label_slack_unit * last * (last + 1)
     labels = [(0.0, 0.0, ())]
     for pos in range(last):
         v = route[pos]
@@ -475,14 +339,14 @@ def _dual_value(relax: _Assignment) -> float:
 
 
 def _min_arrival_step(
-    problem: DetProblem, prev_best: float, prev_vertex: int, vertex: int
+    instance: Instance, prev_best: float, prev_vertex: int, vertex: int
 ) -> float:
     """Lower bound on arrival fuel at ``vertex`` over all insertion patterns."""
-    fuel = problem.fuel_rows
-    cap = problem.instance.fuel_capacity
+    fuel = instance.fuel_rows
+    cap = instance.fuel_capacity
     fuel_prev = fuel[prev_vertex]
     best = prev_best + fuel_prev[vertex]
-    for d in range(problem.instance.n_depots):
+    for d in range(instance.n_depots):
         if d == prev_vertex or d == vertex:
             continue
         if prev_best + fuel_prev[d] <= cap and fuel[d][vertex] < best:
@@ -490,21 +354,21 @@ def _min_arrival_step(
     return best
 
 
-def _relaxation_arcs(problem: DetProblem) -> list[list[float]]:
+def _relaxation_arcs(instance: Instance) -> list[list[float]]:
     """Arc costs of the search's assignment relaxation.
 
     Row and column j stand for vertex j up to the last target, then for one
     home copy per vehicle; the refuel depots' rows and columns stay unused.
-    An arc costs its edge floor (``DetProblem.edge_floor_rows``), and arcs
+    An arc costs its edge floor (``Instance.edge_floor_rows``), and arcs
     from a vertex to itself, home to home included, are forbidden (inf).
     """
-    floor = problem.edge_floor_rows
-    ends = [*range(problem.instance.n_vertices), *[0] * problem.instance.vehicles]
+    floor = instance.edge_floor_rows
+    ends = [*range(instance.n_vertices), *[0] * instance.vehicles]
     return [[math.inf if a == b else floor[a][b] for b in ends] for a in ends]
 
 
 def _branch_routes(
-    problem: DetProblem,
+    instance: Instance,
     score_route: Callable[[tuple[int, ...]], Optional[tuple[tuple[int, ...], float]]],
     strengthened_pruning: bool = True,
 ) -> tuple[Optional[tuple[tuple[int, ...], ...]], float, int]:
@@ -516,7 +380,7 @@ def _branch_routes(
     never undercut the floors of its sequence's bare edges.
 
     The completion bound is an assignment relaxation (Carpaneto & Toth
-    1980) over ``DetProblem.edge_floor_rows``. Every completion of a node
+    1980) over ``Instance.edge_floor_rows``. Every completion of a node
     gives one successor to each of its sources (the open route's last
     vertex, each unvisited target, and one home copy per route still to
     open) among its sinks (each unvisited target, and one home copy per
@@ -538,22 +402,21 @@ def _branch_routes(
     leaf, so the answer carries the canonical fold and tie-break key.
     Returns the best routes, their total and the number of nodes.
     """
-    inst = problem.instance
-    floor = problem.edge_floor_rows
-    cap = inst.fuel_capacity
-    exit_fuel = problem.exit_fuel_list
-    order = branching_order(problem)
+    floor = instance.edge_floor_rows
+    cap = instance.fuel_capacity
+    exit_fuel = instance.exit_fuel_list
+    order = branching_order(instance)
     rank = {t: i for i, t in enumerate(order)}
 
-    arcs = _relaxation_arcs(problem)
-    home = inst.n_vertices
+    arcs = _relaxation_arcs(instance)
+    home = instance.n_vertices
 
     best_total = math.inf
     best_routes = None
     best_key = None
-    greedy = solve_deterministic_greedy(problem)
+    greedy = solve_deterministic_greedy(instance)
     if greedy is not None:
-        scored = [score_route(seq) for seq in greedy.routes.bare_sequences(inst)]
+        scored = [score_route(seq) for seq in greedy.routes.bare_sequences(instance)]
         if None not in scored:
             best_total = 0.0
             for _, score in scored:
@@ -594,7 +457,7 @@ def _branch_routes(
             t_bare = bare + floor[last][t]
             if acc + t_bare + (rest - v[t]) > best_total + _BOUND_EPS:
                 continue
-            t_fuel_lb = _min_arrival_step(problem, fuel_lb, last, t)
+            t_fuel_lb = _min_arrival_step(instance, fuel_lb, last, t)
             if t_fuel_lb > cap:
                 continue
             if strengthened_pruning and t_fuel_lb + exit_fuel[t] > cap:
@@ -648,7 +511,7 @@ def _branch_routes(
         rest = value - u[last] - v[home_col]
         if acc + bare + floor[last][0] + rest > best_total + _BOUND_EPS:
             return
-        end_lb = _min_arrival_step(problem, fuel_lb, last, 0)
+        end_lb = _min_arrival_step(instance, fuel_lb, last, 0)
         if end_lb > cap:
             return
         scored = score_route(tuple(seq))
@@ -672,32 +535,30 @@ def _branch_routes(
         closed.pop()
 
     size = len(arcs)
-    slots = [*inst.target_indices, *range(home, size)]
+    slots = [*instance.target_indices, *range(home, size)]
     root = ([0.0] * size, [0.0] * size, [-1] * size, slots, list(slots))
     if _settle(arcs, root):
         extend(
-            [], -1, 0, 0.0, 0.0, set(inst.target_indices), inst.vehicles - 1, 0.0, [],
+            [], -1, 0, 0.0, 0.0, set(instance.target_indices), instance.vehicles - 1, 0.0, [],
             root, home, _dual_value(root) - root[0][home],
         )
     return best_routes, best_total, nodes
 
 
 def solve_deterministic_exact(
-    problem: DetProblem | Instance, strengthened_pruning: bool = True
+    instance: Instance, strengthened_pruning: bool = True
 ) -> Optional[DetSolution]:
-    """Minimum-cost routes under the active matrices, or None if infeasible.
+    """Minimum-cost routes under the instance's matrices, or None if
+    infeasible.
 
     ``strengthened_pruning`` also cuts a child whose arrival fuel leaves no
     reserve to exit to a depot; the answer is the same either way.
     """
-    if isinstance(problem, Instance):
-        problem = problem.nominal_problem
-    inst = problem.instance
-    if inst.vehicles > inst.n_targets:
+    if instance.vehicles > instance.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
 
     routes, total, nodes = _branch_routes(
-        problem, lambda seq: optimal_depot_insertion(seq, problem), strengthened_pruning
+        instance, lambda seq: optimal_depot_insertion(seq, instance), strengthened_pruning
     )
     if routes is None:
         return None
@@ -732,20 +593,17 @@ def _two_opt(seq: list[int], cost: list[list[float]]) -> list[int]:
     return best
 
 
-def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSolution]:
+def solve_deterministic_greedy(instance: Instance) -> Optional[DetSolution]:
     """Nearest-neighbor assignment, 2-opt per route, then depot insertion.
 
     Quick incumbent generator: structurally valid and fuel feasible when it
     returns at all, with cost at or above the exact optimum.
     """
-    if isinstance(problem, Instance):
-        problem = problem.nominal_problem
-    inst = problem.instance
-    if inst.vehicles > inst.n_targets:
+    if instance.vehicles > instance.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
-    cost = problem.cost_rows
-    m = inst.vehicles
-    unvisited = set(inst.target_indices)
+    cost = instance.cost_rows
+    m = instance.vehicles
+    unvisited = set(instance.target_indices)
     seqs: list[list[int]] = [[] for _ in range(m)]
     while unvisited:
         empties = [r for r in range(m) if not seqs[r]]
@@ -767,7 +625,7 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
     total = 0.0
     for seq in seqs:
         seq = _two_opt(seq, cost)
-        result = optimal_depot_insertion(seq, problem)
+        result = optimal_depot_insertion(seq, instance)
         if result is None:
             return None
         route, rcost = result
@@ -781,11 +639,9 @@ def solve_deterministic_greedy(problem: DetProblem | Instance) -> Optional[DetSo
     )
 
 
-def solve_deterministic(problem: DetProblem | Instance) -> Optional[DetSolution]:
+def solve_deterministic(instance: Instance) -> Optional[DetSolution]:
     """Solve exactly up to ``EXACT_TARGET_LIMIT`` targets and greedily
     beyond it."""
-    if isinstance(problem, Instance):
-        problem = problem.nominal_problem
-    if problem.instance.n_targets <= EXACT_TARGET_LIMIT:
-        return solve_deterministic_exact(problem)
-    return solve_deterministic_greedy(problem)
+    if instance.n_targets <= EXACT_TARGET_LIMIT:
+        return solve_deterministic_exact(instance)
+    return solve_deterministic_greedy(instance)

@@ -94,6 +94,10 @@ def read_document(path: str, kind: Optional[str] = None) -> dict:
             doc = json.load(handle)
     except FileNotFoundError:
         raise ArtifactError(f"artifact not found: {path}") from None
+    except OSError as exc:
+        raise ArtifactError(f"artifact cannot be read: {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ArtifactError(f"artifact is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"artifact is not valid JSON: {path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .detsolve import (
-    DetProblem,
     optimal_depot_insertion,
     solve_deterministic,
     solve_deterministic_greedy,
@@ -169,17 +168,13 @@ def construct_detailed(instance: Instance, delta: ScenarioSet) -> ConstructionRe
     solutions: list[tuple[int, Optional[RouteSet]]] = []
     nodes: list[Optional[int]] = []
     for s in ordered:
-        problem = DetProblem(instance, fuel_override=np.array(s.fuel))
-        sol = solve_deterministic(problem)
+        sol = solve_deterministic(replace(instance, nominal_fuel=s.fuel))
         solutions.append((s.id, None if sol is None else sol.routes))
         nodes.append(None if sol is None else sol.nodes)
     weights = construction_weights(instance, delta, solutions)
-    final_problem = DetProblem(
-        instance,
-        cost_override=weights.weighted_cost.copy(),
-        fuel_override=weights.expected_fuel.copy(),
+    final = solve_deterministic(
+        replace(instance, cost=weights.weighted_cost, nominal_fuel=weights.expected_fuel)
     )
-    final = solve_deterministic(final_problem)
 
     routes, fallback = None, "none"
     if final is not None:
@@ -189,7 +184,7 @@ def construct_detailed(instance: Instance, delta: ScenarioSet) -> ConstructionRe
             # expected fuel can be laxer than nominal: re-insert depots
             reinserted = []
             for seq in final.routes.bare_sequences(instance):
-                ins = optimal_depot_insertion(seq, instance.nominal_problem)
+                ins = optimal_depot_insertion(seq, instance)
                 if ins is None:
                     reinserted = None
                     break
@@ -265,8 +260,8 @@ class TwoStageEvaluator:
     The memo maps a bare target sequence to its realized route (the optimal
     depot insertion under nominal fuel), that route's first-stage cost and
     its recourse cost in every scenario of ``delta``, or to None when no
-    insertion exists. Insertions come from the instance's shared nominal
-    problem and recourse from one ``LegMemo`` on ``delta``, so each bare
+    insertion exists. Insertions come from the instance's insertion memo
+    and recourse from one ``LegMemo`` on ``delta``, so each bare
     sequence is inserted once per instance and each leg priced once per
     evaluator. Scores fold first-stage costs and recourse sums over
     the routes in route order, so a route set costs the same however its
@@ -303,7 +298,7 @@ class TwoStageEvaluator:
         bare sequence; None when it cannot be made nominally feasible."""
         if seq in self._memo:
             return self._memo[seq]
-        ins = optimal_depot_insertion(seq, self.instance.nominal_problem)
+        ins = optimal_depot_insertion(seq, self.instance)
         entry = None
         if ins is not None:
             realized, stage1 = ins

@@ -11,12 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .detsolve import DetProblem
 
 __all__ = [
     "RouteStructureError",
@@ -70,6 +67,13 @@ class Instance:
     ``cost`` and ``nominal_fuel`` are dense float64 matrices over the full
     vertex ordering; diagonal entries are ignored. ``fuel_capacity`` is the
     per-segment fuel budget between consecutive depot visits.
+
+    An instance is also the deterministic problem the solvers of
+    ``detsolve`` take. A problem under other fuel or costs, such as one
+    scenario's fuel or discounted costs, is the instance with its matrices
+    swapped in: ``dataclasses.replace(instance, nominal_fuel=..., cost=...)``.
+    The copy starts with empty caches, so it shares no table or memo with
+    the instance it came from.
     """
 
     vertices: tuple[str, ...]
@@ -122,26 +126,30 @@ class Instance:
         """Whether ``cost`` satisfies the triangle inequality (``is_metric``)."""
         return is_metric(self.cost)
 
+    # Plain-list mirrors of the matrices for scalar hot loops: indexing a
+    # list of floats is several times cheaper than a numpy scalar lookup, and
+    # the values and the IEEE arithmetic on them are the same.
     @cached_property
     def cost_rows(self) -> list[list[float]]:
-        """``cost`` as list rows, for scalar hot loops (same floats)."""
         return self.cost.tolist()
 
     @cached_property
-    def min_detour_increment(self) -> float:
-        """``min_detour_increment`` of ``cost``: the cheapest mid-edge detour."""
-        return min_detour_increment(self.cost, self.n_depots)
+    def fuel_rows(self) -> list[list[float]]:
+        return self.nominal_fuel.tolist()
 
     @cached_property
-    def nominal_problem(self) -> DetProblem:
-        """The ``detsolve.DetProblem`` of this instance without overrides.
+    def exit_fuel_list(self) -> list[float]:
+        return self.min_exit_fuel.tolist()
 
-        Every stage that routes under nominal fuel and cost uses this one
-        problem, so its insertion memo holds each bare sequence once per run.
+    @cached_property
+    def min_detour_increment(self) -> float:
+        """``min_detour_increment`` of ``cost``: the cheapest mid-edge detour.
+
+        Non-negative for metric costs; under swapped-in costs it can go
+        negative, which turns off the bare-route shortcut of
+        ``detsolve.optimal_depot_insertion``.
         """
-        from .detsolve import DetProblem
-
-        return DetProblem(self)
+        return min_detour_increment(self.cost, self.n_depots)
 
     @cached_property
     def min_exit_fuel(self) -> np.ndarray:
@@ -152,6 +160,77 @@ class Instance:
     def min_entry_fuel(self) -> np.ndarray:
         """Per-vertex cheapest nominal fuel from any depot."""
         return min_entry_fuel(self.nominal_fuel, self.n_depots)
+
+    @cached_property
+    def _detour_rows(self) -> list[Optional[list]]:
+        return [None] * self.n_vertices
+
+    def detour_options(self, v: int, w: int) -> tuple[float, tuple[tuple[int, float, float], ...]]:
+        """The direct cost of edge (v, w) and the depot detours off it.
+
+        Each detour is ``(d, fuel[v][d], cost[v][d] + cost[d][w])`` for a depot
+        ``d`` other than ``v`` and ``w``, sorted by the fuel to reach it, so a
+        sweep can stop at the first depot out of reach. Built the first time
+        a sweep crosses the edge and kept in a row list made when its row is
+        first asked for, so an instance pays only for the edges its sweeps
+        cross.
+        """
+        rows = self._detour_rows
+        row = rows[v]
+        if row is None:
+            row = rows[v] = [None] * len(rows)
+        entry = row[w]
+        if entry is None:
+            cost = self.cost_rows
+            cost_v = cost[v]
+            fuel_v = self.fuel_rows[v]
+            detours = [
+                (d, fuel_v[d], cost_v[d] + cost[d][w])
+                for d in self.depot_indices
+                if d != v and d != w
+            ]
+            detours.sort(key=lambda option: option[1])
+            entry = row[w] = (cost_v[w], tuple(detours))
+        return entry
+
+    @cached_property
+    def insertions(self) -> dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]]:
+        """Memo of ``detsolve.optimal_depot_insertion`` on this instance,
+        keyed by the bare sequence; the answer depends on nothing else."""
+        return {}
+
+    @cached_property
+    def edge_floor_rows(self) -> list[list[float]]:
+        """Per edge (u, w): its cheapest realization, ``cost[u][w]`` or a
+        detour ``cost[u][d] + cost[d][w]`` through a depot ``d`` not in
+        {u, w}, added as in ``detour_options``; the cost itself wherever no
+        detour is cheaper, as on metric costs."""
+        cost = self.cost
+        depots = list(self.depot_indices)
+        via = cost[:, depots, None] + cost[None, depots, :]
+        for k, d in enumerate(depots):
+            via[d, k, :] = via[:, k, d] = math.inf
+        return np.minimum(cost, via.min(axis=1)).tolist()
+
+    @cached_property
+    def label_slack_unit(self) -> float:
+        """Per-instance factor of the insertion sweep's dominance margin.
+
+        ``detsolve.optimal_depot_insertion`` drops a label only when its
+        delta exceeds a dominating label's by more than
+        ``slack = unit * L * (L + 1)`` on a route of L edges. A dropped label
+        must end strictly worse than its dominator after every remaining
+        fold, so the slack has to cover the worst rounding drift of those
+        folds. Let C be the largest |cost|. A delta sums at most L increments
+        of at most 3C each, so with rounding every |delta| and every
+        |delta + via| stays below B = 4(L + 1)C. One ``(x + via) - direct``
+        step rounds twice per label, each time by at most u|result| with
+        u = 2**-53, so it shrinks the gap between two labels by at most 4uB;
+        at most L steps remain, a drift of at most 16uL(L + 1)C. Twice that,
+        the unit 32uC, also covers the rounding of ``best + slack`` in the
+        test itself.
+        """
+        return 32.0 * 2.0**-53 * float(np.abs(self.cost).max())
 
 
 def depot_radius(coordinates: np.ndarray, n_depots: int) -> float:

@@ -11,7 +11,7 @@ VSS) scores its routes in the same out-of-sample pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .detsolve import (
     _BOUND_EPS,
-    DetProblem,
     DetSolution,
     _branch_routes,
     optimal_depot_insertion,
@@ -229,16 +228,15 @@ def _pattern_score(
     tie-break.
     """
     instance = legs.instance
-    problem = instance.nominal_problem
-    base = optimal_depot_insertion(seq, problem)
+    base = optimal_depot_insertion(seq, instance)
     if base is None:
         return None
     route = (0, *seq, 0)
     last = len(route) - 1
-    fuel = problem.fuel_rows
-    cost = problem.cost_rows
+    fuel = instance.fuel_rows
+    cost = instance.cost_rows
     cap = instance.fuel_capacity
-    exit_fuel = problem.exit_fuel_list
+    exit_fuel = instance.exit_fuel_list
     nd = instance.n_depots
     probs = [s.probability for s in legs.scenarios]
     suffix = [0.0] * (last + 1)
@@ -316,7 +314,6 @@ def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSol
         )
     if instance.vehicles > instance.n_targets:
         raise ValueError("more vehicles than targets: empty routes are not allowed")
-    problem = instance.nominal_problem
     legs = LegMemo(instance, gamma)
     memo: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], float]]] = {}
 
@@ -325,7 +322,7 @@ def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSol
             memo[seq] = _pattern_score(seq, legs)
         return memo[seq]
 
-    routes, total, nodes = _branch_routes(problem, score)
+    routes, total, nodes = _branch_routes(instance, score)
     if routes is None:
         return None
     route_set = RouteSet(routes)
@@ -452,14 +449,17 @@ def solve_evp(instance: Instance, mean_fuel: Optional[np.ndarray] = None) -> Det
     """Mean-value problem: deterministic solve with fuel at its mean.
 
     The default mean is the instance's nominal matrix; pass ``mean_fuel`` to
-    use a distribution mean instead. ``solve_deterministic`` solves it:
-    exactly up to ``EXACT_TARGET_LIMIT`` targets, greedily beyond it.
+    use a distribution mean instead, swapped in for ``nominal_fuel``.
+    ``solve_deterministic`` solves it: exactly up to ``EXACT_TARGET_LIMIT``
+    targets, greedily beyond it.
     """
-    if mean_fuel is None:
-        problem = instance.nominal_problem
-    else:
-        problem = DetProblem(instance, fuel_override=np.array(mean_fuel, dtype=float))
-    sol = solve_deterministic(problem)
+    if mean_fuel is not None:
+        mean_fuel = np.array(mean_fuel, dtype=float)
+        n = instance.n_vertices
+        if mean_fuel.shape != (n, n):
+            raise ValueError(f"mean_fuel shape {mean_fuel.shape} != ({n}, {n})")
+        instance = replace(instance, nominal_fuel=mean_fuel)
+    sol = solve_deterministic(instance)
     if sol is None:
         raise RuntimeError("mean-value problem is infeasible")
     return sol

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from fcmurp import instgen, recourse
-from fcmurp.detsolve import DetProblem, branching_order
+from fcmurp.detsolve import branching_order
 from fcmurp.heuristics import (
     TabuList,
     TabuParams,
@@ -78,12 +78,11 @@ def recompute_weights(instance, delta, solutions):
     return discount, instance.cost * discount, expected
 
 
-def insertion_patterns(seq: Sequence[int], problem: DetProblem):
+def insertion_patterns(seq: Sequence[int], problem: Instance):
     """Every (realized route, delta, pattern) with at most one depot per edge."""
-    inst = problem.instance
     route = (0, *seq, 0)
     edges = len(route) - 1
-    nd = inst.n_depots
+    nd = problem.n_depots
     choices = [None] + list(range(nd))
     for combo in itertools.product(choices, repeat=edges):
         bad = False
@@ -132,11 +131,11 @@ def walk_feasible(realized: Sequence[int], fuel: np.ndarray, instance: Instance)
     return True
 
 
-def best_insertion(seq: Sequence[int], problem: DetProblem):
+def best_insertion(seq: Sequence[int], problem: Instance):
     """Enumerated counterpart of optimal_depot_insertion: same tie-breaks."""
     best = None
     for realized, delta, pattern in insertion_patterns(seq, problem):
-        if not walk_feasible(realized, problem.fuel, problem.instance):
+        if not walk_feasible(realized, problem.nominal_fuel, problem):
             continue
         key = (delta, pattern)
         if best is None or key < best[0]:
@@ -158,10 +157,9 @@ def best_pattern_by_enumeration(seq, instance: Instance, gamma: ScenarioSet, tab
     edge costs left to right, then probability-weighted recourse scenario by
     scenario. Returns (value, every realized route attaining it) or None.
     """
-    problem = DetProblem(instance)
     best_value = None
     best_routes: list = []
-    for realized, _, _ in insertion_patterns(seq, problem):
+    for realized, _, _ in insertion_patterns(seq, instance):
         if not walk_feasible(realized, instance.nominal_fuel, instance):
             continue
         value = 0.0
@@ -185,13 +183,12 @@ def best_pattern_by_enumeration(seq, instance: Instance, gamma: ScenarioSet, tab
     return best_value, tuple(best_routes)
 
 
-def route_set_candidates(problem: DetProblem):
+def route_set_candidates(problem: Instance):
     """All bare route sets, blocks ordered by the solver's branching rank."""
-    inst = problem.instance
     order = branching_order(problem)
     rank = {t: i for i, t in enumerate(order)}
-    targets = frozenset(inst.target_indices)
-    m = inst.vehicles
+    targets = frozenset(problem.target_indices)
+    m = problem.vehicles
 
     def rec(remaining: frozenset, blocks: tuple, prev_rank: int):
         if len(blocks) == m:
@@ -215,7 +212,7 @@ def route_set_candidates(problem: DetProblem):
     yield from rec(targets, (), -1)
 
 
-def enumerate_deterministic(problem: DetProblem, score=None):
+def enumerate_deterministic(problem: Instance, score=None):
     """Exhaustive minimum over all route sets; mirrors the solver's folds.
 
     Route scores accumulate left to right in block-rank order and ties break
@@ -371,14 +368,13 @@ def enumerate_saa(
     ``beta_of(route_set, scenario)`` supplies the recourse cost so callers
     can plug in either the library evaluator or the enumeration above.
     """
-    problem = DetProblem(instance)
     best = None
-    for blocks in route_set_candidates(problem):
+    for blocks in route_set_candidates(instance):
         per_route_options = []
         for seq in blocks:
             options = [
                 (realized,)
-                for realized, _, _ in insertion_patterns(seq, problem)
+                for realized, _, _ in insertion_patterns(seq, instance)
                 if walk_feasible(realized, instance.nominal_fuel, instance)
             ]
             per_route_options.append(options)
@@ -463,7 +459,7 @@ def sample_scenarios_by_draw(
     )
 
 
-def depot_insertion_by_sweep(seq: Sequence[int], problem: DetProblem):
+def depot_insertion_by_sweep(seq: Sequence[int], problem: Instance):
     """Node-by-node formulation of ``optimal_depot_insertion``.
 
     One sweep from the start and one from every (edge, depot) node, each
@@ -471,15 +467,14 @@ def depot_insertion_by_sweep(seq: Sequence[int], problem: DetProblem):
     label sweep in the library must return the same realized route and the
     same cost, bit for bit.
     """
-    inst = problem.instance
     if not seq:
         raise ValueError("cannot route an empty target sequence")
     route = (0, *seq, 0)
     fuel = problem.fuel_rows
     cost = problem.cost_rows
-    cap = inst.fuel_capacity
+    cap = problem.fuel_capacity
     exit_fuel = problem.exit_fuel_list
-    nd = inst.n_depots
+    nd = problem.n_depots
     last = len(route) - 1
     # node (p, d): depot d inserted on edge p; value = (cost delta, pattern)
     node_val: list[list] = [[None] * nd for _ in range(last)]

@@ -15,7 +15,6 @@ from click.testing import CliRunner
 from conftest import make_case, make_scenarios, tight_layouts
 from fcmurp.cli import main as cli_main
 from fcmurp.detsolve import (
-    DetProblem,
     optimal_depot_insertion,
     solve_deterministic_exact,
     solve_deterministic_greedy,
@@ -104,10 +103,9 @@ def twenty_instances():
 def test_criterion_2_deterministic_exactness():
     start = time.perf_counter()
     for inst in twenty_instances():
-        problem = DetProblem(inst)
-        sol = solve_deterministic_exact(problem)
+        sol = solve_deterministic_exact(inst)
         ref = enumerate_deterministic(
-            problem, score=lambda seq: optimal_depot_insertion(seq, problem)
+            inst, score=lambda seq: optimal_depot_insertion(seq, inst)
         )
         assert sol is not None and ref is not None
         assert sol.cost == pytest.approx(ref[1], abs=1e-6)
@@ -122,8 +120,8 @@ def test_criterion_3_pruning_safety():
     instances = [*twenty_instances(), *tight_layouts(20, seed=4)]
     saved = 0
     for inst in instances:
-        on = solve_deterministic_exact(DetProblem(inst), strengthened_pruning=True)
-        off = solve_deterministic_exact(DetProblem(inst), strengthened_pruning=False)
+        on = solve_deterministic_exact(inst, strengthened_pruning=True)
+        off = solve_deterministic_exact(inst, strengthened_pruning=False)
         assert on.cost == off.cost
         assert on.routes.canonical() == off.routes.canonical()
         saved += on.nodes < off.nodes

@@ -84,6 +84,27 @@ def test_generate_refuses_sizes_that_are_not_finite_and_positive(runner, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "scenarios", "solve", "evaluate"])
+def test_negative_seeds_are_usage_errors(runner, tmp_path, command):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    instance = os.path.join(src, "instance.json")
+    quadrants = os.path.join(src, "quadrants.json")
+    rest = {
+        "generate": ["--targets", "4", "--out", str(tmp_path / "out")],
+        "scenarios": ["--instance", instance, "--quadrants", quadrants, "--count", "2",
+                      "--out", str(tmp_path / "scen.json")],
+        "solve": ["--instance", instance, "--quadrants", quadrants, "--mode", "evp",
+                  "--out", str(tmp_path / "out")],
+        "evaluate": ["--instance", instance, "--quadrants", quadrants,
+                     "--solution", os.path.join(src, "solution.json")],
+    }[command]
+    res = runner.invoke(main, [command, "--seed", "-1", *rest])
+    assert res.exit_code == 2, res.output
+    assert "'--seed'" in res.output
+    assert not (tmp_path / "out").exists() and not (tmp_path / "scen.json").exists()
+
+
 def test_generate_takes_its_seed_from_the_flag_alone(runner, tmp_path):
     args = ["generate", "--seed", "1", "--targets", "4", "--vehicles", "2", "--out"]
     plain = runner.invoke(main, [*args, str(tmp_path / "plain")])
@@ -846,6 +867,17 @@ def test_report_renders_both_formats(runner, tmp_path):
 
     missing = runner.invoke(main, ["report", os.path.join(out, "gone.json")])
     assert missing.exit_code == 3
+
+
+@pytest.mark.parametrize("unreadable", ["binary", "directory"])
+def test_unreadable_artifacts_exit_3(runner, tmp_path, unreadable):
+    if unreadable == "binary":
+        path = tmp_path / "result.json"
+        path.write_bytes(b"\x7fELF\xff\xfe\x00\x01")
+    else:
+        path = tmp_path
+    output = invoke_one_line_error(runner, ["report", str(path)], 3)
+    assert str(path) in output
 
 
 def test_report_and_evaluate_recompute_hand_edited_statistics(runner, tmp_path):

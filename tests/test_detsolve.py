@@ -19,7 +19,6 @@ from conftest import (
 from fcmurp import detsolve
 from fcmurp.detsolve import (
     EXACT_TARGET_LIMIT,
-    DetProblem,
     branching_order,
     optimal_depot_insertion,
     solve_deterministic,
@@ -29,7 +28,7 @@ from fcmurp.detsolve import (
 from fcmurp.heuristics import construct_detailed, construction_weights
 from fcmurp.instgen import GenConfig, generate_instance
 from fcmurp.model import RouteSet, make_instance, nominal_feasibility, route_cost
-from fcmurp.stochsolve import SaaSolution, gamma_seed, solve_saa_problem
+from fcmurp.stochsolve import SaaSolution, gamma_seed, solve_evp, solve_saa_problem
 from oracles import (
     assignment_by_enumeration,
     best_insertion,
@@ -57,8 +56,7 @@ def exact_cases(count, start=0, max_targets=5, max_vehicles=2):
 
 def test_branching_order_sorts_by_distance_then_id():
     inst, _ = make_case(seed=6, n_targets=5, vehicles=2)
-    problem = DetProblem(inst)
-    order = branching_order(problem)
+    order = branching_order(inst)
     costs = [float(inst.cost[0, t]) for t in order]
     assert costs == sorted(costs, reverse=True)
     assert set(order) == set(inst.target_indices)
@@ -66,7 +64,7 @@ def test_branching_order_sorts_by_distance_then_id():
     c = np.array(inst.cost)
     t0, t1 = order[0], order[1]
     c[0, t1] = c[0, t0]
-    tied = DetProblem(inst, cost_override=c)
+    tied = dataclasses.replace(inst, cost=c)
     tied_order = branching_order(tied)
     assert tied_order.index(min(t0, t1)) < tied_order.index(max(t0, t1))
 
@@ -74,15 +72,14 @@ def test_branching_order_sorts_by_distance_then_id():
 def test_insertion_dp_matches_enumeration():
     checked = 0
     for inst in exact_cases(8):
-        problem = DetProblem(inst)
         targets = list(inst.target_indices)
         for size in (1, 2, 3, 4):
             # a 4-target sequence has 6^5 patterns: check every 24th order
             stride = 24 if size == 4 else 1
             orders = itertools.permutations(targets[: size + 1], size)
             for seq in itertools.islice(orders, 0, None, stride):
-                fast = optimal_depot_insertion(seq, problem)
-                slow = best_insertion(seq, problem)
+                fast = optimal_depot_insertion(seq, inst)
+                slow = best_insertion(seq, inst)
                 checked += 1
                 if fast is None:
                     assert slow is None
@@ -98,13 +95,11 @@ def discounted_problem(inst, qmap, seed):
     delta = make_scenarios(inst, qmap, seed=seed, count=3)
     solutions = []
     for s in delta:
-        sol = solve_deterministic_greedy(DetProblem(inst, fuel_override=np.array(s.fuel)))
+        sol = solve_deterministic_greedy(dataclasses.replace(inst, nominal_fuel=s.fuel))
         solutions.append((s.id, None if sol is None else sol.routes))
     weights = construction_weights(inst, delta, solutions)
-    return DetProblem(
-        inst,
-        cost_override=weights.weighted_cost.copy(),
-        fuel_override=weights.expected_fuel.copy(),
+    return dataclasses.replace(
+        inst, cost=weights.weighted_cost, nominal_fuel=weights.expected_fuel
     )
 
 
@@ -125,19 +120,19 @@ def test_insertion_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
         inst, qmap = make_case(seed=seed, n_targets=n, vehicles=3)
         nominal = np.array(inst.nominal_fuel)
         problems = [
-            DetProblem(inst),
+            inst,
             discounted_problem(inst, qmap, seed),
-            DetProblem(inst, fuel_override=nominal * 1.6),
-            DetProblem(inst, fuel_override=nominal * 100.0),
+            dataclasses.replace(inst, nominal_fuel=nominal * 1.6),
+            dataclasses.replace(inst, nominal_fuel=nominal * 100.0),
         ]
-        discounted += problems[1].min_insertion_delta < 0.0
+        discounted += problems[1].min_detour_increment < 0.0
         cases.append((inst, problems))
     # a depot off the triangle inequality: insertions can pay on their own
     off_triangle = off_triangle_instance()
     off_nominal = np.array(off_triangle.nominal_fuel)
     off_problems = [
-        DetProblem(off_triangle),
-        DetProblem(off_triangle, fuel_override=off_nominal * 1.6),
+        off_triangle,
+        dataclasses.replace(off_triangle, nominal_fuel=off_nominal * 1.6),
     ]
     cases.append((off_triangle, off_problems))
     for inst, problems in cases:
@@ -153,10 +148,12 @@ def test_insertion_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
                 found += got is not None
                 missing += got is None
             # the shortcut is only tried where no insertion can pay
-            assert (len(shortcuts) > checks) == (problem.min_insertion_delta >= 0.0)
+            assert (len(shortcuts) > checks) == (problem.min_detour_increment >= 0.0)
     mirrored = mirrored_instance()
     for scale in (1.0, 1.2, 1.5):
-        problem = DetProblem(mirrored, fuel_override=np.array(mirrored.nominal_fuel) * scale)
+        problem = dataclasses.replace(
+            mirrored, nominal_fuel=np.array(mirrored.nominal_fuel) * scale
+        )
         for length in (1, 2, 3):
             for seq in itertools.permutations(mirrored.target_indices, length):
                 assert optimal_depot_insertion(seq, problem) == depot_insertion_by_sweep(
@@ -200,7 +197,7 @@ def one_ulp_tie_problem(scale):
     fuel = np.ones((5, 5))
     np.fill_diagonal(fuel, 0.0)
     fuel[0, 3] = fuel[3, 4] = 9.5
-    return DetProblem(inst, cost_override=cost * scale, fuel_override=fuel)
+    return dataclasses.replace(inst, cost=cost * scale, nominal_fuel=fuel)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0**20, 2.0**40])
@@ -224,8 +221,8 @@ def test_insertion_matches_the_sweep_on_non_metric_costs(seed, scale, factor):
     n = inst.n_vertices
     nudge = 1.0 + rng.choice([0.0, 0.0, 2.0**-52, -(2.0**-53), 2.0**-51], size=(n, n))
     cost = scale * rng.integers(1, 6, size=(n, n)) * nudge
-    problem = DetProblem(
-        inst, cost_override=cost, fuel_override=np.array(inst.nominal_fuel) * factor
+    problem = dataclasses.replace(
+        inst, cost=cost, nominal_fuel=np.array(inst.nominal_fuel) * factor
     )
     targets = np.array(inst.target_indices)
     for _ in range(15):
@@ -236,8 +233,6 @@ def test_insertion_matches_the_sweep_on_non_metric_costs(seed, scale, factor):
 
 def test_overridden_problems_keep_their_own_insertion_memo():
     inst, qmap = make_case(seed=7, n_targets=12, vehicles=3)
-    nominal = inst.nominal_problem
-    assert inst.nominal_problem is nominal
     rng = np.random.default_rng(8)
     targets = np.array(inst.target_indices)
     seqs = {
@@ -245,13 +240,13 @@ def test_overridden_problems_keep_their_own_insertion_memo():
         for _ in range(60)
     }
     for seq in seqs:
-        assert optimal_depot_insertion(seq, nominal) == depot_insertion_by_sweep(seq, nominal)
-    filled = dict(nominal.insertions)
+        assert optimal_depot_insertion(seq, inst) == depot_insertion_by_sweep(seq, inst)
+    filled = dict(inst.insertions)
     assert set(filled) == seqs
     overridden = (
-        DetProblem(inst),
-        DetProblem(inst, fuel_override=np.array(inst.nominal_fuel) * 1.6),
-        DetProblem(inst, cost_override=np.array(inst.cost) * 2.0),
+        dataclasses.replace(inst),
+        dataclasses.replace(inst, nominal_fuel=np.array(inst.nominal_fuel) * 1.6),
+        dataclasses.replace(inst, cost=np.array(inst.cost) * 2.0),
         discounted_problem(inst, qmap, 7),
     )
     differ = 0
@@ -261,23 +256,23 @@ def test_overridden_problems_keep_their_own_insertion_memo():
             assert got == depot_insertion_by_sweep(seq, problem)
             differ += got != filled[seq]
         assert set(problem.insertions) == seqs
-    assert nominal.insertions == filled
+    assert inst.insertions == filled
     assert differ > 100
-    # an instance argument solves on the shared nominal problem
+    # solving the instance fills its own memo
     greedy = solve_deterministic_greedy(inst)
-    assert greedy == solve_deterministic_greedy(DetProblem(inst))
-    assert len(nominal.insertions) > len(filled)
+    assert greedy == solve_deterministic_greedy(dataclasses.replace(inst))
+    assert len(inst.insertions) > len(filled)
 
 
 def test_insertion_rejects_empty_sequence():
     inst, _ = make_case(seed=6, n_targets=4, vehicles=1)
     with pytest.raises(ValueError):
-        optimal_depot_insertion((), DetProblem(inst))
+        optimal_depot_insertion((), inst)
 
 
 def test_insertion_returns_none_when_capacity_is_hopeless():
     inst, _ = make_case(seed=6, n_targets=4, vehicles=1)
-    problem = DetProblem(inst, fuel_override=np.array(inst.nominal_fuel) * 100.0)
+    problem = dataclasses.replace(inst, nominal_fuel=np.array(inst.nominal_fuel) * 100.0)
     seq = tuple(inst.target_indices)[:2]
     assert optimal_depot_insertion(seq, problem) is None
 
@@ -287,10 +282,9 @@ def test_exact_matches_enumeration_with_ties():
     # dedicated DP-vs-pattern test above verifies independently; the full
     # doubled check below covers both layers at once on tiny cases.
     for inst in exact_cases(10):
-        problem = DetProblem(inst)
-        sol = solve_deterministic_exact(problem)
+        sol = solve_deterministic_exact(inst)
         ref = enumerate_deterministic(
-            problem, score=lambda seq: optimal_depot_insertion(seq, problem)
+            inst, score=lambda seq: optimal_depot_insertion(seq, inst)
         )
         if sol is None:
             assert ref is None
@@ -307,9 +301,8 @@ def test_exact_matches_full_double_enumeration():
     # Both layers brute forced: every route set and every depot pattern.
     for seed, n, m in ((21, 3, 1), (22, 4, 1), (23, 4, 2)):
         inst, _ = make_case(seed=seed, n_targets=n, vehicles=m)
-        problem = DetProblem(inst)
-        sol = solve_deterministic_exact(problem)
-        ref = enumerate_deterministic(problem)
+        sol = solve_deterministic_exact(inst)
+        ref = enumerate_deterministic(inst)
         assert sol is not None and ref is not None
         assert sol.cost == ref[1]
         assert sol.routes.canonical().routes == tuple(sorted(ref[0]))
@@ -323,15 +316,15 @@ def test_exact_matches_enumeration_where_insertions_pay():
         inst, qmap = make_case(seed=seed, n_targets=3 + seed % 4, vehicles=1 + seed % 3)
         problems.append(discounted_problem(inst, qmap, seed))
     off_triangle = off_triangle_instance()
-    problems.append(DetProblem(off_triangle))
+    problems.append(off_triangle)
     problems.append(
-        DetProblem(off_triangle, fuel_override=np.array(off_triangle.nominal_fuel) * 1.6)
+        dataclasses.replace(off_triangle, nominal_fuel=np.array(off_triangle.nominal_fuel) * 1.6)
     )
     below = 0
     for problem in problems:
         floor = problem.edge_floor_rows
         below += floor != problem.cost_rows
-        for u, w in itertools.permutations(range(problem.instance.n_vertices), 2):
+        for u, w in itertools.permutations(range(problem.n_vertices), 2):
             direct, detours = problem.detour_options(u, w)
             assert floor[u][w] == min([direct, *(via for _, _, via in detours)])
         sol = solve_deterministic_exact(problem)
@@ -438,11 +431,11 @@ def test_assignment_matches_enumeration():
     # the search's arcs at a node with fewer unvisited targets than routes
     # to open: rows t1, t2 and two home copies, columns t2 and three home
     # copies, and home copies may not follow each other
-    problem = DetProblem(make_case(seed=3, n_targets=3, vehicles=3)[0])
-    home = problem.instance.n_vertices
-    t1, t2, _ = problem.instance.target_indices
+    inst = make_case(seed=3, n_targets=3, vehicles=3)[0]
+    home = inst.n_vertices
+    t1, t2, _ = inst.target_indices
     layouts.append(
-        (detsolve._relaxation_arcs(problem), [t1, t2, home, home + 1], [t2, home, home + 1, home + 2])
+        (detsolve._relaxation_arcs(inst), [t1, t2, home, home + 1], [t2, home, home + 1, home + 2])
     )
     for cost, rows, cols in layouts:
         assert assignment_by_enumeration([[cost[i][j] for j in cols] for i in rows]) == inf
@@ -498,13 +491,13 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
         m = 1 + seed % 3
         inst, qmap = make_case(seed=seed, n_targets=n, vehicles=m)
         home = inst.n_vertices
-        for problem in (DetProblem(inst), discounted_problem(inst, qmap, seed)):
+        for problem in (inst, discounted_problem(inst, qmap, seed)):
             cost = problem.cost_rows
             floor = problem.edge_floor_rows
             arcs = detsolve._relaxation_arcs(problem)
             slots = [*inst.target_indices, *range(home, home + m)]
             root, _ = settle_cold(arcs, slots, slots)
-            budget_unit = min(0.0, problem.min_insertion_delta)
+            budget_unit = min(0.0, problem.min_detour_increment)
             discounted += budget_unit < 0.0
             old_min_in = [
                 min(cost[p][u] for p in range(inst.n_vertices) if p != u)
@@ -571,7 +564,7 @@ def test_saa_n8_searches_stay_small():
     # takes 412, 410 and 410 nodes and prices 160 and 156 legs (171 and 168
     # without pricing the closing arc before a route is scored)
     inst, qmap = make_case(seed=2, n_targets=8, vehicles=3)
-    assert solve_deterministic_exact(DetProblem(inst)).nodes <= 430
+    assert solve_deterministic_exact(inst).nodes <= 430
     for k in range(2):
         sample = make_scenarios(inst, qmap, seed=gamma_seed(0, k), count=5)
         solution = solve_saa_problem(inst, sample)
@@ -582,8 +575,8 @@ def test_saa_n8_searches_stay_small():
 def test_pruning_toggle_preserves_the_optimum():
     saved = 0
     for inst in [*exact_cases(6, start=300), *tight_layouts(20, seed=6)]:
-        on = solve_deterministic_exact(DetProblem(inst), strengthened_pruning=True)
-        off = solve_deterministic_exact(DetProblem(inst), strengthened_pruning=False)
+        on = solve_deterministic_exact(inst, strengthened_pruning=True)
+        off = solve_deterministic_exact(inst, strengthened_pruning=False)
         assert on.cost == off.cost
         assert on.routes.canonical() == off.routes.canonical()
         assert on.nodes <= off.nodes
@@ -620,25 +613,63 @@ def test_single_target_round_trip():
 
 def test_more_vehicles_than_targets_is_rejected():
     inst, _ = make_case(seed=12, n_targets=3, vehicles=2)
-    forced = DetProblem(
-        generate_instance(GenConfig(seed=12, n_targets=3, vehicles=3))
-    )
+    forced = generate_instance(GenConfig(seed=12, n_targets=3, vehicles=3))
     solve_deterministic_exact(forced)  # m == n is allowed
     with pytest.raises(ValueError):
         bad = generate_instance(GenConfig(seed=12, n_targets=3, vehicles=3))
         object.__setattr__(bad, "vehicles", 4)
-        solve_deterministic_exact(DetProblem(bad))
+        solve_deterministic_exact(bad)
 
 
-def test_problem_overrides_are_validated_and_applied():
+def rebuilt(inst, **matrices):
+    """A new instance from the coordinates and settings of ``inst``, with
+    the given ``cost`` or ``nominal_fuel`` in place of its own."""
+    coords = [tuple(c) for c in inst.coordinates.tolist()]
+    return make_instance(
+        target_coords=coords[inst.n_depots :],
+        refuel_coords=coords[1 : inst.n_depots],
+        home_coord=coords[0],
+        vehicles=inst.vehicles,
+        fuel_capacity=inst.fuel_capacity,
+        cost=matrices.get("cost", inst.cost),
+        nominal_fuel=matrices.get("nominal_fuel", inst.nominal_fuel),
+        grid=inst.grid,
+    )
+
+
+def test_a_replaced_instance_shares_no_memo_with_its_parent():
+    inst, _ = make_case(seed=2, n_targets=8, vehicles=3)
+    nominal = solve_deterministic_exact(inst)
+    filled = dict(inst.insertions)
+    heavy = dataclasses.replace(inst, nominal_fuel=inst.nominal_fuel * 1.6)
+    assert heavy.insertions == {} and heavy.insertions is not inst.insertions
+    fresh = rebuilt(inst, nominal_fuel=np.array(inst.nominal_fuel) * 1.6)
+    solved = solve_deterministic_exact(heavy)
+    assert solved == solve_deterministic_exact(fresh)
+    assert solved.cost > nominal.cost
+    assert heavy.insertions == fresh.insertions
+    assert inst.insertions == filled
+    for name in ("fuel_rows", "exit_fuel_list", "edge_floor_rows", "label_slack_unit"):
+        assert getattr(heavy, name) == getattr(fresh, name)
+    assert heavy.fuel_rows != inst.fuel_rows
+    moved = 0
+    for u, w in itertools.permutations(range(inst.n_vertices), 2):
+        assert heavy.detour_options(u, w) == fresh.detour_options(u, w)
+        moved += heavy.detour_options(u, w) != inst.detour_options(u, w)
+    assert moved > 0
+
+
+def test_evp_mean_fuel_is_shape_checked_and_applied():
     inst, _ = make_case(seed=12, n_targets=4, vehicles=1)
-    with pytest.raises(ValueError):
-        DetProblem(inst, cost_override=np.zeros((2, 2)))
-    doubled = DetProblem(inst, cost_override=np.array(inst.cost) * 2.0)
-    base = solve_deterministic_exact(DetProblem(inst))
-    two = solve_deterministic_exact(doubled)
-    assert two.cost == pytest.approx(2.0 * base.cost, rel=1e-12)
-    assert two.routes.canonical() == base.routes.canonical()
+    with pytest.raises(ValueError, match="mean_fuel shape"):
+        solve_evp(inst, mean_fuel=np.zeros((2, 2)))
+    base = solve_evp(inst)
+    assert solve_evp(inst, mean_fuel=inst.nominal_fuel) == base
+    heavier = np.array(inst.nominal_fuel) * 1.6
+    heavy = solve_evp(inst, mean_fuel=heavier.tolist())
+    assert heavy == solve_deterministic_exact(rebuilt(inst, nominal_fuel=heavier))
+    assert heavy.cost > base.cost
+    assert heavy.routes.canonical() != base.routes.canonical()
 
 
 @settings(max_examples=25, deadline=None)
@@ -650,10 +681,9 @@ def test_exact_enumeration_agreement_property(seed):
         inst, _ = make_case(seed=seed, n_targets=n, vehicles=m)
     except ValueError:
         return
-    problem = DetProblem(inst)
-    sol = solve_deterministic_exact(problem)
+    sol = solve_deterministic_exact(inst)
     ref = enumerate_deterministic(
-        problem, score=lambda seq: optimal_depot_insertion(seq, problem)
+        inst, score=lambda seq: optimal_depot_insertion(seq, inst)
     )
     if sol is None:
         assert ref is None
@@ -664,9 +694,10 @@ def test_exact_enumeration_agreement_property(seed):
 
 def test_exact_search_surface_is_pinned():
     params = inspect.signature(solve_deterministic_exact).parameters
-    assert list(params) == ["problem", "strengthened_pruning"]
+    assert list(params) == ["instance", "strengthened_pruning"]
     assert params["strengthened_pruning"].default is True
     assert not hasattr(detsolve, "BnBConfig")
+    assert not hasattr(detsolve, "DetProblem")
     assert "optimal" not in {f.name for f in dataclasses.fields(SaaSolution)}
 
 
@@ -674,7 +705,7 @@ def test_engine_rule_is_one_target_limit():
     small, _ = make_case(seed=6, n_targets=EXACT_TARGET_LIMIT, vehicles=2)
     large, _ = make_case(seed=6, n_targets=EXACT_TARGET_LIMIT + 1, vehicles=2)
     exact = solve_deterministic(small)
-    assert exact == solve_deterministic_exact(DetProblem(small))
+    assert exact == solve_deterministic_exact(small)
     assert exact.optimal and exact.nodes > 0
     greedy = solve_deterministic(large)
     assert greedy == solve_deterministic_greedy(large)

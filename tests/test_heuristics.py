@@ -14,7 +14,7 @@ from conftest import (
     square_instance,
 )
 from fcmurp import heuristics
-from fcmurp.detsolve import EXACT_TARGET_LIMIT, DetProblem, solve_deterministic_greedy
+from fcmurp.detsolve import EXACT_TARGET_LIMIT, solve_deterministic_greedy
 from fcmurp.heuristics import (
     ConstructionWeights,
     TabuList,
@@ -120,7 +120,7 @@ def test_construct_falls_back_to_scenario_solutions_when_final_solve_fails():
     res = construct_detailed(inst, point_mass(inst, scale=100.0))
     assert res.fallback == "scenario_solution"
     assert res.scenario_solutions == ((0, None),)
-    greedy = solve_deterministic_greedy(DetProblem(inst))
+    greedy = solve_deterministic_greedy(inst)
     assert res.routes.canonical() == greedy.routes.canonical()
 
 

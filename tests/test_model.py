@@ -1,12 +1,17 @@
 """Core data model: matrices, instances, routes, and feasibility walks."""
 
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fcmurp
 from conftest import make_case, square_instance
 from fcmurp.model import (
     PROB_TOL,
@@ -199,3 +204,18 @@ def test_model_surface_is_pinned():
         "fuel_factor", "cost", "nominal_fuel", "grid",
     ]
     assert not hasattr(RouteSet, "from_sequences")
+    assert not hasattr(Instance, "nominal_problem")
+
+
+def test_importing_the_model_loads_no_other_layer():
+    code = (
+        "import json, sys, fcmurp.model; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fcmurp')))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fcmurp.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == ["fcmurp", "fcmurp.model"]

@@ -16,7 +16,7 @@ from conftest import (
     square_instance,
 )
 from fcmurp import recourse
-from fcmurp.detsolve import DetProblem, optimal_depot_insertion, solve_deterministic_greedy
+from fcmurp.detsolve import optimal_depot_insertion, solve_deterministic_greedy
 from fcmurp.instgen import assign_quadrants, sample_scenarios
 from fcmurp.model import RouteSet, Scenario, nominal_feasibility
 from fcmurp.recourse import (
@@ -100,9 +100,8 @@ def kernel_cases():
                 yield inst, routes, Scenario(id=s.id, probability=1.0, fuel=s.fuel * factor)
         yield inst, routes, scaled(inst, 100.0)
     inst = mirrored_instance()
-    problem = DetProblem(inst)
     for seq in ((2, 3, 4), (3, 2, 4), (4, 2, 3), (2, 4, 3)):
-        routes = RouteSet((optimal_depot_insertion(seq, problem)[0],))
+        routes = RouteSet((optimal_depot_insertion(seq, inst)[0],))
         for factor in (1.0, 1.2, 1.5, 2.0):
             yield inst, routes, scaled(inst, factor)
     # routes planned on the metric original fly past depot 1, so recourse

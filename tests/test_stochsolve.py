@@ -17,7 +17,6 @@ from conftest import (
 )
 from fcmurp.detsolve import (
     EXACT_TARGET_LIMIT,
-    DetProblem,
     optimal_depot_insertion,
     solve_deterministic_exact,
     solve_deterministic_greedy,
@@ -60,7 +59,7 @@ def test_sampled_solver_matches_double_enumeration():
         assert sol.value == pytest.approx(plan_value(sol.routes, gamma, inst), abs=1e-12)
 
 
-def check_pattern_search(seq, inst, problem, gamma):
+def check_pattern_search(seq, inst, gamma):
     """Pattern search vs enumeration: exact value, attaining route, tie-break.
 
     The search scores the deterministic optimum first and then accepts only
@@ -78,7 +77,7 @@ def check_pattern_search(seq, inst, problem, gamma):
     realized, value = got
     assert value == ref[0]
     assert realized in ref[1]
-    base = optimal_depot_insertion(seq, problem)[0]
+    base = optimal_depot_insertion(seq, inst)[0]
     assert realized == (base if base in ref[1] else ref[1][0])
     return len(ref[1])
 
@@ -88,7 +87,6 @@ def test_pattern_search_matches_pattern_enumeration_exactly():
     scored = 0
     for seed, vehicles in ((5, 1), (9, 2), (21, 1), (33, 2)):
         inst, qmap = make_case(seed=seed, n_targets=5, vehicles=vehicles)
-        problem = DetProblem(inst)
         samples = [point_mass(inst)] + [
             make_scenarios(inst, qmap, seed=seed + 100 * count, count=count)
             for count in (1, 2, 3)
@@ -96,19 +94,18 @@ def test_pattern_search_matches_pattern_enumeration_exactly():
         for gamma in samples:
             for length in (2, 3, 4):
                 seq = tuple(int(t) for t in rng.permutation(inst.target_indices)[:length])
-                scored += check_pattern_search(seq, inst, problem, gamma) > 0
+                scored += check_pattern_search(seq, inst, gamma) > 0
     assert scored > 0
 
 
 def test_pattern_search_keeps_the_tie_break_on_a_symmetric_layout():
     inst = mirrored_instance()
-    problem = DetProblem(inst)
     ties = 0
     for scale in (1.0, 1.2):
         gamma = point_mass(inst, scale=scale)
         for length in (2, 3):
             for seq in itertools.permutations(inst.target_indices, length):
-                ties += check_pattern_search(seq, inst, problem, gamma) > 1
+                ties += check_pattern_search(seq, inst, gamma) > 1
     assert ties > 0
 
 
@@ -301,7 +298,7 @@ def test_a_reference_equal_to_a_candidate_up_to_route_order_shares_its_score():
 def test_evp_engines_agree_and_validate():
     inst, _ = make_case(seed=13, n_targets=5, vehicles=2)
     exact = solve_evp(inst)
-    assert exact == solve_deterministic_exact(inst.nominal_problem)
+    assert exact == solve_deterministic_exact(inst)
     greedy = solve_deterministic_greedy(inst)
     assert greedy.cost >= exact.cost - 1e-9
     large, _ = make_case(seed=13, n_targets=EXACT_TARGET_LIMIT + 1, vehicles=2)
