@@ -3,8 +3,8 @@
 All artifacts are versioned JSON documents (see ``files``); result documents
 carry no timestamps, so a rerun with the same seeds reproduces them byte for
 byte. Every random stream derives from the command's ``--seed`` flag.
-Exit codes: 0 success, 1 runtime failure (sampler error), 2 usage, 3 missing
-or malformed artifact, 4 infeasible.
+Exit codes: 0 success, 1 runtime failure (sampler error), 2 usage, 3 missing,
+malformed or unwritable artifact, 4 infeasible.
 """
 
 from __future__ import annotations
@@ -107,6 +107,13 @@ def _instance_name(path: str, override: Optional[str]) -> str:
     if override:
         return override
     return os.path.splitext(os.path.basename(path))[0]
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ArtifactError(f"artifact cannot be written: {path}: {exc.strerror}") from None
 
 
 @contextmanager
@@ -225,7 +232,7 @@ def generate(seed, targets, vehicles, refuel_depots, fuel_factor, grid, out):
     except ValueError as exc:
         raise _ExitError(str(exc), 4) from None
     qmap = assign_quadrants(instance, seed)
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     instance_path = os.path.join(out, "instance.json")
     quadrants_path = os.path.join(out, "quadrants.json")
     write_document(instance_to_doc(instance), instance_path)
@@ -291,7 +298,7 @@ def solve(
     instance = _read_instance(instance_path)
     qmap = _read_quadrants(quadrants_path)
     name = _instance_name(instance_path, name)
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     started = datetime.now(timezone.utc).isoformat()
     stages: dict = {}
     seeds: dict = {"base": seed}

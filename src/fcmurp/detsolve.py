@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .model import Instance, RouteSet
+from .model import Instance, RouteSet, route_fits
 
 __all__ = [
     "DetSolution",
@@ -88,8 +88,9 @@ def optimal_depot_insertion(
     its tie-break as the full sweep would:
 
     - *Bare route.* When ``instance.min_detour_increment >= 0.0`` and the
-      route flown without insertions passes the sweep's checks, the bare
-      route is returned without a sweep. Every insertion delta starts at
+      route flown without insertions passes ``model.route_fits`` (under a
+      positive capacity, the checks the sweep makes of the insertion-free
+      label, in the same order), the bare route is returned without a sweep. Every insertion delta starts at
       ``via - direct >= 0.0`` and rounding is monotone, so no label ends
       below 0.0, and on a tie the empty pattern is the smallest.
     - *Dominance.* After each position the labels are sorted by fuel, and a
@@ -118,11 +119,7 @@ def _insert_depots(
 ) -> Optional[tuple[tuple[int, ...], float]]:
     """``optimal_depot_insertion`` without its memo."""
     route = (0, *seq, 0)
-    fuel = instance.fuel_rows
-    cap = instance.fuel_capacity
-    exit_fuel = instance.exit_fuel_list
-    nd = instance.n_depots
-    if instance.min_detour_increment >= 0.0 and _bare_route_fits(route, fuel, cap, exit_fuel, nd):
+    if instance.min_detour_increment >= 0.0 and route_fits(route, instance):
         realized = route
     else:
         realized = _insertion_sweep(route, instance)
@@ -133,27 +130,6 @@ def _insert_depots(
     for a, b in zip(realized, realized[1:]):
         total += cost[a][b]
     return realized, total
-
-
-def _bare_route_fits(
-    route: tuple[int, ...],
-    fuel: list[list[float]],
-    cap: float,
-    exit_fuel: list[float],
-    nd: int,
-) -> bool:
-    """Whether the insertion sweep keeps the insertion-free label to the end.
-
-    The same checks in the same order: at each position the capacity, the
-    exit reserve at a target, then the left-folded fuel of the next edge.
-    """
-    running = 0.0
-    for pos in range(len(route) - 1):
-        v = route[pos]
-        if running > cap or (v >= nd and running + exit_fuel[v] > cap):
-            return False
-        running += fuel[v][route[pos + 1]]
-    return running <= cap
 
 
 def _insertion_sweep(route: tuple[int, ...], instance: Instance) -> Optional[tuple[int, ...]]:

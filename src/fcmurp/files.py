@@ -63,20 +63,23 @@ CSV_HEADER = "instance,EV,EEV,EEV_sd,LB,LB_sd,UB,UB_sd,H,H_sd,VSS,VSS_pct"
 
 
 class ArtifactError(ValueError):
-    """Missing or malformed artifact file."""
+    """Missing, malformed or unwritable artifact file."""
 
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcmurp-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcmurp-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ArtifactError(f"artifact cannot be written: {path}: {exc.strerror}") from None
 
 
 def write_document(doc: dict, path: str) -> None:

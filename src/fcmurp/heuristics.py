@@ -29,7 +29,6 @@ __all__ = [
     "ConstructionWeights",
     "ConstructionResult",
     "TabuParams",
-    "TabuList",
     "TwoStageEvaluator",
     "Evaluation",
     "TabuResult",
@@ -96,22 +95,6 @@ class TabuParams:
         if self.tenure is not None:
             return self.tenure
         return max(7, math.ceil(0.3 * n_targets))
-
-
-class TabuList:
-    """Unordered target-pair swaps with per-entry expiry iterations."""
-
-    def __init__(self) -> None:
-        self._expiry: dict[tuple[int, int], int] = {}
-
-    def add(self, move: tuple[int, int], iteration: int, tenure: int) -> None:
-        self._expiry[move] = iteration + tenure
-
-    def active(self, move: tuple[int, int], iteration: int) -> bool:
-        return self._expiry.get(move, 0) >= iteration
-
-    def __len__(self) -> int:
-        return len(self._expiry)
 
 
 def _used_edges(routes: RouteSet) -> set[tuple[int, int]]:
@@ -657,7 +640,8 @@ def tabu_improve(
     pair_array = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     slack = _bound_slack(evaluator)
     scans: dict[tuple[tuple[int, ...], ...], _StateScan] = {}
-    tabu = TabuList()
+    # each swap's last tabu iteration; a move is tabu while it is >= k
+    tabu_until: dict[tuple[int, int], int] = {}
     log: list[tuple] = []
     since_improve = 0
     since_reset = 0
@@ -683,7 +667,7 @@ def tabu_improve(
             objective = objectives[pos]
             if objective is None:
                 continue
-            is_tabu = tabu.active(move, k)
+            is_tabu = tabu_until.get(move, 0) >= k
             aspires = objective < best.objective
             if is_tabu and not aspires:
                 continue
@@ -704,7 +688,7 @@ def tabu_improve(
             _, move, aspiration = chosen
             ev = evaluator.evaluate(_swap_targets(bare, *move))
             current = ev
-            tabu.add(move, k, tenure)
+            tabu_until[move] = k + tenure
             log.append((k, "move", move, ev.objective, aspiration))
             if ev.feasible and ev.objective < best.objective:
                 best = ev

@@ -101,14 +101,6 @@ class QuadrantMap:
     quadrant_labels: tuple[str, str, str, str]
     vertex_labels: tuple[str, ...]
 
-    @property
-    def congested_quadrant(self) -> int:
-        return self.quadrant_labels.index(CONGESTED)
-
-    @property
-    def sparse_quadrant(self) -> int:
-        return self.quadrant_labels.index(SPARSE)
-
 
 def quadrant_of(x: float, y: float, grid: float) -> int:
     mid = grid / 2.0

@@ -29,6 +29,7 @@ __all__ = [
     "min_detour_increment",
     "validate_instance",
     "route_cost",
+    "route_fits",
     "nominal_feasibility",
 ]
 
@@ -109,9 +110,6 @@ class Instance:
     @property
     def target_indices(self) -> range:
         return range(self.n_depots, self.n_vertices)
-
-    def is_depot(self, v: int) -> bool:
-        return v < self.n_depots
 
     def is_target(self, v: int) -> bool:
         return v >= self.n_depots
@@ -367,16 +365,15 @@ def make_instance(
     refuel_coords: Sequence[tuple[float, float]],
     home_coord: tuple[float, float],
     vehicles: int,
-    fuel_capacity: Optional[float] = None,
     fuel_factor: float = 2.25,
-    cost: Optional[np.ndarray] = None,
-    nominal_fuel: Optional[np.ndarray] = None,
     grid: Optional[float] = None,
 ) -> Instance:
-    """Assemble an instance, deriving Euclidean matrices where not given.
-
-    ``fuel_capacity`` defaults to ``fuel_factor`` times the maximum
+    """Assemble an instance with Euclidean cost and nominal fuel matrices
+    and a fuel capacity of ``fuel_factor`` times the maximum
     depot-to-target distance.
+
+    Other matrices or another capacity go in by
+    ``dataclasses.replace(instance, ...)``.
     """
     coords = np.array([home_coord, *refuel_coords, *target_coords], dtype=float)
     n_refuel = len(refuel_coords)
@@ -384,24 +381,14 @@ def make_instance(
     vertex_ids = [f"d{i}" for i in range(n_depots)] + [
         f"t{i}" for i in range(1, len(target_coords) + 1)
     ]
-    if cost is None:
-        cost = euclidean_matrix(coords)
-    else:
-        cost = np.array(cost, dtype=float)
-    if nominal_fuel is None:
-        nominal_fuel = euclidean_matrix(coords)
-    else:
-        nominal_fuel = np.array(nominal_fuel, dtype=float)
-    if fuel_capacity is None:
-        fuel_capacity = fuel_factor * depot_radius(coords, n_depots)
     return Instance(
         vertices=tuple(vertex_ids),
         n_refuel=n_refuel,
         coordinates=coords,
-        cost=cost,
-        nominal_fuel=nominal_fuel,
+        cost=euclidean_matrix(coords),
+        nominal_fuel=euclidean_matrix(coords),
         vehicles=vehicles,
-        fuel_capacity=float(fuel_capacity),
+        fuel_capacity=float(fuel_factor * depot_radius(coords, n_depots)),
         grid=grid,
     )
 
@@ -512,24 +499,35 @@ def route_cost(routes: RouteSet, instance: Instance) -> float:
     return total
 
 
-def nominal_feasibility(routes: RouteSet, instance: Instance) -> bool:
-    """Fuel-check a route set under nominal consumption.
+def route_fits(route: Sequence[int], instance: Instance) -> bool:
+    """Fuel-check one realized route under nominal consumption.
 
-    Feasible means every depot-to-depot segment burns at most the capacity
-    and, on arrival at each target, enough fuel remains to reach some depot.
+    Walks the route edge by edge on ``fuel_rows``, folding fuel left to
+    right: after each edge the fuel burnt since the last depot must be at
+    most the capacity, the tank refills at a depot, and on arrival at a
+    target enough fuel must remain to reach some depot
+    (``exit_fuel_list``).
+    """
+    fuel = instance.fuel_rows
+    cap = instance.fuel_capacity
+    exit_fuel = instance.exit_fuel_list
+    nd = instance.n_depots
+    used = 0.0
+    for a, b in zip(route, route[1:]):
+        used += fuel[a][b]
+        if used > cap:
+            return False
+        if b < nd:
+            used = 0.0
+        elif used + exit_fuel[b] > cap:
+            return False
+    return True
+
+
+def nominal_feasibility(routes: RouteSet, instance: Instance) -> bool:
+    """Fuel-check a route set under nominal consumption: whether every
+    route passes ``route_fits``. Raises RouteStructureError unless the set
+    is well formed.
     """
     check_route_structure(routes, instance)
-    fuel = instance.nominal_fuel
-    cap = instance.fuel_capacity
-    exit_fuel = instance.min_exit_fuel
-    for route in routes.routes:
-        used = 0.0
-        for a, b in zip(route, route[1:]):
-            used += fuel[a, b]
-            if used > cap:
-                return False
-            if instance.is_depot(b):
-                used = 0.0
-            elif used + exit_fuel[b] > cap:
-                return False
-    return True
+    return all(route_fits(route, instance) for route in routes.routes)

@@ -5,17 +5,16 @@ which target-to-target edges to replace by a detour through the realization's
 best refuel depot for that edge (the depot minimizing entry-plus-exit fuel).
 Edges already touching a depot are flown as planned. ``evaluate_recourse``
 solves this exactly with a per-leg shortest-path DP, one left-to-right sweep
-of (cost, detours, fuel since refuel) labels over each depot-to-depot leg;
-``recourse_oracle`` re-derives the same answer by enumerating every
-keep/detour subset and exists purely as a cross-check. Both accumulate fuel
-and cost strictly left to right along each route so that agreement is exact,
-not approximate. The DP reads list rows cached on the instance and the
+of (cost, detours, fuel since refuel) labels over each depot-to-depot leg,
+accumulating fuel and cost strictly left to right along each route; the
+brute-force reference that enumerates every keep/detour subset lives with
+the tests (``tests/oracles.py``) and agrees with it exactly, not
+approximately. The DP reads list rows cached on the instance and the
 best-depot table, which finds an edge's best depot only when a leg that
-overflows the tank asks for it; the oracle walks the numpy matrices and
-finds every pair's best depot with its own numpy argmin. ``penalty`` prices
-a scenario no detour plan recovers. Search code scores single routes
-against a fixed scenario sample through ``LegMemo``, which prices each
-distinct (leg, scenario) once. Both price a leg through ``_leg_recourse``.
+overflows the tank asks for it. ``penalty`` prices a scenario no detour
+plan recovers. Search code scores single routes against a fixed scenario
+sample through ``LegMemo``, which prices each distinct (leg, scenario) once.
+Both price a leg through ``_leg_recourse``.
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ __all__ = [
     "penalty",
     "evaluate_recourse",
     "LegMemo",
-    "recourse_oracle",
 ]
-
-ORACLE_EDGE_CAP = 20
 
 
 class BestDepotTable:
@@ -102,23 +98,22 @@ def _check_shape(instance: Instance, scenario: Scenario) -> None:
         )
 
 
-def _detour_increment(cost, i: int, d: int, j: int) -> float:
-    """Extra cost of flying i -> d -> j instead of i -> j (rows or array)."""
-    return (cost[i][d] + cost[d][j]) - cost[i][j]
-
-
 def _plan_beta(
     routes: RouteSet,
     detours: Sequence[tuple[int, int]],
     depots: dict[tuple[int, int], int],
-    cost,
+    cost: list[list[float]],
 ) -> float:
-    """Left-to-right sum of detour increments over the whole plan."""
+    """Left-to-right sum of detour increments over the plan's detours in the
+    given (route, position) order, each the extra cost
+    ``(cost[i][d] + cost[d][j]) - cost[i][j]`` of flying i -> d -> j instead
+    of i -> j."""
     total = 0.0
-    for key in sorted(detours):
+    for key in detours:
         r, p = key
         route = routes.routes[r]
-        total += _detour_increment(cost, route[p], depots[key], route[p + 1])
+        i, d, j = route[p], depots[key], route[p + 1]
+        total += (cost[i][d] + cost[d][j]) - cost[i][j]
     return float(total)
 
 
@@ -157,7 +152,7 @@ def _leg_best(
             d = depot_of(v, nxt)
             to_depot = fuel_v[d]
             cost_v = cost[v]
-            # the detour increment, same fold as _detour_increment
+            # the detour increment, same fold as _plan_beta
             inc = (cost_v[d] + cost[d][nxt]) - cost_v[nxt]
             for value, pattern, running in labels:
                 if running > cap:
@@ -289,36 +284,6 @@ def evaluate_recourse(
     return RecoursePlan(scenario.id, ordered, depots, beta)
 
 
-def _walk_route(
-    route: tuple[int, ...],
-    subset: frozenset[int],
-    fuel: np.ndarray,
-    cost: np.ndarray,
-    cap: float,
-    dep_of: np.ndarray,
-    nd: int,
-) -> tuple[bool, float]:
-    """Simulate one keep/detour pattern along a route; plain fuel checks."""
-    used = 0.0
-    score = 0.0
-    for p in range(len(route) - 1):
-        i, j = route[p], route[p + 1]
-        if p in subset:
-            d = dep_of[i, j]
-            used = used + fuel[i, d]
-            if used > cap:
-                return False, math.inf
-            score += _detour_increment(cost, i, d, j)
-            used = float(fuel[d, j])
-        else:
-            used = used + fuel[i, j]
-        if used > cap:
-            return False, math.inf
-        if j < nd:
-            used = 0.0
-    return True, score
-
-
 class LegMemo:
     """Per-scenario recourse of single routes, one leg DP per (leg, scenario).
 
@@ -379,55 +344,3 @@ class LegMemo:
                 total += value
             betas.append(total)
         return tuple(betas)
-
-
-def recourse_oracle(
-    routes: RouteSet,
-    scenario: Scenario,
-    instance: Instance,
-) -> RecoursePlan:
-    """Brute-force recourse by enumerating every keep/detour subset.
-
-    Independent cross-check for ``evaluate_recourse``, best depots included:
-    it finds every pair's with one numpy argmin, not through
-    ``BestDepotTable``. Refuses route sets with more than twenty edges in
-    total. Ties between equal-cost patterns go to the lexicographically
-    smallest detour-position set.
-    """
-    total_edges = sum(len(rt) - 1 for rt in routes.routes)
-    if total_edges > ORACLE_EDGE_CAP:
-        raise ValueError(
-            f"route set has {total_edges} edges; oracle enumeration is capped "
-            f"at {ORACLE_EDGE_CAP}"
-        )
-    _check_shape(instance, scenario)
-    fuel = scenario.fuel
-    cost = instance.cost
-    cap = instance.fuel_capacity
-    nd = instance.n_depots
-    # through[d, i, j] = fuel[i, d] + fuel[d, j]; argmin ties go to the
-    # smallest depot index
-    through = fuel[:, :nd].T[:, :, None] + fuel[:nd, :][:, None, :]
-    dep_of = through.argmin(axis=0)
-    detours: list[tuple[int, int]] = []
-    depots: dict[tuple[int, int], int] = {}
-    for r, route in enumerate(routes.routes):
-        cands = [p for p in range(len(route) - 1) if route[p] >= nd and route[p + 1] >= nd]
-        best = None
-        for bits in range(1 << len(cands)):
-            subset = tuple(cands[k] for k in range(len(cands)) if bits >> k & 1)
-            ok, score = _walk_route(route, frozenset(subset), fuel, cost, cap, dep_of, nd)
-            if not ok:
-                continue
-            val = (score, subset)
-            if best is None or val < best:
-                best = val
-        if best is None:
-            return RecoursePlan(scenario.id, (), {}, math.inf)
-        for p in best[1]:
-            key = (r, p)
-            detours.append(key)
-            depots[key] = int(dep_of[route[p], route[p + 1]])
-    ordered = tuple(sorted(detours))
-    beta = _plan_beta(routes, ordered, depots, cost)
-    return RecoursePlan(scenario.id, ordered, depots, beta)

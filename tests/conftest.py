@@ -86,6 +86,22 @@ def tight_layouts(count: int, seed: int) -> list[Instance]:
     return made
 
 
+def random_realized_routes(inst, rng, count):
+    """Routes over up to nine random targets with refuel stops spliced in
+    at random, as insertions and recourse plans leave them."""
+    nd = inst.n_depots
+    targets = np.array(inst.target_indices)
+    for _ in range(count):
+        route = [0]
+        for t in rng.permutation(targets)[: int(rng.integers(1, min(inst.n_targets, 9) + 1))]:
+            d = int(rng.integers(0, nd))
+            if rng.random() < 0.3 and d != route[-1]:
+                route.append(d)
+            route.append(int(t))
+        route.append(0)
+        yield tuple(route)
+
+
 def point_mass(instance: Instance, scale: float = 1.0, sid: int = 0) -> ScenarioSet:
     """Single certain scenario at ``scale`` times the nominal matrix."""
     fuel = np.array(instance.nominal_fuel, dtype=float) * scale

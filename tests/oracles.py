@@ -17,14 +17,13 @@ import numpy as np
 from fcmurp import instgen, recourse
 from fcmurp.detsolve import branching_order
 from fcmurp.heuristics import (
-    TabuList,
     TabuParams,
     TabuResult,
     TwoStageEvaluator,
     _swap_targets,
     _target_pairs,
 )
-from fcmurp.model import Instance, RouteSet, Scenario, ScenarioSet
+from fcmurp.model import Instance, RecoursePlan, RouteSet, Scenario, ScenarioSet
 
 
 def route_beta(route, scenario: Scenario, instance: Instance, table=None) -> float:
@@ -304,14 +303,17 @@ def realized_routes(routes: RouteSet, plan) -> tuple[tuple[int, ...], ...]:
 
 def recourse_by_enumeration(
     routes: RouteSet, scenario: Scenario, instance: Instance
-) -> float:
-    """Minimum detour cost over every subset of target-target edges.
+) -> RecoursePlan:
+    """Minimum-cost recourse plan over every subset of target-target edges.
 
     Independent of the library: detours go through the depot minimizing the
     two realized hops (smallest index on ties), at most one per edge, and a
     plan counts only if every refuel-to-refuel stretch of the realized walk
-    fits the capacity. The returned cost refolds the chosen increments in
-    route-then-position order, mirroring the library's plan total.
+    fits the capacity. Ties between equal-cost subsets of a route go to the
+    lexicographically smallest position tuple. The plan lists the detoured
+    edges sorted, each with its depot, and refolds the chosen increments in
+    route-then-position order, mirroring the library's plan total; where no
+    plan works it is infeasible, with cost inf.
     """
     fuel = scenario.fuel
     cost = instance.cost
@@ -349,15 +351,17 @@ def recourse_by_enumeration(
                 if best is None or key < best:
                     best = key
         if best is None:
-            return math.inf
+            return RecoursePlan(scenario.id, (), {}, math.inf)
         chosen.extend((r, p) for p in best[1])
+    detoured = tuple(sorted(chosen))
+    depots = {}
     total = 0.0
-    for r, p in sorted(chosen):
+    for r, p in detoured:
         route = routes.routes[r]
         i, j = route[p], route[p + 1]
-        d = dhat(i, j)
+        d = depots[r, p] = dhat(i, j)
         total += (float(cost[i, d]) + float(cost[d, j])) - float(cost[i, j])
-    return total
+    return RecoursePlan(scenario.id, detoured, depots, total)
 
 
 def enumerate_saa(
@@ -366,7 +370,8 @@ def enumerate_saa(
     """Exhaustive two-stage optimum over route sets and insertion patterns.
 
     ``beta_of(route_set, scenario)`` supplies the recourse cost so callers
-    can plug in either the library evaluator or the enumeration above.
+    can plug in either the library evaluator or the enumeration above
+    (its plan's ``beta``).
     """
     best = None
     for blocks in route_set_candidates(instance):
@@ -596,7 +601,7 @@ def tabu_by_full_evaluation(
     if current is None:
         raise ValueError("initial routes cannot be made nominally feasible")
     best = current
-    tabu = TabuList()
+    tabu_until: dict[tuple[int, int], int] = {}
     log: list[tuple] = []
     since_improve = 0
     since_reset = 0
@@ -610,7 +615,8 @@ def tabu_by_full_evaluation(
             ev = evaluator.evaluate(_swap_targets(current.bare, t1, t2))
             if ev is None:
                 continue
-            is_tabu = tabu.active(move, k)
+            # a swap stays tabu through iteration (made at) + tenure
+            is_tabu = tabu_until.get(move, 0) >= k
             aspires = ev.objective < best.objective
             if is_tabu and not aspires:
                 continue
@@ -629,7 +635,7 @@ def tabu_by_full_evaluation(
         else:
             _, move, ev, aspiration = chosen
             current = ev
-            tabu.add(move, k, tenure)
+            tabu_until[move] = k + tenure
             log.append((k, "move", move, ev.objective, aspiration))
             if ev.feasible and ev.objective < best.objective:
                 best = ev

@@ -27,7 +27,7 @@ from fcmurp.heuristics import (
 )
 from fcmurp.instgen import GenConfig, generate_instance, sample_scenarios
 from fcmurp.model import Scenario, nominal_feasibility
-from fcmurp.recourse import evaluate_recourse, recourse_oracle
+from fcmurp.recourse import evaluate_recourse
 from fcmurp.stochsolve import (
     SaaConfig,
     gamma_seed,
@@ -36,7 +36,7 @@ from fcmurp.stochsolve import (
     saa_upper_bound,
     solve_evp,
 )
-from oracles import enumerate_deterministic, recompute_weights
+from oracles import enumerate_deterministic, recompute_weights, recourse_by_enumeration
 
 
 def edge_count(routes):
@@ -75,9 +75,11 @@ def test_criterion_1_recourse_oracle_equivalence():
     agreements = 0
     for inst, routes, scenario in recourse_triples(200):
         fast = evaluate_recourse(routes, scenario, inst)
-        slow = recourse_oracle(routes, scenario, inst)
+        slow = recourse_by_enumeration(routes, scenario, inst)
         assert fast.feasible == slow.feasible
         assert fast.beta == slow.beta
+        assert fast.detoured_edges == slow.detoured_edges
+        assert fast.inserted_depots == slow.inserted_depots
         agreements += 1
     elapsed = time.perf_counter() - start
     assert agreements == 200

@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: exit codes, seeds, and stable bytes."""
 
+import functools
+import importlib
+import inspect
 import json
 import math
 import os
 import shlex
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -880,6 +884,35 @@ def test_unreadable_artifacts_exit_3(runner, tmp_path, unreadable):
     assert str(path) in output
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "scenarios", "report"])
+def test_unwritable_output_paths_exit_3(runner, tmp_path, command):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory\n")
+    inputs = [
+        "--instance", os.path.join(src, "instance.json"),
+        "--quadrants", os.path.join(src, "quadrants.json"),
+    ]
+    if command == "generate":
+        out = str(blocker / "sub")
+        args = ["generate", "--targets", "4", "--vehicles", "2", "--out", out]
+    elif command == "solve":
+        out = str(blocker / "sub")
+        args = solve_args(src, out, "evp")
+    elif command == "scenarios":
+        out = str(blocker / "s.json")
+        args = ["scenarios", *inputs, "--count", "2", "--out", out]
+    else:
+        solved = str(tmp_path / "evp")
+        assert runner.invoke(main, solve_args(src, solved, "evp")).exit_code == 0
+        out = str(blocker / "t.txt")
+        args = ["report", os.path.join(solved, "result.json"), "--out", out]
+    output = invoke_one_line_error(runner, args, 3)
+    assert output.startswith(f"Error: artifact cannot be written: {out}: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_report_and_evaluate_recompute_hand_edited_statistics(runner, tmp_path):
     src = str(tmp_path / "inst")
     assert gen(runner, src).exit_code == 0
@@ -1116,3 +1149,72 @@ def test_evaluate_refuses_a_negative_scenario_fuel_entry(runner, tmp_path, sampl
     ]
     output = invoke_one_line_error(runner, args, 3)
     assert "scenario 1 fuel has negative entries off the diagonal" in output
+
+
+LAYERS = ("model", "instgen", "recourse", "detsolve", "stochsolve", "heuristics", "files")
+
+
+def public_code(module):
+    """Name to code object of every function in ``module.__all__`` and of
+    every method, property and cached property defined on its classes there;
+    dunders other than ``__post_init__`` are left out."""
+    found = {}
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            found[f"{module.__name__}.{name}"] = obj.__code__
+        elif inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if attr.startswith("__") and attr.endswith("__") and attr != "__post_init__":
+                    continue
+                if isinstance(value, property):
+                    value = value.fget
+                elif isinstance(value, functools.cached_property):
+                    value = value.func
+                elif isinstance(value, (staticmethod, classmethod)):
+                    value = value.__func__
+                if inspect.isfunction(value):
+                    found[f"{module.__name__}.{name}.{attr}"] = value.__code__
+    return found
+
+
+def test_every_public_name_runs_in_a_pipeline(runner, tmp_path):
+    expected = {}
+    for layer in LAYERS:
+        expected.update(public_code(importlib.import_module(f"fcmurp.{layer}")))
+    src = str(tmp_path / "inst")
+    instance = os.path.join(src, "instance.json")
+    inputs = ["--instance", instance, "--quadrants", os.path.join(src, "quadrants.json")]
+    small = {"--n": "2", "--m": "2", "--lambda": "20", "--iterations": "5"}
+    runs = {mode: str(tmp_path / mode) for mode in ("evp", "saa", "heuristic")}
+    gamma = str(tmp_path / "gamma.json")
+    results = [os.path.join(runs[mode], "result.json") for mode in ("saa", "heuristic")]
+    session = [
+        ["generate", "--targets", "5", "--vehicles", "2", "--out", src],
+        ["scenarios", *inputs, "--count", "3", "--out", gamma],
+        ["scenarios", *inputs, "--count", "1", "--distribution", "point-mass",
+         "--out", str(tmp_path / "point.json")],
+        *(solve_args(src, out, mode, **small) for mode, out in runs.items()),
+        ["evaluate", *inputs, "--solution", os.path.join(runs["heuristic"], "solution.json"),
+         "--lambda", "20", "--result", results[1]],
+        ["evaluate", "--instance", instance, "--solution",
+         os.path.join(runs["saa"], "solution.json"), "--scenarios", gamma],
+        ["report", *results, "--out", str(tmp_path / "table.txt")],
+        ["report", *results, "--format", "csv"],
+    ]
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    outcomes = []
+    sys.setprofile(profile)
+    try:
+        for args in session:
+            outcomes.append(runner.invoke(main, args))
+    finally:
+        sys.setprofile(None)
+    for args, res in zip(session, outcomes):
+        assert res.exit_code == 0, (args, res.output)
+    assert sorted(name for name, code in expected.items() if code not in ran) == []

@@ -105,13 +105,13 @@ def discounted_problem(inst, qmap, seed):
 
 def test_insertion_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
     shortcuts = []
-    check = detsolve._bare_route_fits
+    check = detsolve.route_fits
 
     def counted(*args):
         shortcuts.append(check(*args))
         return shortcuts[-1]
 
-    monkeypatch.setattr(detsolve, "_bare_route_fits", counted)
+    monkeypatch.setattr(detsolve, "route_fits", counted)
     rng = np.random.default_rng(44)
     found = missing = 0
     discounted = 0
@@ -186,7 +186,6 @@ def one_ulp_tie_problem(scale):
         refuel_coords=[(1.0, 0.0), (2.0, 0.0)],
         home_coord=(0.0, 0.0),
         vehicles=1,
-        fuel_capacity=10.0,
     )
     cost = np.full((5, 5), 4.0)
     np.fill_diagonal(cost, 0.0)
@@ -197,7 +196,7 @@ def one_ulp_tie_problem(scale):
     fuel = np.ones((5, 5))
     np.fill_diagonal(fuel, 0.0)
     fuel[0, 3] = fuel[3, 4] = 9.5
-    return dataclasses.replace(inst, cost=cost * scale, nominal_fuel=fuel)
+    return dataclasses.replace(inst, cost=cost * scale, nominal_fuel=fuel, fuel_capacity=10.0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0**20, 2.0**40])
@@ -625,15 +624,18 @@ def rebuilt(inst, **matrices):
     """A new instance from the coordinates and settings of ``inst``, with
     the given ``cost`` or ``nominal_fuel`` in place of its own."""
     coords = [tuple(c) for c in inst.coordinates.tolist()]
-    return make_instance(
+    fresh = make_instance(
         target_coords=coords[inst.n_depots :],
         refuel_coords=coords[1 : inst.n_depots],
         home_coord=coords[0],
         vehicles=inst.vehicles,
-        fuel_capacity=inst.fuel_capacity,
-        cost=matrices.get("cost", inst.cost),
-        nominal_fuel=matrices.get("nominal_fuel", inst.nominal_fuel),
         grid=inst.grid,
+    )
+    return dataclasses.replace(
+        fresh,
+        fuel_capacity=inst.fuel_capacity,
+        cost=np.array(matrices.get("cost", inst.cost)),
+        nominal_fuel=np.array(matrices.get("nominal_fuel", inst.nominal_fuel)),
     )
 
 

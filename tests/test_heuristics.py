@@ -17,7 +17,6 @@ from fcmurp import heuristics
 from fcmurp.detsolve import EXACT_TARGET_LIMIT, solve_deterministic_greedy
 from fcmurp.heuristics import (
     ConstructionWeights,
-    TabuList,
     TabuParams,
     TwoStageEvaluator,
     construct_detailed,
@@ -190,16 +189,6 @@ def test_tabu_params_are_validated():
     assert TabuParams().resolved_tenure(10) == 7
     assert TabuParams().resolved_tenure(30) == 9
     assert TabuParams(tenure=2).resolved_tenure(30) == 2
-
-
-def test_tabu_list_expires_moves():
-    tabu = TabuList()
-    tabu.add((5, 7), iteration=3, tenure=2)
-    assert tabu.active((5, 7), 3)
-    assert tabu.active((5, 7), 5)
-    assert not tabu.active((5, 7), 6)
-    assert not tabu.active((7, 5), 4)
-    assert len(tabu) == 1
 
 
 def tabu_setup(seed=14, n=6, m=2, count=3, scenario_seed=7):

@@ -1,5 +1,6 @@
 """Core data model: matrices, instances, routes, and feasibility walks."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fcmurp
-from conftest import make_case, square_instance
+from conftest import make_case, random_realized_routes, square_instance
 from fcmurp.model import (
     PROB_TOL,
     Instance,
@@ -28,8 +29,10 @@ from fcmurp.model import (
     min_exit_fuel,
     nominal_feasibility,
     route_cost,
+    route_fits,
     validate_instance,
 )
+from oracles import segments_feasible, walk_feasible
 
 
 def test_euclidean_matrix_matches_pairwise_norms():
@@ -60,7 +63,7 @@ def test_square_instance_layout():
     assert inst.n_targets == 2
     assert list(inst.depot_indices) == [0, 1]
     assert list(inst.target_indices) == [2, 3]
-    assert inst.is_depot(1) and inst.is_target(2)
+    assert not inst.is_target(1) and inst.is_target(2)
     assert inst.lam == pytest.approx(4.0)
     assert inst.fuel_capacity == pytest.approx(9.0)
     assert inst.cost[0, 2] == pytest.approx(3.0)
@@ -172,14 +175,48 @@ def test_arrival_reserve_rejects_stranded_target():
     assert not nominal_feasibility(RouteSet(((0, 2, 3, 0),)), inst)
 
 
+def test_route_fits_matches_the_walk_oracle():
+    rng = np.random.default_rng(17)
+    outcomes = {True: 0, False: 0}
+    stranded = 0
+    for seed, n in ((3, 5), (7, 12), (12, 20)):
+        inst, _ = make_case(seed=seed, n_targets=n, vehicles=3)
+        heavy = dataclasses.replace(inst, nominal_fuel=np.array(inst.nominal_fuel) * 1.6)
+        for problem in (inst, heavy):
+            fuel = problem.nominal_fuel
+            for route in random_realized_routes(problem, rng, 40):
+                # every prefix: the walk up to each vertex of the route
+                for k in range(2, len(route) + 1):
+                    walk = route[:k]
+                    fits = route_fits(walk, problem)
+                    assert fits == walk_feasible(walk, fuel, problem), walk
+                    outcomes[fits] += 1
+                    # the tank lasts, but the last target leaves no exit reserve
+                    stranded += not fits and segments_feasible(walk, fuel, problem)
+    assert outcomes[True] > 500 and outcomes[False] > 500
+    assert stranded > 20
+    # a whole route stranded by the reserve alone: on fuel off the triangle
+    # inequality, 0-2-3-0 burns 5 of 9, but target 2 is reached with 3 burnt
+    # and its nearest depot is 7 away
+    fuel = np.array(square_instance().nominal_fuel)
+    fuel[0, 2], fuel[2, 3], fuel[3, 0] = 3.0, 1.0, 1.0
+    fuel[2, 0] = fuel[2, 1] = 7.0
+    inst = dataclasses.replace(square_instance(), nominal_fuel=fuel)
+    assert inst.fuel_capacity == pytest.approx(9.0)
+    assert segments_feasible((0, 2, 3, 0), fuel, inst)
+    assert not route_fits((0, 2, 3, 0), inst)
+    assert not walk_feasible((0, 2, 3, 0), fuel, inst)
+
+
 def test_validate_instance_flags_unreachable_targets():
     inst = make_instance(
         target_coords=[(50.0, 50.0)],
         refuel_coords=[(1.0, 0.0)],
         home_coord=(0.0, 0.0),
         vehicles=1,
-        fuel_capacity=10.0,
     )
+    assert validate_instance(inst) == ()
+    inst = dataclasses.replace(inst, fuel_capacity=10.0)
     refusals = validate_instance(inst)
     assert refusals
     assert any("reach" in m for m in refusals)
@@ -200,11 +237,11 @@ def test_canonical_is_order_invariant(perm):
 def test_model_surface_is_pinned():
     assert list(inspect.signature(is_metric).parameters) == ["matrix"]
     assert list(inspect.signature(make_instance).parameters) == [
-        "target_coords", "refuel_coords", "home_coord", "vehicles", "fuel_capacity",
-        "fuel_factor", "cost", "nominal_fuel", "grid",
+        "target_coords", "refuel_coords", "home_coord", "vehicles", "fuel_factor", "grid",
     ]
     assert not hasattr(RouteSet, "from_sequences")
-    assert not hasattr(Instance, "nominal_problem")
+    for gone in ("nominal_problem", "is_depot"):
+        assert not hasattr(Instance, gone)
 
 
 def test_importing_the_model_loads_no_other_layer():

@@ -1,4 +1,5 @@
-"""Recourse evaluator: leg dynamic program against two enumerations."""
+"""Recourse evaluator: leg dynamic program against the subset enumeration
+and the node sweep."""
 
 import dataclasses
 import inspect
@@ -13,6 +14,7 @@ from conftest import (
     mirrored_instance,
     off_triangle_instance,
     point_mass,
+    random_realized_routes,
     square_instance,
 )
 from fcmurp import recourse
@@ -20,12 +22,10 @@ from fcmurp.detsolve import optimal_depot_insertion, solve_deterministic_greedy
 from fcmurp.instgen import assign_quadrants, sample_scenarios
 from fcmurp.model import RouteSet, Scenario, nominal_feasibility
 from fcmurp.recourse import (
-    ORACLE_EDGE_CAP,
     BestDepotTable,
     LegMemo,
     evaluate_recourse,
     penalty,
-    recourse_oracle,
 )
 from oracles import (
     leg_best_by_sweep,
@@ -67,7 +67,7 @@ def seeded_triples(count, start=0):
 def test_dp_matches_oracle_bit_for_bit():
     for inst, routes, scenario in seeded_triples(60):
         fast = evaluate_recourse(routes, scenario, inst)
-        slow = recourse_oracle(routes, scenario, inst)
+        slow = recourse_by_enumeration(routes, scenario, inst)
         assert fast.feasible == slow.feasible
         if fast.feasible:
             assert fast.beta == slow.beta
@@ -80,7 +80,7 @@ def test_dp_matches_oracle_bit_for_bit():
 def test_dp_matches_independent_enumeration():
     for inst, routes, scenario in seeded_triples(40, start=1000):
         fast = evaluate_recourse(routes, scenario, inst)
-        ref = recourse_by_enumeration(routes, scenario, inst)
+        ref = recourse_by_enumeration(routes, scenario, inst).beta
         if math.isinf(ref):
             assert not fast.feasible
         else:
@@ -157,7 +157,7 @@ def test_leg_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
         assert plan.feasible == ref.feasible
         assert beta == [route_beta(r, scen, inst) for r in routes.routes]
         if inst.min_detour_increment < 0.0:
-            assert plan.beta == recourse_by_enumeration(routes, scen, inst)
+            assert plan.beta == recourse_by_enumeration(routes, scen, inst).beta
     assert legs > 200
     assert sum(bool(p.detoured_edges) for p in plans) > 10
     assert sum(not p.feasible for p in plans) > 4
@@ -166,22 +166,6 @@ def test_leg_labels_match_the_node_sweep_bit_for_bit(monkeypatch):
     assert voluntary > 0
     # the shortcut both fires and falls through to the DP
     assert fits.count(True) > 100 and fits.count(False) > 100
-
-
-def random_realized_routes(inst, rng, count):
-    """Routes over up to nine random targets with refuel stops spliced in
-    at random, as insertions and recourse plans leave them."""
-    nd = inst.n_depots
-    targets = np.array(inst.target_indices)
-    for _ in range(count):
-        route = [0]
-        for t in rng.permutation(targets)[: int(rng.integers(1, min(inst.n_targets, 9) + 1))]:
-            d = int(rng.integers(0, nd))
-            if rng.random() < 0.3 and d != route[-1]:
-                route.append(d)
-            route.append(int(t))
-        route.append(0)
-        yield tuple(route)
 
 
 def test_leg_memo_matches_route_beta_bit_for_bit(monkeypatch):
@@ -277,7 +261,7 @@ def test_unrecoverable_scenario_is_flagged():
     plan = evaluate_recourse(routes, s, inst)
     assert not plan.feasible
     assert math.isinf(plan.beta)
-    slow = recourse_oracle(routes, s, inst)
+    slow = recourse_by_enumeration(routes, s, inst)
     assert not slow.feasible
 
 
@@ -353,14 +337,6 @@ def test_evaluators_refuse_a_table_of_another_scenario():
     assert evaluate_recourse(routes, twin, inst, table) == evaluate_recourse(routes, first, inst)
 
 
-def test_oracle_refuses_oversized_route_sets():
-    inst, _ = make_case(seed=30, n_targets=ORACLE_EDGE_CAP + 2, vehicles=1)
-    routes = solve_deterministic_greedy(inst).routes
-    s = point_mass(inst).scenarios[0]
-    with pytest.raises(ValueError, match="capped"):
-        recourse_oracle(routes, s, inst)
-
-
 def test_penalty_policy_dominates_observed_betas():
     inst, _ = make_case(seed=8, n_targets=5, vehicles=2)
     nu = penalty(inst, [3.0, 11.5, math.inf])
@@ -372,10 +348,8 @@ def test_penalty_policy_dominates_observed_betas():
 
 
 def test_recourse_surface_is_pinned():
-    params = inspect.signature(recourse_oracle).parameters
-    assert list(params) == ["routes", "scenario", "instance"]
     assert list(inspect.signature(penalty).parameters) == ["instance", "betas"]
-    for gone in ("precompute_best_depot", "PenaltyPolicy"):
+    for gone in ("precompute_best_depot", "PenaltyPolicy", "recourse_oracle"):
         assert not hasattr(recourse, gone)
     assert not hasattr(BestDepotTable, "depot")
 
@@ -395,7 +369,7 @@ def test_dp_oracle_agreement_property(seed, factor):
         return
     s = scaled(inst, factor)
     fast = evaluate_recourse(sol.routes, s, inst)
-    slow = recourse_oracle(sol.routes, s, inst)
+    slow = recourse_by_enumeration(sol.routes, s, inst)
     assert fast.feasible == slow.feasible
     if fast.feasible:
         assert fast.beta == slow.beta

@@ -21,7 +21,7 @@ from fcmurp.detsolve import (
     solve_deterministic_exact,
     solve_deterministic_greedy,
 )
-from fcmurp.model import RouteSet, Scenario, ScenarioSet, make_instance, route_cost
+from fcmurp.model import RouteSet, Scenario, ScenarioSet, route_cost
 from fcmurp.recourse import BestDepotTable, LegMemo, evaluate_recourse
 from fcmurp.stochsolve import (
     BoundEstimate,
@@ -52,7 +52,7 @@ def test_sampled_solver_matches_double_enumeration():
         gamma = make_scenarios(inst, qmap, seed=seed + 50, count=2)
         sol = solve_saa_problem(inst, gamma)
         ref = enumerate_saa(
-            inst, gamma, lambda routes, s: recourse_by_enumeration(routes, s, inst)
+            inst, gamma, lambda routes, s: recourse_by_enumeration(routes, s, inst).beta
         )
         assert sol is not None and ref is not None
         assert sol.value == pytest.approx(ref[1], abs=1e-9)
@@ -147,13 +147,7 @@ def test_sampled_solver_rejects_non_metric_costs():
     base = square_instance()
     cost = np.array(base.cost)
     cost[0, 2] = cost[2, 0] = 100.0
-    inst = make_instance(
-        target_coords=[(3.0, 0.0), (0.0, 4.0)],
-        refuel_coords=[(3.0, 4.0)],
-        home_coord=(0.0, 0.0),
-        vehicles=1,
-        cost=cost,
-    )
+    inst = dataclasses.replace(base, cost=cost)
     assert not inst.metric
     with pytest.raises(ValueError, match="metric"):
         solve_saa_problem(inst, point_mass(inst))
