@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -21,6 +22,12 @@ from typing import Optional, Sequence
 import click
 
 from . import __version__
+
+# Before numpy loads: an idle OpenBLAS worker spins ~0.125 s of CPU, and no command uses BLAS threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy
+
 from .detsolve import EXACT_TARGET_LIMIT
 from .files import (
     FORMAT_VERSION,
@@ -53,6 +60,7 @@ from .instgen import (
     QuadrantMapError,
     SamplerError,
     assign_quadrants,
+    check_quadrant_map,
     generate_instance,
     sample_scenarios,
 )
@@ -99,8 +107,11 @@ def _read_instance(path: str) -> Instance:
     return instance_from_doc(read_document(path, kind="instance"))
 
 
-def _read_quadrants(path: str):
-    return quadrants_from_doc(read_document(path, kind="quadrants"))
+def _read_quadrants(path: str, instance: Instance):
+    """The quadrant map at ``path``, refused unless it labels ``instance``."""
+    qmap = quadrants_from_doc(read_document(path, kind="quadrants"))
+    check_quadrant_map(instance, qmap)
+    return qmap
 
 
 def _instance_name(path: str, override: Optional[str]) -> str:
@@ -144,6 +155,12 @@ def _write_manifest(
         "finished": datetime.now(timezone.utc).isoformat(),
         "stage_seconds": stages,
         "counters": counters,
+        # what shaped the timings: the interpreter, numpy and its BLAS threads
+        "runtime": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
     }
     write_document(doc, os.path.join(out_dir, "manifest.json"))
 
@@ -253,7 +270,7 @@ def generate(seed, targets, vehicles, refuel_depots, fuel_factor, grid, out):
 def scenarios(instance_path, quadrants_path, seed, count, distribution, out):
     """Sample a fuel-scenario set against an instance."""
     instance = _read_instance(instance_path)
-    qmap = _read_quadrants(quadrants_path)
+    qmap = _read_quadrants(quadrants_path, instance)
     scen = sample_scenarios(
         instance, qmap, seed=seed, count=count, distribution=distribution
     )
@@ -296,7 +313,7 @@ def solve(
     elif mode == "heuristic" and stall_limit > iterations:
         raise _ExitError(f"--stall-limit {stall_limit} exceeds --iterations {iterations}", 2)
     instance = _read_instance(instance_path)
-    qmap = _read_quadrants(quadrants_path)
+    qmap = _read_quadrants(quadrants_path, instance)
     name = _instance_name(instance_path, name)
     _make_out_dir(out)
     started = datetime.now(timezone.utc).isoformat()
@@ -473,7 +490,7 @@ def evaluate(
     else:
         if quadrants_path is None:
             raise click.UsageError("provide --scenarios or --quadrants to draw them")
-        qmap = _read_quadrants(quadrants_path)
+        qmap = _read_quadrants(quadrants_path, instance)
         lam = sample_scenarios(
             instance, qmap, seed=lambda_seed(seed), count=lambda_size
         )

@@ -33,6 +33,7 @@ __all__ = [
     "QuadrantMapError",
     "generate_instance",
     "assign_quadrants",
+    "check_quadrant_map",
     "sample_scenarios",
 ]
 
@@ -181,6 +182,16 @@ def assign_quadrants(instance: Instance, seed: int) -> QuadrantMap:
         quadrant_labels=tuple(labels),
         vertex_labels=vertex_labels,
     )
+
+
+def check_quadrant_map(instance: Instance, qmap: QuadrantMap) -> None:
+    """Raise QuadrantMapError unless ``qmap`` labels every vertex of ``instance``."""
+    n = instance.n_vertices
+    if len(qmap.vertex_labels) != n:
+        raise QuadrantMapError(
+            f"quadrant map labels {len(qmap.vertex_labels)} vertices, "
+            f"instance has {n}"
+        )
 
 
 def _edge_label(qmap: QuadrantMap, i: int, j: int) -> str:
@@ -366,8 +377,7 @@ class _Lockstep:
         tables = []
         for accept in (draws <= self.highest_sparse, draws >= self.lowest_congested):
             table = np.where(accept, self.past, block_size + 1)
-            for row, start in zip(table, self.starts.tolist()):
-                row += start
+            table += self.starts[:, None]
             # a row's spare cells hold its "none left" index, below every
             # index of the next row: one running minimum from the end
             # restarts at each row
@@ -436,12 +446,7 @@ def sample_scenarios(
         raise ValueError("need at least one scenario")
     if distribution not in ("gamma", "point-mass"):
         raise ValueError(f"unsupported distribution {distribution!r}")
-    n = instance.n_vertices
-    if len(qmap.vertex_labels) != n:
-        raise QuadrantMapError(
-            f"quadrant map labels {len(qmap.vertex_labels)} vertices, "
-            f"instance has {n}"
-        )
+    check_quadrant_map(instance, qmap)
     mean_fuel = instance.nominal_fuel
     gamma_shape = GAMMA_SHAPE
     if distribution == "gamma":

@@ -130,11 +130,12 @@ def _leg_best(
     """Cheapest detour pattern for one depot-to-depot leg, or None.
 
     One left-to-right sweep over the leg's positions carries labels (detour
-    cost, detoured positions, fuel burnt since the last refuel); a label dies
-    once its fuel exceeds the capacity. On a target-to-target edge each live
-    label within reach of the edge's best depot offers a detour through it;
-    the lexicographically smallest (cost, positions) offer refuels a new
-    label on the far side. Fuel is accumulated edge by edge in route order so
+    cost, detoured positions, fuel burnt since the last refuel); a label,
+    a refuelled one included, is dropped as soon as its fuel passes the
+    capacity. On a target-to-target edge each label within reach of the
+    edge's best depot offers a detour through it; the lexicographically
+    smallest (cost, positions) offer refuels a new label on the far side.
+    Fuel is accumulated edge by edge in route order so
     feasibility decisions match the enumeration oracle bit for bit. ``fuel``
     and ``cost`` are list rows of the realization and the instance costs,
     and ``depot_of`` gives an edge's best depot (``BestDepotTable.depot_of``).
@@ -155,8 +156,6 @@ def _leg_best(
             # the detour increment, same fold as _plan_beta
             inc = (cost_v[d] + cost[d][nxt]) - cost_v[nxt]
             for value, pattern, running in labels:
-                if running > cap:
-                    continue
                 if running + to_depot <= cap:
                     cand = value + inc
                     if offer is None or cand < offer[0]:
@@ -165,21 +164,21 @@ def _leg_best(
                         extended = pattern + (pos,)
                         if extended < offer[1]:
                             offer = (cand, extended)
-                advanced.append((value, pattern, running + step))
-            if offer is not None:
-                advanced.append((offer[0], offer[1], fuel[d][nxt]))
+                ahead = running + step
+                if ahead <= cap:
+                    advanced.append((value, pattern, ahead))
+            refilled = fuel[d][nxt]
+            if offer is not None and refilled <= cap:
+                advanced.append((offer[0], offer[1], refilled))
         else:
             for value, pattern, running in labels:
-                if running <= cap:
-                    advanced.append((value, pattern, running + step))
+                ahead = running + step
+                if ahead <= cap:
+                    advanced.append((value, pattern, ahead))
         if not advanced:
             return None
         labels = advanced
-    end = None
-    for value, pattern, running in labels:
-        if running <= cap and (end is None or (value, pattern) < end):
-            end = (value, pattern)
-    return end
+    return min((value, pattern) for value, pattern, _ in labels)
 
 
 def _direct_leg_fits(
@@ -187,15 +186,15 @@ def _direct_leg_fits(
 ) -> bool:
     """Whether ``_leg_best`` keeps the detour-free label of a leg to its end.
 
-    The same check in the same order: at each position the capacity, then
-    the left-folded realized fuel of the next edge.
+    The same check in the same order: the capacity after each edge of the
+    left-folded realized fuel.
     """
     running = 0.0
     for p in range(a, b):
+        running += fuel[route[p]][route[p + 1]]
         if running > cap:
             return False
-        running += fuel[route[p]][route[p + 1]]
-    return running <= cap
+    return True
 
 
 def _leg_recourse(

@@ -6,9 +6,12 @@ import inspect
 import json
 import math
 import os
+import platform
 import shlex
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -768,6 +771,39 @@ def test_solve_refuses_a_quadrant_map_of_another_instance(runner, tmp_path):
     assert "quadrant map labels 11 vertices, instance has 9" in output
 
 
+@pytest.mark.parametrize("command", ["evp", "saa", "heuristic", "scenarios", "evaluate"])
+def test_a_quadrant_map_of_another_instance_fails_before_any_work(runner, tmp_path, command):
+    src = str(tmp_path / "inst")
+    other = str(tmp_path / "other")
+    assert gen(runner, src).exit_code == 0
+    assert gen(runner, other, targets=6, vehicles=2).exit_code == 0
+    wrong = os.path.join(other, "quadrants.json")
+    out = str(tmp_path / "out")
+    if command == "scenarios":
+        args = [
+            "scenarios",
+            "--instance", os.path.join(src, "instance.json"),
+            "--quadrants", wrong,
+            "--count", "3",
+            "--out", out,
+        ]
+    elif command == "evaluate":
+        evp = str(tmp_path / "evp")
+        assert runner.invoke(main, solve_args(src, evp, "evp")).exit_code == 0
+        args = [
+            "evaluate",
+            "--instance", os.path.join(src, "instance.json"),
+            "--solution", os.path.join(evp, "solution.json"),
+            "--quadrants", wrong,
+            "--lambda", "20",
+        ]
+    else:
+        args = solve_args(src, out, command, **{"--quadrants": wrong})
+    output = invoke_one_line_error(runner, args, 3)
+    assert output == "Error: quadrant map labels 11 vertices, instance has 9\n"
+    assert not os.path.exists(out)
+
+
 @pytest.fixture(scope="module")
 def sampled_inputs(tmp_path_factory):
     """An instance with its quadrant map, three sampled scenarios and the
@@ -1218,3 +1254,58 @@ def test_every_public_name_runs_in_a_pipeline(runner, tmp_path):
     for args, res in zip(session, outcomes):
         assert res.exit_code == 0, (args, res.output)
     assert sorted(name for name, code in expected.items() if code not in ran) == []
+
+
+def test_solve_manifest_records_the_runtime(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    out = str(tmp_path / "out")
+    assert gen(runner, src).exit_code == 0
+    assert runner.invoke(main, solve_args(src, out, "evp")).exit_code == 0
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    runtime = manifest["runtime"]
+    assert runtime == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
+    }
+    assert all(isinstance(value, str) for value in runtime.values())
+    assert "runtime" not in manifest["counters"]
+    assert "runtime" not in manifest["stage_seconds"]
+
+
+def run_python(code, **env):
+    """JSON printed by ``code`` in a fresh interpreter that sees this
+    checkout's package and no inherited OPENBLAS_NUM_THREADS, plus ``env``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fcmurp.cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child_env = {**os.environ, "PYTHONPATH": path}
+    child_env.pop("OPENBLAS_NUM_THREADS", None)
+    child_env.update(env)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = "import json, sys, fcmurp; print(json.dumps('numpy' in sys.modules))"
+    assert run_python(code) is False
+
+
+def test_the_cli_runs_numpy_on_one_blas_thread():
+    code = (
+        "import json, os, fcmurp.cli; "
+        "tasks = '/proc/self/task'; "
+        "count = len(os.listdir(tasks)) if os.path.isdir(tasks) else None; "
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), count]))"
+    )
+    value, threads = run_python(code)
+    assert value == "1"
+    if threads is None:
+        pytest.skip("no /proc to count the process's threads")
+    assert threads == 1
+
+
+def test_the_cli_keeps_a_callers_blas_thread_count():
+    code = "import json, os, fcmurp.cli; print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
+    assert run_python(code, OPENBLAS_NUM_THREADS="3") == "3"
