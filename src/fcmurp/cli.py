@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 
@@ -459,7 +460,7 @@ def solve(
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(), required=True, help="Instance document.")
 @click.option("--solution", "solution_path", type=click.Path(), required=True, help="Solution document to score.")
-@click.option("--scenarios", "scenarios_path", type=click.Path(), default=None, help="Existing scenario file; otherwise drawn from --seed.")
+@click.option("--scenarios", "scenarios_path", type=click.Path(), default=None, help="Existing scenario file; otherwise drawn from --seed. Refuses --quadrants, --seed and --lambda.")
 @click.option("--quadrants", "quadrants_path", type=click.Path(), default=None, help="Quadrant map, required when drawing scenarios.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Base seed; evaluation scenarios come from its evaluation substream.")
 @click.option("--lambda", "lambda_size", type=click.IntRange(min=1), default=1000, show_default=True, help="Evaluation sample size.")
@@ -477,6 +478,12 @@ def evaluate(
     column,
 ):
     """Score a solution out of sample; optionally merge into a result file."""
+    if scenarios_path is not None:
+        source = click.get_current_context().get_parameter_source
+        draw_only = (("quadrants_path", "--quadrants"), ("seed", "--seed"), ("lambda_size", "--lambda"))
+        given = [flag for name, flag in draw_only if source(name) is ParameterSource.COMMANDLINE]
+        if given:
+            raise _ExitError(f"--scenarios cannot be combined with {', '.join(given)}, used only to draw scenarios", 2)
     instance = _read_instance(instance_path)
     routes, _ = solution_from_doc(read_document(solution_path, kind="solution"), instance)
     if result_path is not None:

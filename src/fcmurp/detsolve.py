@@ -48,13 +48,6 @@ class DetSolution:
     nodes: int
 
 
-# Completion bounds are mathematically admissible but folded in a different
-# order than leaf totals, so at exact ties they can overshoot by an ulp and
-# prune the lexicographically preferred twin. The slack keeps tie leaves
-# reachable; it only ever widens the search.
-_BOUND_EPS = 1e-9
-
-
 def branching_order(instance: Instance) -> tuple[int, ...]:
     """Targets sorted by decreasing cost from the home depot, id tie-break."""
     cost = instance.cost
@@ -372,8 +365,14 @@ def _branch_routes(
     paths the deletions call for, and cut before it is counted, extended or
     scored when the exact value exceeds the incumbent.
 
+    Completion bounds are admissible but folded in another order than leaf
+    totals, so at exact ties they can overshoot by an ulp and prune the
+    lexicographically preferred twin. A node is cut only when its bound
+    exceeds the incumbent by more than ``Instance.bound_margin``, which
+    keeps tie leaves reachable and only ever widens the search.
+
     The incumbent is the greedy solution: its bare sequences scored by
-    ``score_route``, the scores folded left to right, plus ``_BOUND_EPS``.
+    ``score_route``, the scores folded left to right, plus the margin.
     Seeding slightly above its value forces the search to revisit it as a
     leaf, so the answer carries the canonical fold and tie-break key.
     Returns the best routes, their total and the number of nodes.
@@ -381,6 +380,7 @@ def _branch_routes(
     floor = instance.edge_floor_rows
     cap = instance.fuel_capacity
     exit_fuel = instance.exit_fuel_list
+    margin = instance.bound_margin
     order = branching_order(instance)
     rank = {t: i for i, t in enumerate(order)}
 
@@ -397,7 +397,7 @@ def _branch_routes(
             best_total = 0.0
             for _, score in scored:
                 best_total += score
-            best_total += _BOUND_EPS
+            best_total += margin
             best_routes = tuple(realized for realized, _ in scored)
             best_key = tuple(sorted(best_routes))
     nodes = 0
@@ -431,7 +431,7 @@ def _branch_routes(
             if t not in unvisited or (opening and rank[t] <= first_rank):
                 continue
             t_bare = bare + floor[last][t]
-            if acc + t_bare + (rest - v[t]) > best_total + _BOUND_EPS:
+            if acc + t_bare + (rest - v[t]) > best_total + margin:
                 continue
             t_fuel_lb = _min_arrival_step(instance, fuel_lb, last, t)
             if t_fuel_lb > cap:
@@ -464,7 +464,7 @@ def _branch_routes(
         if not _settle(arcs, relax):
             return
         value = _dual_value(relax)
-        if acc + bare + value > best_total + _BOUND_EPS:
+        if acc + bare + value > best_total + margin:
             return
         nodes += 1
         last = seq[-1]
@@ -485,7 +485,7 @@ def _branch_routes(
                     home_col = j
                 break
         rest = value - u[last] - v[home_col]
-        if acc + bare + floor[last][0] + rest > best_total + _BOUND_EPS:
+        if acc + bare + floor[last][0] + rest > best_total + margin:
             return
         end_lb = _min_arrival_step(instance, fuel_lb, last, 0)
         if end_lb > cap:
@@ -546,9 +546,10 @@ def solve_deterministic_exact(
     )
 
 
-def _two_opt(seq: list[int], cost: list[list[float]]) -> list[int]:
+def _two_opt(seq: list[int], cost: list[list[float]], margin: float) -> list[int]:
     """In-place style 2-opt on one bare sequence; safe for asymmetric costs.
-    ``cost`` holds the list rows of the cost matrix."""
+    ``cost`` holds the list rows of the cost matrix, and a reversal is kept
+    only when it cuts the bare cost by more than ``margin``."""
 
     def bare_cost(s: Sequence[int]) -> float:
         tour = (0, *s, 0)
@@ -563,7 +564,7 @@ def _two_opt(seq: list[int], cost: list[list[float]]) -> list[int]:
             for j in range(i + 1, len(best)):
                 cand = best[:i] + best[i : j + 1][::-1] + best[j + 1 :]
                 cand_cost = bare_cost(cand)
-                if cand_cost < best_cost - 1e-12:
+                if cand_cost < best_cost - margin:
                     best, best_cost = cand, cand_cost
                     improved = True
     return best
@@ -599,8 +600,9 @@ def solve_deterministic_greedy(instance: Instance) -> Optional[DetSolution]:
         unvisited.remove(u)
     realized: list[tuple[int, ...]] = []
     total = 0.0
+    margin = 2.0**-10 * instance.bound_margin  # 2**-47 of the largest |cost|
     for seq in seqs:
-        seq = _two_opt(seq, cost)
+        seq = _two_opt(seq, cost, margin)
         result = optimal_depot_insertion(seq, instance)
         if result is None:
             return None

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -229,44 +228,25 @@ def _gamma_edges(
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), specs
 
 
-# Relative half-width of the band around an edge's ``mean / scale`` inside
-# which edges of one role may disagree on a draw (see ``_role_bounds``).
-_BAND = 2.0**-40
+def _threshold_is_exact(specs: list[tuple[bool, float, float]], threshold: float) -> bool:
+    """Whether a congested edge accepts a standard-gamma draw g iff
+    g >= threshold, and a sparse one iff g <= threshold.
 
-
-def _role_bounds(specs: list[tuple[bool, float, float]]) -> Optional[tuple[float, float, float, float]]:
-    """Where every edge of a role agrees on a standard-gamma draw, or None.
-
-    Returns ``(c_lo, c_hi, s_lo, s_hi)``: every congested edge accepts a
-    draw g >= c_hi and rejects g < c_lo, every sparse edge accepts g <= s_lo
-    and rejects g > s_hi. The bounds widen the range of the edges' ``mean /
-    scale`` by ``_BAND`` either way, and each edge's own predicate is
-    checked at both ends; since ``g * scale`` rounds monotonically in g for
-    ``scale >= 0``, that check covers every draw outside the band. None when
-    it fails or a scale is 0. A role without edges accepts nothing and has
-    an empty band.
+    An edge accepts g when ``g * scale >= mean`` (``<= mean`` if sparse),
+    which rounds monotonically in g for ``scale >= 0``. So it is enough that
+    each edge accepts the threshold and rejects its float neighbour on the
+    other side. With ``GAMMA_SCALE_RATIO`` 0.25 scale and threshold are
+    exact, and only a zero or subnormal mean breaks the rule.
     """
-    if any(scale == 0.0 for _, _, scale in specs):
-        return None
-    congested = [(mean, scale) for is_congested, mean, scale in specs if is_congested]
-    sparse = [(mean, scale) for is_congested, mean, scale in specs if not is_congested]
-    c_lo = c_hi = math.inf
-    s_lo = s_hi = -math.inf
-    if congested:
-        ratios = [mean / scale for mean, scale in congested]
-        c_lo = min(ratios) * (1.0 - _BAND)
-        c_hi = max(ratios) * (1.0 + _BAND)
-        below = math.nextafter(c_lo, -math.inf)
-        if not all(c_hi * scale >= mean and not below * scale >= mean for mean, scale in congested):
-            return None
-    if sparse:
-        ratios = [mean / scale for mean, scale in sparse]
-        s_lo = min(ratios) * (1.0 - _BAND)
-        s_hi = max(ratios) * (1.0 + _BAND)
-        above = math.nextafter(s_hi, math.inf)
-        if not all(s_lo * scale <= mean and not above * scale <= mean for mean, scale in sparse):
-            return None
-    return c_lo, c_hi, s_lo, s_hi
+    below = math.nextafter(threshold, -math.inf)
+    above = math.nextafter(threshold, math.inf)
+    for congested, mean, scale in specs:
+        if congested:
+            if not threshold * scale >= mean or below * scale >= mean:
+                return False
+        elif not threshold * scale <= mean or above * scale <= mean:
+            return False
+    return True
 
 
 def _draw_by_variate(
@@ -328,35 +308,25 @@ class _Lockstep:
 
     Row s of ``draws`` holds scenario s's first block of ``3 * edges``
     standard-gamma variates and two spare cells, which hold NaN so that no
-    edge accepts them. Per role, ``walk`` builds a table that maps each
-    cell of a row to the flat index just past the first variate at or after
-    it that an edge of the role may accept (a congested one from ``c_lo`` of
-    ``_role_bounds`` up, a sparse one up to ``s_hi``), or to the row's last
+    edge accepts them. Every edge of a role accepts the same draws: a
+    congested one those at or above ``threshold``, a sparse one those at or
+    below it (``_threshold_is_exact``). Per role, ``walk`` builds a table
+    that maps each cell of a row to the flat index just past the first
+    variate at or after it that the role accepts, or to the row's last
     spare cell when none is left. One ``take`` per edge then moves every
-    scenario of the chunk past the variate its edge stops at. Every variate
-    passed over is one that every edge of the role rejects; the one stopped
-    at is accepted for certain unless it lies in the role's band, which
-    ``walk`` reports. ``draws`` and ``steps`` are allocated once and reused
-    from chunk to chunk.
+    scenario of the chunk past the variate its edge accepts. ``draws`` and
+    ``steps`` are allocated once and reused from chunk to chunk.
     """
 
     def __init__(
-        self,
-        specs: list[tuple[bool, float, float]],
-        bounds: tuple[float, float, float, float],
-        chunk: int,
+        self, specs: list[tuple[bool, float, float]], threshold: float, chunk: int
     ) -> None:
         block = 3 * len(specs)
         width = block + 2
-        c_lo, c_hi, s_lo, s_hi = bounds
         self.block_size = block
-        self.lowest_congested, self.highest_sparse = c_lo, s_hi
+        self.threshold = threshold
         self.congested = [c for c, _, _ in specs]
         self.scales = np.array([s for _, _, s in specs])
-        # a congested edge surely accepts a draw at or above c_hi, a sparse
-        # one at or below s_lo: sign * draw >= sure says which, exactly
-        self.sign = np.where(self.congested, 1.0, -1.0)
-        self.sure = np.where(self.congested, c_hi, -s_lo)
         self.draws = np.full((chunk, width), math.nan)
         self.starts = np.arange(0, chunk * width, width, dtype=np.intp)
         self.past = np.arange(1, width + 1, dtype=np.intp)
@@ -368,14 +338,14 @@ class _Lockstep:
         scenario, whether the walk decided it.
 
         A scenario is undecided when it needs a variate past its first
-        block (it consumed more than the block holds), when some edge
-        rejects ``limit`` variates in a row, or when an edge stopped at a
-        variate inside its role's band; its values are then meaningless.
+        block (it consumed more than the block holds) or when some edge
+        rejects ``limit`` variates in a row; its values are then
+        meaningless.
         """
         block_size = self.block_size
         draws = self.draws
         tables = []
-        for accept in (draws <= self.highest_sparse, draws >= self.lowest_congested):
+        for accept in (draws <= self.threshold, draws >= self.threshold):
             table = np.where(accept, self.past, block_size + 1)
             table += self.starts[:, None]
             # a row's spare cells hold its "none left" index, below every
@@ -391,21 +361,18 @@ class _Lockstep:
             prev = row
         del tables  # free them before the arrays below
         steps = self.steps
-        consumed = (steps[-1] - self.starts).tolist()
-        # scenario by edge
-        accepted = draws.reshape(-1).take(steps.T - 1)
-        undecided = (accepted * self.sign < self.sure).any(axis=1)
+        consumed = steps[-1] - self.starts
+        decided = consumed <= block_size
         if block_size > limit:
             # variates consumed per edge, its accepted one included
             spans = steps.copy()
             spans[1:] -= steps[:-1]
             spans[0] -= self.starts
-            undecided |= (spans > limit).any(axis=0)
-        decided = [
-            not band and used <= block_size
-            for band, used in zip(undecided.tolist(), consumed)
-        ]
-        return accepted * self.scales, consumed, decided
+            decided &= (spans <= limit).all(axis=0)
+        # scenario by edge
+        accepted = draws.reshape(-1).take(steps.T - 1)
+        accepted *= self.scales
+        return accepted, consumed.tolist(), decided.tolist()
 
 
 def sample_scenarios(
@@ -434,13 +401,15 @@ def sample_scenarios(
     When the sample is large enough (``LOCKSTEP_MEMORY_SHARE``), its
     scenarios are walked ``LOCKSTEP_SCENARIOS`` at a time in lockstep
     through their first blocks (``_Lockstep``), each edge finding every
-    scenario's next acceptable variate with one numpy call. A scenario the
-    lockstep walk cannot decide (it runs past its first block, reaches the
-    rejection limit, or stops at a draw within the narrow band where edges
-    of one role may disagree, see ``_role_bounds``) is walked again one
-    variate at a time from a fresh copy of its substream, refilling its
-    block and raising SamplerError as the limit requires; so every scenario
-    gets the values and the count of the one-variate walk.
+    scenario's next acceptable variate with one numpy call. That walk
+    needs one acceptance threshold per role, ``1 / GAMMA_SCALE_RATIO``, to
+    decide every edge exactly (``_threshold_is_exact``); where it does not,
+    as on an edge of zero mean, the whole sample is walked one variate at a
+    time. A scenario the lockstep walk cannot decide (it runs past its
+    first block or reaches the rejection limit) is walked again one variate
+    at a time from a fresh copy of its substream, refilling its block and
+    raising SamplerError as the limit requires; so every scenario gets the
+    values and the count of the one-variate walk.
     """
     if count < 1:
         raise ValueError("need at least one scenario")
@@ -458,10 +427,10 @@ def sample_scenarios(
     lockstep = None
     scratch = LOCKSTEP_SCENARIOS * 24 * (3 * len(specs) + 2)  # see _Lockstep
     if specs and scratch <= LOCKSTEP_MEMORY_SHARE * count * mean_fuel.nbytes:
-        bounds = _role_bounds(specs)
-        if bounds is not None:
+        threshold = 1.0 / GAMMA_SCALE_RATIO
+        if _threshold_is_exact(specs, threshold):
             chunk = LOCKSTEP_SCENARIOS
-            lockstep = _Lockstep(specs, bounds, chunk)
+            lockstep = _Lockstep(specs, threshold, chunk)
     prob = 1.0 / count
     scenarios = []
     rejected = 0

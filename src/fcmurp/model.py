@@ -26,7 +26,6 @@ __all__ = [
     "euclidean_matrix",
     "is_metric",
     "depot_radius",
-    "min_detour_increment",
     "validate_instance",
     "route_cost",
     "route_fits",
@@ -141,13 +140,22 @@ class Instance:
 
     @cached_property
     def min_detour_increment(self) -> float:
-        """``min_detour_increment`` of ``cost``: the cheapest mid-edge detour.
+        """Smallest ``(cost[v][d] + cost[d][w]) - cost[v][w]`` over edges
+        ``v != w`` and depots ``d`` other than both; inf without such a
+        detour. Subtraction rounds monotonically, so each edge's cheapest
+        detour (``_cheapest_detours``) less its cost gives the same bits.
 
-        Non-negative for metric costs; under swapped-in costs it can go
-        negative, which turns off the bare-route shortcut of
-        ``detsolve.optimal_depot_insertion``.
+        Non-negative for metric costs. Then no detour can pay: every detour
+        label of the insertion DP and of the recourse leg DP starts at one of
+        these increments and every later fold stays at or above 0.0, so the
+        detour-free label (0.0, the empty pattern) wins every comparison,
+        ties included, and both DPs skip their sweep when the detour-free
+        route is fuel feasible. Swapped-in costs can make it negative.
         """
-        return min_detour_increment(self.cost, self.n_depots)
+        cost = self.cost
+        off_diagonal = ~np.eye(len(cost), dtype=bool)
+        increments = (_cheapest_detours(cost, self.n_depots) - cost)[off_diagonal]
+        return float(increments.min()) if increments.size else math.inf
 
     @cached_property
     def min_exit_fuel(self) -> np.ndarray:
@@ -203,12 +211,14 @@ class Instance:
         detour ``cost[u][d] + cost[d][w]`` through a depot ``d`` not in
         {u, w}, added as in ``detour_options``; the cost itself wherever no
         detour is cheaper, as on metric costs."""
-        cost = self.cost
-        depots = list(self.depot_indices)
-        via = cost[:, depots, None] + cost[None, depots, :]
-        for k, d in enumerate(depots):
-            via[d, k, :] = via[:, k, d] = math.inf
-        return np.minimum(cost, via.min(axis=1)).tolist()
+        return np.minimum(self.cost, _cheapest_detours(self.cost, self.n_depots)).tolist()
+
+    @cached_property
+    def bound_margin(self) -> float:
+        """Slack of the exact searches' cuts (``detsolve._branch_routes``,
+        ``stochsolve._pattern_score``): ``2**-37`` of the largest |cost|. Scaling every cost by a power of
+        two scales it and every total exactly, so no answer moves."""
+        return 2.0**-37 * float(np.abs(self.cost).max())
 
     @cached_property
     def label_slack_unit(self) -> float:
@@ -243,29 +253,13 @@ def depot_radius(coordinates: np.ndarray, n_depots: int) -> float:
     )
 
 
-def min_detour_increment(cost: np.ndarray, n_depots: int) -> float:
-    """Smallest extra cost of flying v -> d -> w instead of v -> w.
-
-    The minimum of ``(cost[v][d] + cost[d][w]) - cost[v][w]``, folded in that
-    order, over ordered pairs ``v != w`` and depots ``d`` other than both;
-    inf when no such detour exists. Non-negative for metric costs. When it
-    is, no detour can pay: every detour label of the insertion DP and of the
-    recourse leg DP starts at one of these increments, IEEE rounding is
-    monotone, so every later fold stays at or above 0.0, and the detour-free
-    label (value 0.0, the empty pattern) wins every comparison, ties
-    included. Both DPs then skip their sweep when the detour-free route is
-    fuel feasible.
-    """
-    n = cost.shape[0]
-    best = math.inf
+def _cheapest_detours(cost: np.ndarray, n_depots: int) -> np.ndarray:
+    """Per ordered pair (u, w): the cheapest ``cost[u][d] + cost[d][w]``
+    over depots ``d`` other than u and w, inf where there is none."""
+    via = cost[:, :n_depots, None] + cost[None, :n_depots, :]
     for d in range(n_depots):
-        via = cost[:, d][:, None] + cost[d, :][None, :] - cost
-        mask = ~np.eye(n, dtype=bool)
-        mask[d, :] = False
-        mask[:, d] = False
-        if mask.any():
-            best = min(best, float(via[mask].min()))
-    return best
+        via[d, d, :] = via[:, d, d] = math.inf
+    return via.min(axis=1)
 
 
 def min_exit_fuel(fuel: np.ndarray, n_depots: int) -> np.ndarray:

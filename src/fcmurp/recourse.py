@@ -98,25 +98,6 @@ def _check_shape(instance: Instance, scenario: Scenario) -> None:
         )
 
 
-def _plan_beta(
-    routes: RouteSet,
-    detours: Sequence[tuple[int, int]],
-    depots: dict[tuple[int, int], int],
-    cost: list[list[float]],
-) -> float:
-    """Left-to-right sum of detour increments over the plan's detours in the
-    given (route, position) order, each the extra cost
-    ``(cost[i][d] + cost[d][j]) - cost[i][j]`` of flying i -> d -> j instead
-    of i -> j."""
-    total = 0.0
-    for key in detours:
-        r, p = key
-        route = routes.routes[r]
-        i, d, j = route[p], depots[key], route[p + 1]
-        total += (cost[i][d] + cost[d][j]) - cost[i][j]
-    return float(total)
-
-
 def _leg_best(
     route: tuple[int, ...],
     a: int,
@@ -153,7 +134,7 @@ def _leg_best(
             d = depot_of(v, nxt)
             to_depot = fuel_v[d]
             cost_v = cost[v]
-            # the detour increment, same fold as _plan_beta
+            # the detour increment, same fold as evaluate_recourse's beta
             inc = (cost_v[d] + cost[d][nxt]) - cost_v[nxt]
             for value, pattern, running in labels:
                 if running + to_depot <= cap:
@@ -260,27 +241,30 @@ def evaluate_recourse(
     with infinite cost when some leg cannot be recovered. A given ``table``
     must be built from this scenario's fuel; another raises ValueError.
     Without one, the plan's best depots are computed as the legs need them.
+    Detours are found in (route, position) order, and beta folds their
+    increments ``(cost[i][d] + cost[d][j]) - cost[i][j]`` as they are.
     """
     _check_shape(instance, scenario)
     if table is None:
         table = BestDepotTable(scenario.fuel, instance.n_depots)
     fuel, depot_of = _rows(scenario, table)
+    cost = instance.cost_rows
     cap = instance.fuel_capacity
     nd = instance.n_depots
     detours: list[tuple[int, int]] = []
     depots: dict[tuple[int, int], int] = {}
+    beta = 0.0
     for r, route in enumerate(routes.routes):
         for a, b in _leg_bounds(route, nd):
             leg = _leg_recourse(route, a, b, fuel, cap, depot_of, instance)
             if leg is None:
                 return RecoursePlan(scenario.id, (), {}, math.inf)
             for p in leg[1]:
-                key = (r, p)
-                detours.append(key)
-                depots[key] = depot_of(route[p], route[p + 1])
-    ordered = tuple(sorted(detours))
-    beta = _plan_beta(routes, ordered, depots, instance.cost_rows)
-    return RecoursePlan(scenario.id, ordered, depots, beta)
+                i, j = route[p], route[p + 1]
+                d = depots[r, p] = depot_of(i, j)
+                detours.append((r, p))
+                beta += (cost[i][d] + cost[d][j]) - cost[i][j]
+    return RecoursePlan(scenario.id, tuple(detours), depots, beta)
 
 
 class LegMemo:

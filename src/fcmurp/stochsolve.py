@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detsolve import (
-    _BOUND_EPS,
     DetSolution,
     _branch_routes,
     optimal_depot_insertion,
@@ -221,11 +220,11 @@ def _pattern_score(
     depth first, pruning a prefix when its first-stage cost plus the bare
     cost of the remaining edges exceeds the best value so far. Under metric
     costs no depot insertion and no recourse detour is cheaper than the edge
-    it replaces, so the bound is admissible; its slack is ``_BOUND_EPS`` for
-    fold order plus the metric tolerance once per remaining edge (insertions)
-    and once per route edge (recourse). Only strict improvements replace the
-    incumbent, so pruned subtrees could never have changed the answer or its
-    tie-break.
+    it replaces, so the bound is admissible; its slack is
+    ``Instance.bound_margin`` for fold order plus the metric tolerance once
+    per remaining edge (insertions) and once per route edge (recourse). Only
+    strict improvements replace the incumbent, so pruned subtrees could
+    never have changed the answer or its tie-break.
     """
     instance = legs.instance
     base = optimal_depot_insertion(seq, instance)
@@ -242,7 +241,8 @@ def _pattern_score(
     suffix = [0.0] * (last + 1)
     for pos in range(last - 1, -1, -1):
         suffix[pos] = cost[route[pos]][route[pos + 1]] + suffix[pos + 1]
-    slack = [_BOUND_EPS + METRIC_TOL * ((last - pos) + last) for pos in range(last + 1)]
+    margin = instance.bound_margin
+    slack = [margin + METRIC_TOL * ((last - pos) + last) for pos in range(last + 1)]
 
     def leaf_value(realized: tuple[int, ...]) -> Optional[float]:
         total = 0.0

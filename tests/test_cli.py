@@ -1187,6 +1187,48 @@ def test_evaluate_refuses_a_negative_scenario_fuel_entry(runner, tmp_path, sampl
     assert "scenario 1 fuel has negative entries off the diagonal" in output
 
 
+@pytest.mark.parametrize(
+    "options",
+    [("--quadrants", "/nonexistent/q.json"), ("--seed", "0"), ("--lambda", "1000"),
+     ("--quadrants", "/nonexistent/q.json", "--lambda", "7", "--seed", "3")],
+    ids=["quadrants", "seed", "lambda", "all"],
+)
+def test_evaluate_with_scenarios_refuses_draw_only_options(runner, sampled_inputs, options):
+    # they shape only a drawn sample, which --scenarios replaces, so they
+    # are refused before any file is read, even at their default values
+    args = [
+        "evaluate",
+        "--instance", os.path.join(sampled_inputs, "instance.json"),
+        "--solution", os.path.join(sampled_inputs, "evp", "solution.json"),
+        "--scenarios", os.path.join(sampled_inputs, "scen.json"),
+        *options,
+    ]
+    flags = ", ".join(sorted(options[::2], key=["--quadrants", "--seed", "--lambda"].index))
+    output = invoke_one_line_error(runner, args, 2)
+    assert output == f"Error: --scenarios cannot be combined with {flags}, used only to draw scenarios\n"
+
+
+@pytest.mark.parametrize(
+    "targets, vehicles, seeds", [(7, 2, (1, 3, 8)), (20, 3, (0, 1))], ids=["exact", "greedy"]
+)
+def test_evp_routes_do_not_depend_on_the_grid_unit(runner, tmp_path, targets, vehicles, seeds):
+    # --grid 100 * 2**20 scales cost, fuel and capacity by exactly 2**20, and
+    # the solvers' margins scale with the costs: the same routes come out
+    for seed in seeds:
+        docs = {}
+        for grid in ("100", "104857600"):
+            src = str(tmp_path / f"{seed}-{grid}")
+            made = gen(runner, src, seed=seed, targets=targets, vehicles=vehicles, extra=("--grid", grid))
+            assert made.exit_code == 0, made.output
+            out = os.path.join(src, "evp")
+            res = runner.invoke(main, solve_args(src, out, "evp"))
+            assert res.exit_code == 0, res.output
+            with open(os.path.join(out, "solution.json"), "rb") as handle:
+                docs[grid] = (handle.read(), read_json(os.path.join(out, "result.json"))["ev"])
+        assert docs["104857600"][0] == docs["100"][0]
+        assert docs["104857600"][1] == docs["100"][1] * 2.0**20
+
+
 LAYERS = ("model", "instgen", "recourse", "detsolve", "stochsolve", "heuristics", "files")
 
 

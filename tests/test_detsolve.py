@@ -477,6 +477,25 @@ def test_warm_resolve_equals_a_cold_solve():
     assert checked >= 120
 
 
+def test_solvers_do_not_depend_on_the_cost_unit():
+    # the search margins are fixed shares of the largest |cost|: scaling
+    # every cost by a power of two scales every total and margin exactly,
+    # so each search makes the same comparisons
+    scales = (2.0**-20, 2.0**20, 2.0**40)
+    for seed in range(40):
+        inst, _ = make_case(seed=seed, n_targets=3 + seed % 5, vehicles=1 + seed % 2)
+        base = solve_deterministic_exact(inst)
+        for scale in scales:
+            got = solve_deterministic_exact(dataclasses.replace(inst, cost=inst.cost * scale))
+            assert (got.routes, got.nodes, got.cost) == (base.routes, base.nodes, base.cost * scale)
+    for seed in range(12):
+        inst, _ = make_case(seed=seed, n_targets=20, vehicles=3)
+        base = solve_deterministic_greedy(inst)
+        for scale in scales:
+            got = solve_deterministic_greedy(dataclasses.replace(inst, cost=inst.cost * scale))
+            assert (got.routes, got.cost) == (base.routes, base.cost * scale)
+
+
 def test_completion_bound_never_exceeds_the_cheapest_completion():
     # Closed routes only remove targets and add the same score to both sides,
     # so each partial state is an open route, the unvisited targets and the
@@ -496,6 +515,7 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
             arcs = detsolve._relaxation_arcs(problem)
             slots = [*inst.target_indices, *range(home, home + m)]
             root, _ = settle_cold(arcs, slots, slots)
+            margin = problem.bound_margin
             budget_unit = min(0.0, problem.min_detour_increment)
             discounted += budget_unit < 0.0
             old_min_in = [
@@ -536,10 +556,10 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
                         scored = optimal_depot_insertion(seq, problem)
                         realized += math.inf if scored is None else scored[1]
                     best_realized = min(best_realized, realized)
-                assert bound <= best_realized + detsolve._BOUND_EPS
+                assert bound <= best_realized + margin
                 # the bound before the relaxation took the larger degree count
                 counts = open_floor + degree_counts(floor, open_seq[-1], unvisited, m_rem)
-                assert bound >= counts - detsolve._BOUND_EPS
+                assert bound >= counts - margin
                 # the bound before that priced each target at its cheapest
                 # edge from anywhere and budgeted one worst-case insertion per edge
                 edges = open_len + 1 + len(unvisited) + m_rem
@@ -548,10 +568,10 @@ def test_completion_bound_never_exceeds_the_cheapest_completion():
                 if m_rem:
                     old += m_rem * min(cost[u][0] for u in unvisited)
                 old += edges * budget_unit
-                assert bound >= old - detsolve._BOUND_EPS
+                assert bound >= old - margin
                 states += 1
                 feasible += best_realized < math.inf
-                tight += bound > old + detsolve._BOUND_EPS
+                tight += bound > old + margin
     assert discounted >= 4
     assert states >= 150 and feasible >= 150 and tight >= 100
 

@@ -21,7 +21,7 @@ from fcmurp.instgen import (
     quadrant_of,
     sample_scenarios,
 )
-from fcmurp.model import validate_instance
+from fcmurp.model import make_instance, validate_instance
 from oracles import sample_scenarios_by_draw
 
 
@@ -224,45 +224,57 @@ def test_lockstep_walk_matches_the_oracle_on_small_samples(monkeypatch):
 
 
 def test_sampler_refills_past_the_first_block_like_the_oracle(monkeypatch, walk):
-    # scale ratio 0.1 at shape 4: a congested edge accepts a Gamma(4, 1)
-    # draw of at least 10, about 1% of them, so scenarios run past their
-    # first block of 3 variates per edge
+    # scale ratio 0.125 at shape 4: a congested edge accepts a Gamma(4, 1)
+    # draw of at least 8, about 4% of them, so scenarios run past their
+    # first block of 3 variates per edge; the ratio is a power of two, so
+    # one threshold still decides every edge and the lockstep walk runs
     inst, qmap = make_case(seed=4, n_targets=6, vehicles=2)
-    monkeypatch.setattr(instgen, "GAMMA_SCALE_RATIO", 0.1)
+    monkeypatch.setattr(instgen, "GAMMA_SCALE_RATIO", 0.125)
     edges = len(instgen._gamma_edges(inst, qmap)[2])
-    shape = {"gamma_shape": 4.0, "gamma_scale_ratio": 0.1}
+    shape = {"gamma_shape": 4.0, "gamma_scale_ratio": 0.125}
     got = sample_scenarios(inst, qmap, seed=8, count=5)
     assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, 8, 5, **shape))
     # variates consumed: one accepted per edge plus the rejected ones
     assert got.rejections + 5 * edges > 5 * 3 * edges
-    # a limit above the block size fails an edge only after a refill
+    # a limit above the block size fails an edge only after a refill; at
+    # ratio 1/16 a congested edge accepts about one draw in 10,000
+    monkeypatch.setattr(instgen, "GAMMA_SCALE_RATIO", 0.0625)
     monkeypatch.setattr(instgen, "REJECTION_LIMIT", 300)
     assert 3 * edges < 300
     with pytest.raises(SamplerError) as lib:
         sample_scenarios(inst, qmap, seed=8, count=5)
     with pytest.raises(SamplerError) as ref:
-        sample_scenarios_by_draw(inst, qmap, 8, 5, **shape)
+        sample_scenarios_by_draw(inst, qmap, 8, 5, gamma_shape=4.0, gamma_scale_ratio=0.0625)
     assert str(lib.value) == str(ref.value)
     assert " draw in 300 tries (shape=4.0, scale=" in str(lib.value)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to record each call's arguments in the list it
+    returns."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_scenarios_the_lockstep_walk_cannot_decide_are_walked_per_variate(monkeypatch):
     inst, qmap = make_case(seed=2, n_targets=8, vehicles=3)
     want = sample_scenarios_by_draw(inst, qmap, 41, 40)
-    walked = []
-    by_variate = instgen._draw_by_variate
-
-    def counted(*args):
-        walked.append(args)
-        return by_variate(*args)
-
-    monkeypatch.setattr(instgen, "_draw_by_variate", counted)
+    walked = count_calls(monkeypatch, instgen, "_draw_by_variate")
     monkeypatch.setattr(instgen, "LOCKSTEP_MEMORY_SHARE", math.inf)
     assert_same_fuel(sample_scenarios(inst, qmap, seed=41, count=40), want)
     assert not walked
-    # a band this wide holds some accepted draws: their scenarios fall back
-    monkeypatch.setattr(instgen, "_BAND", 1e-3)
-    assert_same_fuel(sample_scenarios(inst, qmap, seed=41, count=40), want)
+    # at shape 3 a congested edge accepts about a quarter of its draws, so
+    # some scenarios run past their first block: those fall back
+    monkeypatch.setattr(instgen, "GAMMA_SHAPE", 3.0)
+    got = sample_scenarios(inst, qmap, seed=41, count=40)
+    assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, 41, 40, gamma_shape=3.0))
     assert 0 < len(walked) < 40
 
 
@@ -285,16 +297,43 @@ def test_large_samples_take_the_lockstep_walk(monkeypatch):
     assert [s.fuel.tobytes() for s in small] == [s.fuel.tobytes() for s in large][:300]
 
 
+def zero_mean_case(role):
+    """A target placed on refuel depot 1, whose quadrant plays ``role``:
+    the edges between the two have mean 0 and are gamma sampled."""
+    inst = make_instance(
+        target_coords=[(25.0, 25.0), (10.0, 80.0), (70.0, 60.0), (80.0, 10.0)],
+        refuel_coords=[(25.0, 25.0), (25.0, 75.0), (75.0, 25.0), (75.0, 75.0)],
+        home_coord=(50.0, 50.0),
+        vehicles=2,
+        grid=100.0,
+    )
+    seed = next(s for s in range(100) if assign_quadrants(inst, s).quadrant_labels[0] == role)
+    return inst, assign_quadrants(inst, seed)
+
+
 def test_zero_scale_skips_the_lockstep_walk(monkeypatch, walk):
-    inst, qmap = make_case(seed=4, n_targets=5, vehicles=2)
-    monkeypatch.setattr(instgen, "GAMMA_SCALE_RATIO", 0.0)
-    _, _, specs = instgen._gamma_edges(inst, qmap)
-    assert instgen._role_bounds(specs) is None
-    with pytest.raises(SamplerError) as lib:
-        sample_scenarios(inst, qmap, seed=5, count=3)
-    with pytest.raises(SamplerError) as ref:
-        sample_scenarios_by_draw(inst, qmap, 5, 3, gamma_scale_ratio=0.0)
-    assert str(lib.value) == str(ref.value)
+    walks = count_calls(monkeypatch, instgen._Lockstep, "walk")
+    for role in (CONGESTED, SPARSE):
+        inst, qmap = zero_mean_case(role)
+        assert inst.nominal_fuel[5, 1] == 0.0 and qmap.vertex_labels[5] == role
+        # large enough for the lockstep walk but for the zero-mean edges
+        got = sample_scenarios(inst, qmap, seed=5, count=500)
+        assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, 5, 500))
+        assert all(s.fuel[5, 1] == 0.0 for s in got)
+    assert not walks
+
+
+def test_one_threshold_decides_every_testbed_edge(monkeypatch):
+    for case in SAMPLER_CASES:
+        inst, qmap = make_case(*case)
+        assert instgen._threshold_is_exact(instgen._gamma_edges(inst, qmap)[2], 4.0)
+    for role in (CONGESTED, SPARSE):
+        inst, qmap = zero_mean_case(role)
+        assert not instgen._threshold_is_exact(instgen._gamma_edges(inst, qmap)[2], 4.0)
+    # at ratio 0.3 neither the scale nor the threshold 1 / 0.3 is exact
+    monkeypatch.setattr(instgen, "GAMMA_SCALE_RATIO", 0.3)
+    inst, qmap = make_case(*SAMPLER_CASES[0])
+    assert not instgen._threshold_is_exact(instgen._gamma_edges(inst, qmap)[2], 1 / 0.3)
 
 
 @pytest.mark.parametrize(
