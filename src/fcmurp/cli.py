@@ -60,6 +60,7 @@ from .instgen import (
     GenConfig,
     QuadrantMapError,
     SamplerError,
+    ScenarioStream,
     assign_quadrants,
     check_quadrant_map,
     generate_instance,
@@ -395,14 +396,16 @@ def solve(
     if mode != "evp":
         candidates = _dedup_routes(candidates)
         with _timed(stages, "evaluation_sample"):
-            lam = sample_scenarios(
-                instance, qmap, seed=lambda_seed(seed), count=lambda_size
-            )
+            lam = ScenarioStream(instance, qmap, seed=lambda_seed(seed), count=lambda_size)
         with _timed(stages, "evp"):
             ev = solve_evp(instance)
         click.echo(f"evaluating {len(candidates)} candidates on {lambda_size}", err=True)
         with _timed(stages, "upper_bound"):
             best = saa_upper_bound(candidates, lam, instance, reference=ev.routes)
+        # the pass draws the sample as it scores it: the drawing is the
+        # evaluation sample's time, the rest the upper bound's
+        stages["evaluation_sample"] += lam.draw_seconds
+        stages["upper_bound"] -= lam.draw_seconds
         report = SaaReport(
             instance_name=name,
             ev=ev.cost,
@@ -498,13 +501,18 @@ def evaluate(
         if quadrants_path is None:
             raise click.UsageError("provide --scenarios or --quadrants to draw them")
         qmap = _read_quadrants(quadrants_path, instance)
-        lam = sample_scenarios(
-            instance, qmap, seed=lambda_seed(seed), count=lambda_size
-        )
+        lam = ScenarioStream(instance, qmap, seed=lambda_seed(seed), count=lambda_size)
     res = saa_upper_bound([routes], lam, instance)
     est = res.estimate
     click.echo(f"mean = {est.mean!r}")
     click.echo(f"standard_error = {est.standard_error!r}")
+    share = res.recourse_shares[0]
+    click.echo(f"recourse share: {share!r}", err=True)
+    if not share:
+        click.echo(
+            "no scenario needed recourse: every value is the first-stage cost",
+            err=True,
+        )
     if res.penalized_scenarios:
         click.echo(f"penalized scenarios: {res.penalized_scenarios}", err=True)
     if result_path is not None:

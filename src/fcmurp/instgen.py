@@ -13,13 +13,16 @@ variates at the end of a block change nothing. A large sample's scenarios
 are walked through their first blocks in chunks, in lockstep, with one
 numpy call per edge per chunk; a scenario that walk cannot decide is walked
 again one variate at a time, so both give the same values and rejection
-counts (``sample_scenarios``).
+counts (``sample_scenarios``). ``ScenarioStream`` yields the same scenarios
+as they are drawn, for a pass that need not hold the whole sample.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "QuadrantMap",
     "SamplerError",
     "QuadrantMapError",
+    "ScenarioStream",
     "generate_instance",
     "assign_quadrants",
     "check_quadrant_map",
@@ -296,8 +300,12 @@ def _draw_by_variate(
 # RSS by about 0.45 MB.
 LOCKSTEP_SCENARIOS = 16
 # A sample is walked in lockstep only when a chunk's scratch is at most this
-# share of the memory of the fuel matrices the sample fills; smaller samples
-# are walked one variate at a time. At 8 targets and 200 scenarios a chunk
+# share of the fuel bytes of all its scenarios; smaller samples are walked
+# one variate at a time. The rule sizes the walk to the sample, not to the
+# memory it holds: a ``ScenarioStream`` holds one chunk's walk at a time,
+# not ``count`` fuel matrices, so at 20 targets a streamed sample of a few
+# hundred scenarios or more takes the lockstep walk and holds its scratch.
+# On a sample materialized whole, at 8 targets and 200 scenarios, a chunk
 # of 16 raised the SAA run's peak RSS by 0.2 MB, and chunks small enough to
 # avoid that (5) sampled no faster than the one-variate walk.
 LOCKSTEP_MEMORY_SHARE = 0.2
@@ -375,6 +383,102 @@ class _Lockstep:
         return accepted, consumed.tolist(), decided.tolist()
 
 
+class ScenarioStream:
+    """An equiprobable fuel sample drawn one chunk at a time as it is iterated.
+
+    It yields, in id order, the scenarios that ``sample_scenarios`` returns
+    for the same arguments, bit for bit, and has the same ``len`` and
+    ``label``. It checks its arguments as ``sample_scenarios`` does, and
+    reads the module's sampler constants, when it is made. Each iteration
+    draws the sample afresh from its substreams, one lockstep chunk at a
+    time, and yields each scenario as soon as it is drawn, so a pass that
+    drops each scenario once it is scored holds one chunk's walk and one
+    fuel matrix, whatever ``count`` is. After a full iteration
+    ``rejections`` counts the draws it rejected and ``draw_seconds`` the
+    wall time it spent drawing, without the time its consumer spent
+    between scenarios; both are None until an iteration has run to its
+    end. SamplerError is raised at the scenario whose draw fails, after
+    the scenarios before it have been yielded.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        qmap: QuadrantMap,
+        seed: int,
+        count: int,
+        distribution: str = "gamma",
+    ) -> None:
+        if count < 1:
+            raise ValueError("need at least one scenario")
+        if distribution not in ("gamma", "point-mass"):
+            raise ValueError(f"unsupported distribution {distribution!r}")
+        check_quadrant_map(instance, qmap)
+        self.label = f"{distribution}:seed={seed}:count={count}"
+        self.rejections: Optional[int] = None
+        self.draw_seconds: Optional[float] = None
+        self._mean_fuel = instance.nominal_fuel
+        self._seed = seed
+        self._count = count
+        self._gamma_shape = GAMMA_SHAPE
+        self._limit = REJECTION_LIMIT
+        if distribution == "gamma":
+            self._rows, self._cols, self._specs = _gamma_edges(instance, qmap)
+        else:
+            self._rows, self._cols, self._specs = None, None, []
+        self._lockstep_threshold = None  # None: walk one variate at a time
+        specs = self._specs
+        scratch = LOCKSTEP_SCENARIOS * 24 * (3 * len(specs) + 2)  # see _Lockstep
+        if specs and scratch <= LOCKSTEP_MEMORY_SHARE * count * self._mean_fuel.nbytes:
+            threshold = 1.0 / GAMMA_SCALE_RATIO
+            if _threshold_is_exact(specs, threshold):
+                self._lockstep_threshold = threshold
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Scenario]:
+        seed, count, specs = self._seed, self._count, self._specs
+        rows, cols, mean_fuel = self._rows, self._cols, self._mean_fuel
+        gamma_shape, limit = self._gamma_shape, self._limit
+        chunk = 1
+        lockstep = None
+        if self._lockstep_threshold is not None:
+            chunk = LOCKSTEP_SCENARIOS
+            lockstep = _Lockstep(specs, self._lockstep_threshold, chunk)
+        prob = 1.0 / count
+        self.rejections = self.draw_seconds = None
+        rejected = 0
+        seconds = 0.0
+        for first in range(0, count, chunk):
+            start = time.perf_counter()
+            sids = range(first, min(first + chunk, count))
+            decided = [False] * len(sids)
+            if lockstep is not None:
+                for row, sid in enumerate(sids):
+                    rng = _substream(seed, _STREAM_SCENARIO, sid)
+                    rng.standard_gamma(gamma_shape, out=lockstep.draws[row, : lockstep.block_size])
+                values, consumed, decided = lockstep.walk(limit)
+            for row, sid in enumerate(sids):
+                fuel = np.array(mean_fuel, dtype=float)
+                used = 0
+                if decided[row]:
+                    fuel[rows, cols] = values[row]
+                    used = consumed[row]
+                elif specs:
+                    rng = _substream(seed, _STREAM_SCENARIO, sid)
+                    walked, used = _draw_by_variate(rng, specs, gamma_shape, limit)
+                    fuel[rows, cols] = walked
+                # one accepted variate per edge, every other one consumed was rejected
+                rejected += used - len(specs)
+                scenario = Scenario(id=sid, probability=prob, fuel=fuel)
+                seconds += time.perf_counter() - start
+                yield scenario
+                start = time.perf_counter()
+        self.rejections = rejected
+        self.draw_seconds = seconds
+
+
 def sample_scenarios(
     instance: Instance,
     qmap: QuadrantMap,
@@ -410,50 +514,9 @@ def sample_scenarios(
     at a time from a fresh copy of its substream, refilling its block and
     raising SamplerError as the limit requires; so every scenario gets the
     values and the count of the one-variate walk.
+
+    The set is one full iteration of ``ScenarioStream``, which draws the
+    same scenarios a chunk at a time for a pass that need not hold them all.
     """
-    if count < 1:
-        raise ValueError("need at least one scenario")
-    if distribution not in ("gamma", "point-mass"):
-        raise ValueError(f"unsupported distribution {distribution!r}")
-    check_quadrant_map(instance, qmap)
-    mean_fuel = instance.nominal_fuel
-    gamma_shape = GAMMA_SHAPE
-    if distribution == "gamma":
-        rows, cols, specs = _gamma_edges(instance, qmap)
-    else:
-        rows, cols, specs = None, None, []
-    limit = REJECTION_LIMIT
-    chunk = 1
-    lockstep = None
-    scratch = LOCKSTEP_SCENARIOS * 24 * (3 * len(specs) + 2)  # see _Lockstep
-    if specs and scratch <= LOCKSTEP_MEMORY_SHARE * count * mean_fuel.nbytes:
-        threshold = 1.0 / GAMMA_SCALE_RATIO
-        if _threshold_is_exact(specs, threshold):
-            chunk = LOCKSTEP_SCENARIOS
-            lockstep = _Lockstep(specs, threshold, chunk)
-    prob = 1.0 / count
-    scenarios = []
-    rejected = 0
-    for first in range(0, count, chunk):
-        sids = range(first, min(first + chunk, count))
-        decided = [False] * len(sids)
-        if lockstep is not None:
-            for row, sid in enumerate(sids):
-                rng = _substream(seed, _STREAM_SCENARIO, sid)
-                rng.standard_gamma(gamma_shape, out=lockstep.draws[row, : lockstep.block_size])
-            values, consumed, decided = lockstep.walk(limit)
-        for row, sid in enumerate(sids):
-            fuel = np.array(mean_fuel, dtype=float)
-            used = 0
-            if decided[row]:
-                fuel[rows, cols] = values[row]
-                used = consumed[row]
-            elif specs:
-                rng = _substream(seed, _STREAM_SCENARIO, sid)
-                walked, used = _draw_by_variate(rng, specs, gamma_shape, limit)
-                fuel[rows, cols] = walked
-            # one accepted variate per edge, every other one consumed was rejected
-            rejected += used - len(specs)
-            scenarios.append(Scenario(id=sid, probability=prob, fuel=fuel))
-    label = f"{distribution}:seed={seed}:count={count}"
-    return ScenarioSet(tuple(scenarios), label=label, rejections=rejected)
+    stream = ScenarioStream(instance, qmap, seed, count, distribution)
+    return ScenarioSet(tuple(stream), label=stream.label, rejections=stream.rejections)

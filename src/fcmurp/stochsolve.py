@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .detsolve import (
     optimal_depot_insertion,
     solve_deterministic,
 )
-from .instgen import QuadrantMap, sample_scenarios
+from .instgen import QuadrantMap, ScenarioStream, sample_scenarios
 from .model import METRIC_TOL, Instance, RouteSet, ScenarioSet, route_cost
 from .recourse import BestDepotTable, LegMemo, evaluate_recourse, penalty
 
@@ -379,24 +379,26 @@ def saa_lower_bound(
 
 def saa_upper_bound(
     candidates: Sequence[RouteSet],
-    lam: ScenarioSet,
+    lam: Union[ScenarioSet, ScenarioStream],
     instance: Instance,
     reference: Optional[RouteSet] = None,
 ) -> UpperBoundResult:
     """Out-of-sample cost of each candidate; returns the argmin.
 
-    One pass over ``lam``: each scenario gets one best-depot table, which
+    One pass over ``lam``, iterated once, so a ``ScenarioStream`` is drawn
+    as it is scored: each scenario gets one best-depot table, which
     computes only the depots its overflowing legs ask for, every scored
-    route set gets one recourse evaluation against it, and the table is
-    dropped. The scored route sets are the candidates, then
-    ``reference`` when given, unless a candidate is the same route set up to
-    route order: the reference then takes that candidate's scores, so its
-    estimate equals the candidate's exactly. Per-scenario values are
-    first-stage cost plus that scenario's recourse cost, so each estimate
-    mean is the sampled expectation. Scenarios no detour plan can recover are
-    charged the penalty and counted. The penalty is calibrated on every
-    finite recourse cost of the same pass (``recourse.penalty``), so
-    candidate and reference scores stay comparable.
+    route set gets one recourse evaluation against it, and neither the
+    scenario nor its table is kept. The scored route sets are the
+    candidates, then ``reference`` when given, unless a candidate is the
+    same route set up to route order: the reference then takes that
+    candidate's scores, so its estimate equals the candidate's exactly.
+    Per-scenario values are first-stage cost plus that scenario's recourse
+    cost, so each estimate mean is the sampled expectation. Scenarios no
+    detour plan can recover are charged the penalty and counted. The
+    penalty is calibrated on every finite recourse cost of the same pass
+    (``recourse.penalty``), so candidate and reference scores stay
+    comparable.
     """
     if not candidates:
         raise ValueError("need at least one candidate")

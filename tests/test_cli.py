@@ -10,17 +10,21 @@ import platform
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import make_case
 import fcmurp.cli
+import fcmurp.instgen
 import fcmurp.stochsolve
 from fcmurp.cli import main
 from fcmurp.detsolve import EXACT_TARGET_LIMIT
 from fcmurp.files import CSV_HEADER, FORMAT_VERSION
-from fcmurp.instgen import SamplerError
+from fcmurp.instgen import SamplerError, ScenarioStream, sample_scenarios
+from fcmurp.stochsolve import gamma_seed, lambda_seed
 
 
 @pytest.fixture
@@ -456,6 +460,7 @@ def test_sampler_errors_exit_1_with_a_one_line_message(runner, tmp_path, monkeyp
         raise SamplerError(message)
 
     monkeypatch.setattr(fcmurp.cli, "sample_scenarios", refuse)
+    monkeypatch.setattr(fcmurp.cli, "ScenarioStream", refuse)
     monkeypatch.setattr(fcmurp.stochsolve, "sample_scenarios", refuse)
     evaluate = [
         "evaluate",
@@ -475,6 +480,85 @@ def test_sampler_errors_exit_1_with_a_one_line_message(runner, tmp_path, monkeyp
         assert res.exit_code == 1, res.output
         assert res.output.splitlines()[-1] == f"Error: {message}"
         assert "Traceback" not in res.output
+
+
+def test_a_sampler_error_in_the_scoring_pass_writes_no_result(runner, tmp_path, monkeypatch):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    # at limit 12 both replication samples draw, and the evaluation sample
+    # fails at scenario 21, after the pass has scored the 21 before it
+    monkeypatch.setattr(fcmurp.instgen, "REJECTION_LIMIT", 12)
+    inst, qmap = make_case(seed=0, n_targets=4, vehicles=2)
+    for k in range(2):
+        sample_scenarios(inst, qmap, gamma_seed(0, k), 2)
+    drawn = []
+    with pytest.raises(SamplerError) as failed:
+        for scenario in ScenarioStream(inst, qmap, lambda_seed(0), 30):
+            drawn.append(scenario.id)
+    assert drawn == list(range(21))
+    passes = []
+    score = fcmurp.cli.saa_upper_bound
+
+    def scored(*args, **kwargs):
+        passes.append(args)
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(fcmurp.cli, "saa_upper_bound", scored)
+    for mode in ("saa", "heuristic"):
+        out = tmp_path / mode
+        res = runner.invoke(main, solve_args(src, str(out), mode))
+        assert res.exit_code == 1, res.output
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == f"Error: {failed.value}"
+        assert "Traceback" not in res.output
+        assert not (out / "result.json").exists() and not (out / "solution.json").exists()
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("walk_share", [fcmurp.instgen.LOCKSTEP_MEMORY_SHARE, math.inf])
+def test_stage_seconds_split_the_scoring_pass_into_drawing_and_scoring(
+    runner, tmp_path, monkeypatch, walk_share
+):
+    src = str(tmp_path / "inst")
+    out = str(tmp_path / "heur")
+    assert gen(runner, src, targets=5, vehicles=2).exit_code == 0
+    # 30 scenarios, drawn one variate at a time or, forced, in lockstep:
+    # opening each scenario's substream (once, or twice for a scenario the
+    # lockstep walk cannot decide) takes 5 ms more and scoring it 15 ms
+    monkeypatch.setattr(fcmurp.instgen, "LOCKSTEP_MEMORY_SHARE", walk_share)
+    substream = fcmurp.instgen._substream
+    table = fcmurp.stochsolve.BestDepotTable
+
+    def slow_substream(*key):
+        time.sleep(0.005)
+        return substream(*key)
+
+    def slow_table(*args):
+        time.sleep(0.015)
+        return table(*args)
+
+    monkeypatch.setattr(fcmurp.instgen, "_substream", slow_substream)
+    monkeypatch.setattr(fcmurp.stochsolve, "BestDepotTable", slow_table)
+    passes = []
+    score = fcmurp.cli.saa_upper_bound
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return score(*args, **kwargs)
+        finally:
+            passes.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(fcmurp.cli, "saa_upper_bound", timed)
+    res = runner.invoke(main, solve_args(src, out, "heuristic", **{"--iterations": "5"}))
+    assert res.exit_code == 0, res.output
+    stages = read_json(os.path.join(out, "manifest.json"))["stage_seconds"]
+    drawing, scoring = stages["evaluation_sample"], stages["upper_bound"]
+    # each stage holds its own sleeps and none of the other's
+    assert 0.15 <= drawing < 0.45
+    assert 0.45 <= scoring < 0.6
+    # the two stages time the pass, plus making the stream before it
+    assert passes[0] <= drawing + scoring < passes[0] + 0.05
 
 
 def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
@@ -619,6 +703,54 @@ def test_solve_saa_refuses_non_metric_costs(runner, tmp_path):
         args = solve_args(src, str(tmp_path / "out"), "saa", **{"--instance": bad})
         output = invoke_one_line_error(runner, args, 2)
         assert "--mode heuristic" in output
+
+
+def test_evaluate_scores_a_drawn_sample_as_the_same_sample_from_a_file(runner, tmp_path):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src).exit_code == 0
+    evp = str(tmp_path / "evp")
+    assert runner.invoke(main, solve_args(src, evp, "evp")).exit_code == 0
+    instance = os.path.join(src, "instance.json")
+    quadrants = os.path.join(src, "quadrants.json")
+    scen = str(tmp_path / "lambda.json")
+    made = runner.invoke(
+        main,
+        ["scenarios", "--instance", instance, "--quadrants", quadrants,
+         "--seed", str(lambda_seed(3)), "--count", "40", "--out", scen],
+    )
+    assert made.exit_code == 0, made.output
+    score = ["evaluate", "--instance", instance, "--solution", os.path.join(evp, "solution.json")]
+    drawn = runner.invoke(main, [*score, "--quadrants", quadrants, "--seed", "3", "--lambda", "40"])
+    saved = runner.invoke(main, [*score, "--scenarios", scen])
+    assert drawn.exit_code == saved.exit_code == 0, (drawn.output, saved.output)
+    assert drawn.stdout.startswith("mean = ")
+    assert drawn.stdout == saved.stdout
+    assert drawn.stderr == saved.stderr
+
+
+def test_evaluate_reports_the_share_that_needed_recourse(runner, tmp_path):
+    shares = {}
+    for seed in (0, 1):
+        # seed 0 needs detours; at seed 1 no scenario does, and every
+        # value is the EV routes' cost
+        src = str(tmp_path / f"inst{seed}")
+        assert gen(runner, src, seed=seed, targets=5, vehicles=2).exit_code == 0
+        evp = str(tmp_path / f"evp{seed}")
+        assert runner.invoke(main, solve_args(src, evp, "evp")).exit_code == 0
+        res = runner.invoke(
+            main,
+            ["evaluate", "--instance", os.path.join(src, "instance.json"),
+             "--solution", os.path.join(evp, "solution.json"),
+             "--quadrants", os.path.join(src, "quadrants.json")],
+        )
+        assert res.exit_code == 0, res.output
+        lines = res.stderr.splitlines()
+        share = float(lines[0].removeprefix("recourse share: "))
+        shares[seed] = share
+        flagged = "no scenario needed recourse: every value is the first-stage cost" in lines
+        assert flagged == (share == 0.0)
+        assert (res.stdout.splitlines()[1] == "standard_error = 0.0") == flagged
+    assert shares[0] > 0.0 and shares[1] == 0.0
 
 
 def test_evaluate_refuses_a_solution_of_another_instance(runner, tmp_path):

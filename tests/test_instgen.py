@@ -16,12 +16,13 @@ from fcmurp.instgen import (
     GenConfig,
     QuadrantMapError,
     SamplerError,
+    ScenarioStream,
     assign_quadrants,
     generate_instance,
     quadrant_of,
     sample_scenarios,
 )
-from fcmurp.model import make_instance, validate_instance
+from fcmurp.model import ScenarioSet, make_instance, validate_instance
 from oracles import sample_scenarios_by_draw
 
 
@@ -172,6 +173,12 @@ def assert_same_fuel(got, want):
         assert a.fuel.tobytes() == b.fuel.tobytes()
 
 
+def drain(stream):
+    """One full pass over ``stream``, as the set it yields and counts."""
+    scenarios = tuple(stream)
+    return ScenarioSet(scenarios, label=stream.label, rejections=stream.rejections)
+
+
 SAMPLER_CASES = [(4, 5, 2), (7, 5, 1), (2, 8, 3), (11, 8, 2), (12, 20, 3), (21, 20, 2)]
 
 
@@ -274,8 +281,10 @@ def test_scenarios_the_lockstep_walk_cannot_decide_are_walked_per_variate(monkey
     # some scenarios run past their first block: those fall back
     monkeypatch.setattr(instgen, "GAMMA_SHAPE", 3.0)
     got = sample_scenarios(inst, qmap, seed=41, count=40)
-    assert_same_fuel(got, sample_scenarios_by_draw(inst, qmap, 41, 40, gamma_shape=3.0))
+    want = sample_scenarios_by_draw(inst, qmap, 41, 40, gamma_shape=3.0)
+    assert_same_fuel(got, want)
     assert 0 < len(walked) < 40
+    assert_same_fuel(drain(ScenarioStream(inst, qmap, 41, 40)), want)
 
 
 def test_large_samples_take_the_lockstep_walk(monkeypatch):
@@ -385,3 +394,60 @@ def test_sampler_conditional_means_match_the_closed_form():
         assert sample.size >= 5_000
         standard_error = sample.std(ddof=1) / math.sqrt(sample.size)
         assert abs(sample.mean() - expected) < 4.0 * standard_error, role
+
+
+@pytest.mark.parametrize("seed,n_targets,vehicles", SAMPLER_CASES)
+def test_stream_matches_the_set_and_the_per_draw_oracle(seed, n_targets, vehicles, walk, monkeypatch):
+    inst, qmap = make_case(seed=seed, n_targets=n_targets, vehicles=vehicles)
+    walks = count_calls(monkeypatch, instgen._Lockstep, "walk")
+    sample_seed = seed * 1_000_003 + 999_983
+    for distribution, count in (("gamma", 50), ("point-mass", 3)):
+        stream = ScenarioStream(inst, qmap, sample_seed, count, distribution)
+        assert len(stream) == count
+        assert stream.rejections is None and stream.draw_seconds is None
+        want = sample_scenarios_by_draw(inst, qmap, sample_seed, count, distribution=distribution)
+        # a second pass draws the same bytes and counts the same rejections
+        for _ in range(2):
+            got = drain(stream)
+            assert got.label == want.label
+            assert_same_fuel(got, want)
+            assert stream.draw_seconds >= 0.0
+        # a pass cut short leaves no count behind
+        next(iter(stream))
+        assert stream.rejections is None and stream.draw_seconds is None
+        assert_same_fuel(sample_scenarios(inst, qmap, sample_seed, count, distribution), want)
+    # 50 scenarios are too few for the lockstep walk unless it is forced
+    assert bool(walks) == (walk == "lockstep")
+
+
+def test_stream_raises_the_sampler_error_at_the_same_scenario(monkeypatch, walk):
+    # at limit 13 this sample's scenario 30 is the first an edge fails, in
+    # the second chunk of the lockstep walk
+    inst, qmap = make_case(seed=4, n_targets=8, vehicles=2)
+    monkeypatch.setattr(instgen, "REJECTION_LIMIT", 13)
+    want = sample_scenarios_by_draw(inst, qmap, 5, 30)
+    with pytest.raises(SamplerError) as ref:
+        sample_scenarios_by_draw(inst, qmap, 5, 31)
+    with pytest.raises(SamplerError) as whole:
+        sample_scenarios(inst, qmap, 5, 60)
+    stream = ScenarioStream(inst, qmap, 5, 60)
+    for _ in range(2):
+        drawn = []
+        with pytest.raises(SamplerError) as lib:
+            for scenario in stream:
+                drawn.append(scenario)
+        assert str(lib.value) == str(whole.value) == str(ref.value)
+        assert [s.id for s in drawn] == list(range(30))
+        assert [s.fuel.tobytes() for s in drawn] == [s.fuel.tobytes() for s in want]
+        assert stream.rejections is None
+
+
+def test_stream_checks_its_arguments_when_made():
+    inst, qmap = make_case(seed=4, n_targets=5, vehicles=2)
+    with pytest.raises(ValueError):
+        ScenarioStream(inst, qmap, 1, 0)
+    with pytest.raises(ValueError):
+        ScenarioStream(inst, qmap, 1, 2, "uniform")
+    short = dataclasses.replace(qmap, vertex_labels=qmap.vertex_labels[:-1])
+    with pytest.raises(QuadrantMapError):
+        ScenarioStream(inst, short, 1, 2)

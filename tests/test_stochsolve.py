@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from conftest import (
     point_mass,
     square_instance,
 )
+from fcmurp import instgen
 from fcmurp.detsolve import (
     EXACT_TARGET_LIMIT,
     optimal_depot_insertion,
     solve_deterministic_exact,
     solve_deterministic_greedy,
 )
+from fcmurp.instgen import ScenarioStream, sample_scenarios
 from fcmurp.model import RouteSet, Scenario, ScenarioSet, route_cost
 from fcmurp.recourse import BestDepotTable, LegMemo, evaluate_recourse
 from fcmurp.stochsolve import (
@@ -287,6 +290,58 @@ def test_a_reference_equal_to_a_candidate_up_to_route_order_shares_its_score():
     assert res.reference.mean == res.estimate.mean
     assert res.recourse_shares == (res.recourse_shares[0],) * 2
     assert res.recourse_shares[0] > 0.0
+
+
+def bound_bits(res):
+    """Every number an upper-bound pass reports, floats as ``float.hex``."""
+    estimates = [res.estimate, *([] if res.reference is None else [res.reference])]
+    return (
+        res.routes,
+        res.index,
+        [[v.hex() for v in est.values] for est in estimates],
+        [est.label for est in estimates],
+        [m.hex() for m in res.per_candidate],
+        res.penalty.hex(),
+        [share.hex() for share in res.recourse_shares],
+        res.penalized_scenarios,
+        res.scored_route_sets,
+    )
+
+
+@pytest.mark.parametrize("walk_share", [instgen.LOCKSTEP_MEMORY_SHARE, math.inf])
+def test_upper_bound_over_a_stream_equals_the_pass_over_the_set(monkeypatch, walk_share):
+    # seed 0 at 4 targets: the EV routes leave some scenarios unrecoverable
+    monkeypatch.setattr(instgen, "LOCKSTEP_MEMORY_SHARE", walk_share)
+    inst, qmap = make_case(seed=0, n_targets=4, vehicles=2)
+    evp = solve_evp(inst).routes
+    alt = solve_saa_problem(inst, make_scenarios(inst, qmap, seed=gamma_seed(0, 0), count=3)).routes
+    seed = lambda_seed(0)
+    whole = saa_upper_bound([alt], sample_scenarios(inst, qmap, seed, 300), inst, reference=evp)
+    stream = ScenarioStream(inst, qmap, seed, 300)
+    streamed = saa_upper_bound([alt], stream, inst, reference=evp)
+    assert whole.penalized_scenarios > 0
+    assert bound_bits(streamed) == bound_bits(whole)
+    assert stream.rejections == sample_scenarios(inst, qmap, seed, 300).rejections
+
+
+def test_upper_bound_over_a_stream_holds_no_sample():
+    # 2,000 scenarios of a 20-target instance hold 10 MB of fuel matrices
+    inst, qmap = make_case(seed=12, n_targets=20, vehicles=3)
+    routes = solve_evp(inst).routes
+    seed, count = lambda_seed(0), 2_000
+    limit = count * inst.nominal_fuel.nbytes / 4
+
+    def peak(draw):
+        tracemalloc.start()
+        try:
+            saa_upper_bound([routes], draw(inst, qmap, seed, count), inst)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(ScenarioStream) < limit
+    # the same pass over the set drawn whole: the check can fail
+    assert peak(sample_scenarios) > limit
 
 
 def test_evp_engines_agree_and_validate():
