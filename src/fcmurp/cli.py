@@ -1,5 +1,8 @@
 """Command-line pipeline: generate, sample, solve, evaluate, report.
 
+``solve --mode evp`` solves the mean-value problem alone. Under either
+``--mode saa`` or ``--mode heuristic``, replications are solved exactly where
+``stochsolve.exact_replications`` allows, else by construction + tabu.
 All artifacts are versioned JSON documents (see ``files``); result documents
 carry no timestamps, so a rerun with the same seeds reproduces them byte for
 byte. Every random stream derives from the command's ``--seed`` flag.
@@ -29,7 +32,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy
 
-from .detsolve import EXACT_TARGET_LIMIT
 from .files import (
     FORMAT_VERSION,
     ArtifactError,
@@ -68,10 +70,10 @@ from .instgen import (
 )
 from .model import Instance, RouteSet, validate_instance
 from .stochsolve import (
-    SAA_SAMPLE_LIMIT,
     SaaConfig,
     SaaReport,
     UpperBoundResult,
+    exact_replications,
     gamma_seed,
     lambda_seed,
     saa_lower_bound,
@@ -312,7 +314,7 @@ def solve(
     """Solve an instance and write solution, result, and manifest files."""
     if stall_limit is None:
         stall_limit = min(100, iterations)
-    elif mode == "heuristic" and stall_limit > iterations:
+    elif mode != "evp" and stall_limit > iterations:
         raise _ExitError(f"--stall-limit {stall_limit} exceeds --iterations {iterations}", 2)
     instance = _read_instance(instance_path)
     qmap = _read_quadrants(quadrants_path, instance)
@@ -321,42 +323,34 @@ def solve(
     started = datetime.now(timezone.utc).isoformat()
     stages: dict = {}
     seeds: dict = {"base": seed}
-    extras: dict = {}
     counters: dict = {}
+    # echo only the options the run reads; a two-stage run also records the
+    # engine the rule picked and the rule's three inputs
+    config_echo: dict = {"instance": instance_path, "quadrants": quadrants_path, "mode": mode, "name": name}
+    engine = mode
+    if mode != "evp":
+        engine = "saa" if exact_replications(instance, sample_size) else "heuristic"
+        rule = {
+            "name": engine,
+            "n_targets": instance.n_targets,
+            "sample_size": sample_size,
+            "metric": instance.metric,
+        }
+        config_echo.update({"n": replications, "m": sample_size, "lambda": lambda_size, "engine": rule})
 
-    if mode == "evp":
+    if engine == "evp":
         with _timed(stages, "evp"):
             ev = solve_evp(instance)
         report = SaaReport(
             instance_name=name,
             ev=ev.cost,
             ev_optimal=ev.optimal,
-            eev=None,
-            lb=None,
-            ub=None,
-            h=None,
+            eev=None, lb=None, ub=None, h=None,
             solution=ev.routes,
         )
         solution, meta = ev.routes, {"mode": "evp", "optimal": ev.optimal}
-    elif mode == "saa":
-        if instance.n_targets > EXACT_TARGET_LIMIT or sample_size > SAA_SAMPLE_LIMIT:
-            raise _ExitError(
-                f"--mode saa solves exactly and handles at most "
-                f"{EXACT_TARGET_LIMIT} targets with --m at most {SAA_SAMPLE_LIMIT}; "
-                "use --mode heuristic for larger runs",
-                2,
-            )
-        if not instance.metric:
-            raise _ExitError(
-                "--mode saa needs metric costs: its pruning bound assumes no detour "
-                "is cheaper than the edge it replaces; use --mode heuristic for this instance",
-                2,
-            )
-        config = SaaConfig(
-            replications=replications,
-            sample_size=sample_size,
-            seed=seed,
-        )
+    elif engine == "saa":
+        config = SaaConfig(replications=replications, sample_size=sample_size, seed=seed)
         click.echo(f"lower bound: {replications} replications of {sample_size}", err=True)
         with _timed(stages, "lower_bound"):
             lb = saa_lower_bound(instance, qmap, config)
@@ -367,9 +361,8 @@ def solve(
             "saa_replications": [{"nodes": s.nodes, "legs": s.legs} for s in lb.solutions]
         }
     else:
-        params = TabuParams(
-            iterations=iterations, stall_limit=stall_limit, tenure=tenure
-        )
+        config_echo.update(iterations=iterations, stall_limit=stall_limit, tenure=tenure)
+        params = TabuParams(iterations=iterations, stall_limit=stall_limit, tenure=tenure)
         candidates, gamma_seeds, gamma_rejections, tabu_rows = [], [], [], []
         with _timed(stages, "search"):
             for k in range(replications):
@@ -393,7 +386,7 @@ def solve(
             raise _ExitError("no replication produced a feasible solution", 4)
         lb_estimate = None
         search_counters = {"tabu": tabu_rows}
-    if mode != "evp":
+    if engine != "evp":
         candidates = _dedup_routes(candidates)
         with _timed(stages, "evaluation_sample"):
             lam = ScenarioStream(instance, qmap, seed=lambda_seed(seed), count=lambda_size)
@@ -412,14 +405,14 @@ def solve(
             ev_optimal=ev.optimal,
             eev=best.reference,
             lb=lb_estimate,
-            ub=best.estimate if mode == "saa" else None,
-            h=best.estimate if mode == "heuristic" else None,
+            ub=best.estimate if engine == "saa" else None,
+            h=best.estimate if engine == "heuristic" else None,
             solution=best.routes,
         )
-        solution, meta = best.routes, {"mode": mode, "candidate_index": best.index}
+        solution, meta = best.routes, {"mode": engine, "candidate_index": best.index}
         seeds["gamma"] = gamma_seeds
         seeds["lambda"] = lambda_seed(seed)
-        extras = {"penalty": best.penalty}
+        config_echo["penalty"] = best.penalty
         counters = {
             **_scoring_counters(lambda_size, best, ev.routes),
             **search_counters,
@@ -432,19 +425,6 @@ def solve(
     result_path = os.path.join(out, "result.json")
     write_document(solution_to_doc(solution, meta={"name": name, **meta}), solution_path)
     write_document(report_to_doc(report), result_path)
-    config_echo = {
-        "instance": instance_path,
-        "quadrants": quadrants_path,
-        "mode": mode,
-        "n": replications,
-        "m": sample_size,
-        "lambda": lambda_size,
-        "iterations": iterations,
-        "stall_limit": stall_limit,
-        "tenure": tenure,
-        "name": name,
-        **extras,
-    }
     _write_manifest(out, "solve", config_echo, seeds, stages, counters, started)
     click.echo(f"EV = {report.ev!r}")
     if report.eev is not None:

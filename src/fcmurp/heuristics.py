@@ -5,7 +5,9 @@ discounts edge costs by how often scenario solutions use them, and solves a
 final deterministic problem under the discounted costs and expected fuel.
 The tabu search then walks the swap neighborhood of the penalized two-stage
 objective: first-stage cost plus probability-weighted recourse, with a fixed
-penalty for scenarios no detour plan can recover.
+penalty for scenarios no detour plan can recover. ``fcmurp solve`` runs
+them for the replications the exact sampled solver cannot take
+(``stochsolve.exact_replications``).
 """
 
 from __future__ import annotations
@@ -145,8 +147,6 @@ def construct_detailed(instance: Instance, delta: ScenarioSet) -> ConstructionRe
     solve is ``solve_deterministic``'s: exact up to ``EXACT_TARGET_LIMIT``
     targets, greedy beyond it.
     """
-    if len(delta) == 0:
-        raise ValueError("construction needs at least one scenario")
     ordered = _scenario_order(delta)
     solutions: list[tuple[int, Optional[RouteSet]]] = []
     nodes: list[Optional[int]] = []

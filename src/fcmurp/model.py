@@ -290,7 +290,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """An ordered collection of scenarios whose probabilities sum to one.
+    """A non-empty ordered collection of scenarios whose probabilities sum to 1.
 
     ``rejections`` counts the draws the sampler rejected while making the
     set (0 for a set built or read otherwise), a work counter outside
@@ -303,7 +303,7 @@ class ScenarioSet:
 
     def __post_init__(self) -> None:
         total = math.fsum(s.probability for s in self.scenarios)
-        if self.scenarios and abs(total - 1.0) > PROB_TOL:
+        if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"scenario probabilities sum to {total!r}, expected 1")
         ids = [s.id for s in self.scenarios]
         if len(set(ids)) != len(ids):

@@ -4,8 +4,9 @@ The sampled two-stage problem minimizes first-stage cost plus the average
 recourse cost over a scenario sample. ``solve_saa_problem`` searches route
 sets exactly, jointly optimizing each route's depot-insertion pattern against
 the sampled objective; replication means give a statistical lower bound and
-out-of-sample evaluation an upper bound. The mean-value pipeline (EV, EEV,
-VSS) scores its routes in the same out-of-sample pass.
+out-of-sample evaluation an upper bound. Where ``exact_replications`` is
+false, ``fcmurp solve`` runs construction + tabu (``heuristics``) instead.
+The mean-value pipeline (EV, EEV, VSS) scores its routes in the same pass.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .detsolve import (
+    EXACT_TARGET_LIMIT,
     DetSolution,
     _branch_routes,
     optimal_depot_insertion,
@@ -36,6 +38,7 @@ __all__ = [
     "SaaReport",
     "gamma_seed",
     "lambda_seed",
+    "exact_replications",
     "solve_saa_problem",
     "saa_lower_bound",
     "saa_upper_bound",
@@ -298,6 +301,17 @@ def _pattern_score(
     if best_score is None:
         return None
     return best_realized, float(best_score)
+
+
+def exact_replications(instance: Instance, sample_size: int) -> bool:
+    """Whether replications of ``sample_size`` scenarios on ``instance`` are
+    solved exactly: within both limits and on metric costs, which
+    ``solve_saa_problem``'s pruning bound needs."""
+    return (
+        instance.n_targets <= EXACT_TARGET_LIMIT
+        and sample_size <= SAA_SAMPLE_LIMIT
+        and instance.metric
+    )
 
 
 def solve_saa_problem(instance: Instance, gamma: ScenarioSet) -> Optional[SaaSolution]:

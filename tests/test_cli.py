@@ -23,8 +23,14 @@ import fcmurp.stochsolve
 from fcmurp.cli import main
 from fcmurp.detsolve import EXACT_TARGET_LIMIT
 from fcmurp.files import CSV_HEADER, FORMAT_VERSION
-from fcmurp.instgen import SamplerError, ScenarioStream, sample_scenarios
-from fcmurp.stochsolve import gamma_seed, lambda_seed
+from fcmurp.instgen import (
+    GenConfig,
+    SamplerError,
+    ScenarioStream,
+    generate_instance,
+    sample_scenarios,
+)
+from fcmurp.stochsolve import exact_replications, gamma_seed, lambda_seed
 
 
 @pytest.fixture
@@ -51,6 +57,12 @@ def gen(runner, out, *, seed=0, targets=4, vehicles=2, extra=()):
         *extra,
     ]
     return runner.invoke(main, args)
+
+
+def gen_above_limit(runner, out, **kwargs):
+    """An instance one target above the exact limit: either two-stage mode
+    name runs construction + tabu on it."""
+    return gen(runner, out, targets=EXACT_TARGET_LIMIT + 1, **kwargs)
 
 
 def test_generate_writes_stable_artifacts(runner, tmp_path):
@@ -271,15 +283,125 @@ def test_solve_option_names_are_pinned():
     }
 
 
-def test_solve_saa_refuses_oversized_requests(runner, tmp_path):
+def cut_depot_costs(src):
+    """The seed-7 5-target instance at ``src`` with every cost into or out
+    of refuel depot 1 cut to 0.3x: detours through depot 1 can be cheaper
+    than the edge they replace. The document's ``metric`` key still says
+    true; the reader derives it from the costs."""
+    doc = read_json(os.path.join(src, "instance.json"))
+    cost = doc["cost"]
+    for row in cost:
+        row[1] *= 0.3
+    cost[1] = [c * 0.3 for c in cost[1]]
+    doc["metric"] = True
+    bad = os.path.join(src, "cut.json")
+    with open(bad, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "case, exact",
+    [("within-limits", True), ("targets", False), ("sample", False), ("non-metric", False)],
+    ids=["within-limits", "targets", "sample", "non-metric"],
+)
+def test_solve_runs_the_engine_the_input_allows_under_either_mode_name(
+    runner, tmp_path, case, exact
+):
+    # exact replications iff at most EXACT_TARGET_LIMIT targets, --m at most
+    # SAA_SAMPLE_LIMIT and metric costs; construction + tabu otherwise
+    src = str(tmp_path / "inst")
+    overrides = {"--iterations": "10"}
+    if case == "targets":
+        assert gen_above_limit(runner, src).exit_code == 0
+    elif case == "non-metric":
+        assert gen(runner, src, seed=7, targets=5).exit_code == 0
+        overrides["--instance"] = cut_depot_costs(src)
+    else:
+        assert gen(runner, src).exit_code == 0
+    if case == "sample":
+        overrides["--m"] = "11"
+    engine = "saa" if exact else "heuristic"
+    written = {}
+    for mode in ("saa", "heuristic"):
+        out = tmp_path / mode
+        res = runner.invoke(main, solve_args(src, str(out), mode, **overrides))
+        assert res.exit_code == 0, res.output
+        printed = res.stdout.splitlines()[:-1]  # the last line names the output paths
+        assert any(line.startswith("LB = ") for line in printed) == exact
+        assert any(line.startswith("UB = ") for line in printed) == exact
+        assert any(line.startswith("H = ") for line in printed) == (not exact)
+        manifest = read_json(out / "manifest.json")
+        assert manifest["config"]["mode"] == mode
+        record = manifest["config"]["engine"]
+        assert record["name"] == engine
+        assert set(record) == {"name", "n_targets", "sample_size", "metric"}
+        assert record["metric"] == (case != "non-metric")
+        assert ("lower_bound" in manifest["stage_seconds"]) == exact
+        assert ("search" in manifest["stage_seconds"]) == (not exact)
+        assert ("saa_replications" in manifest["counters"]) == exact
+        assert ("tabu" in manifest["counters"]) == (not exact)
+        assert read_json(out / "solution.json")["meta"]["mode"] == engine
+        written[mode] = printed, [(out / n).read_bytes() for n in ("result.json", "solution.json")]
+    assert written["saa"] == written["heuristic"]
+
+
+def test_an_unrecoverable_exact_replication_exits_4_under_either_mode_name(
+    runner, tmp_path, monkeypatch
+):
     src = str(tmp_path / "inst")
     assert gen(runner, src).exit_code == 0
-    args = solve_args(src, str(tmp_path / "o"), "saa", **{"--m": "11"})
-    assert "--mode heuristic" in invoke_one_line_error(runner, args, 2)
-    big = str(tmp_path / "big")
-    assert gen(runner, big, targets=EXACT_TARGET_LIMIT + 1, vehicles=3).exit_code == 0
-    args = solve_args(big, str(tmp_path / "o2"), "saa")
-    assert "--mode heuristic" in invoke_one_line_error(runner, args, 2)
+    monkeypatch.setattr(fcmurp.stochsolve, "solve_saa_problem", lambda *args: None)
+    for mode in ("saa", "heuristic"):
+        out = tmp_path / mode
+        res = runner.invoke(main, solve_args(src, str(out), mode))
+        assert res.exit_code == 4, res.output
+        assert res.stdout == "" and "Traceback" not in res.output
+        assert res.stderr.splitlines()[-1].endswith(
+            "no route set is recoverable in every sampled scenario"
+        )
+        assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "workload, instance_seed, targets, exact",
+    [("saa-n8", 2, 8, True), ("heuristic-n20", 12, 20, False)],
+    ids=["saa-n8", "heuristic-n20"],
+)
+def test_the_benchmark_workloads_keep_their_engines(workload, instance_seed, targets, exact):
+    # bench/run.py generates each instance with 3 vehicles and solves it
+    # with --m 5; checked on the instance alone, without solving it
+    inst = generate_instance(GenConfig(seed=instance_seed, n_targets=targets, vehicles=3))
+    assert inst.metric
+    assert exact_replications(inst, 5) is exact
+
+
+@pytest.mark.parametrize(
+    "mode, targets, heuristic",
+    [("evp", 4, False), ("saa", 4, False), ("heuristic", 4, False),
+     ("saa", EXACT_TARGET_LIMIT + 1, True), ("heuristic", EXACT_TARGET_LIMIT + 1, True)],
+    ids=["evp", "saa-exact", "heuristic-exact", "saa-tabu", "heuristic-tabu"],
+)
+def test_solve_manifest_echoes_only_the_options_the_run_read(
+    runner, tmp_path, mode, targets, heuristic
+):
+    src = str(tmp_path / "inst")
+    assert gen(runner, src, targets=targets).exit_code == 0
+    out = tmp_path / "out"
+    args = solve_args(src, str(out), mode, **{"--lambda": "7", "--iterations": "5"})
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    config = read_json(out / "manifest.json")["config"]
+    expected = {"instance", "quadrants", "mode", "name"}
+    if mode != "evp":
+        # n, m and lambda shape every two-stage run, and the scoring pass
+        # calibrates the penalty
+        expected |= {"n", "m", "lambda", "engine", "penalty"}
+        assert (config["n"], config["m"], config["lambda"]) == (2, 2, 7)
+    if heuristic:
+        expected |= {"iterations", "stall_limit", "tenure"}
+        assert (config["iterations"], config["stall_limit"], config["tenure"]) == (5, 5, None)
+    assert set(config) == expected
 
 
 def test_solve_evp_mode_writes_a_partial_report(runner, tmp_path):
@@ -297,7 +419,7 @@ def test_solve_evp_mode_writes_a_partial_report(runner, tmp_path):
 
 def test_solve_heuristic_mode_reports_h(runner, tmp_path):
     src = str(tmp_path / "inst")
-    assert gen(runner, src, targets=5, vehicles=2).exit_code == 0
+    assert gen_above_limit(runner, src).exit_code == 0
     res = runner.invoke(
         main,
         solve_args(
@@ -317,7 +439,7 @@ def test_solve_heuristic_mode_reports_h(runner, tmp_path):
 
 def test_solve_heuristic_stall_limit_defaults_to_the_iteration_count(runner, tmp_path):
     src = str(tmp_path / "inst")
-    assert gen(runner, src, targets=5, vehicles=2).exit_code == 0
+    assert gen_above_limit(runner, src).exit_code == 0
     short = solve_args(src, str(tmp_path / "short"), "heuristic", **{"--iterations": "10"})
     res = runner.invoke(main, short)
     assert res.exit_code == 0, res.output
@@ -325,11 +447,13 @@ def test_solve_heuristic_stall_limit_defaults_to_the_iteration_count(runner, tmp
     manifest = read_json(tmp_path / "short" / "manifest.json")
     assert manifest["config"]["stall_limit"] == 10
     # an explicit stall limit above the iteration count is a usage error
-    args = solve_args(
-        src, str(tmp_path / "bad"), "heuristic", **{"--iterations": "10", "--stall-limit": "11"}
-    )
-    output = invoke_one_line_error(runner, args, 2)
-    assert "--stall-limit 11 exceeds --iterations 10" in output
+    # under either two-stage name, whichever engine the instance allows
+    for mode in ("saa", "heuristic"):
+        args = solve_args(
+            src, str(tmp_path / "bad"), mode, **{"--iterations": "10", "--stall-limit": "11"}
+        )
+        output = invoke_one_line_error(runner, args, 2)
+        assert "--stall-limit 11 exceeds --iterations 10" in output
 
 
 def test_solve_flags_a_chosen_solution_equal_to_ev(runner, tmp_path):
@@ -471,9 +595,12 @@ def test_sampler_errors_exit_1_with_a_one_line_message(runner, tmp_path, monkeyp
         "--quadrants",
         os.path.join(src, "quadrants.json"),
     ]
+    big = str(tmp_path / "big")
+    assert gen_above_limit(runner, big).exit_code == 0
     for args in (
         solve_args(src, str(tmp_path / "saa"), "saa"),
         solve_args(src, str(tmp_path / "heur"), "heuristic"),
+        solve_args(big, str(tmp_path / "big-heur"), "heuristic"),
         evaluate,
     ):
         res = runner.invoke(main, args)
@@ -563,7 +690,7 @@ def test_stage_seconds_split_the_scoring_pass_into_drawing_and_scoring(
 
 def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
     src = str(tmp_path / "inst")
-    assert gen(runner, src, targets=5, vehicles=2).exit_code == 0
+    assert gen_above_limit(runner, src).exit_code == 0
     counters = []
     for k in range(2):
         out = str(tmp_path / f"heur{k}")
@@ -605,18 +732,16 @@ def test_solve_manifest_counts_the_scoring_pass(runner, tmp_path):
             "scored",
             "construction_nodes",
         }
-        # 5 targets: construction solves each of the 2 sampled scenarios and
-        # the discounted problem with the exact engine
+        # 9 targets: construction solves each of the 2 sampled scenarios and
+        # the discounted problem with the greedy solver, which counts 0 nodes
         nodes = row["construction_nodes"]
-        assert set(nodes) == {"scenarios", "final"}
-        assert len(nodes["scenarios"]) == 2
-        assert all(n > 0 for n in (*nodes["scenarios"], nodes["final"]))
+        assert nodes == {"scenarios": [0, 0], "final": 0}
         assert 1 <= row["iterations"] <= 10
         assert row["moves"] + row["stagnant"] == row["iterations"]
         assert 0 <= row["infeasible_sequences"] < row["sequences"]
         assert 1 <= row["scans"] <= row["iterations"]
-        # 5 targets: 10 swaps per scanned state, each scored at most once
-        assert 1 <= row["scored"] <= 10 * row["scans"]
+        # 9 targets: 36 swaps per scanned state, each scored at most once
+        assert 1 <= row["scored"] <= 36 * row["scans"]
         assert row["legs"] > 0
         # every tabu sequence went through the instance's one insertion memo
         assert block["insertions"] >= row["sequences"]
@@ -682,27 +807,6 @@ def invoke_one_line_error(runner, args, code):
     assert len(res.output.splitlines()) == 1
     assert res.exception is None or isinstance(res.exception, SystemExit)
     return res.output
-
-
-def test_solve_saa_refuses_non_metric_costs(runner, tmp_path):
-    # the quickstart instance with every cost into or out of refuel depot 1
-    # cut to 0.3x: detours through depot 1 can be cheaper than the edge they
-    # replace, whatever the document's metric key says
-    src = str(tmp_path / "inst")
-    assert gen(runner, src, seed=7, targets=5, vehicles=2).exit_code == 0
-    doc = read_json(os.path.join(src, "instance.json"))
-    cost = doc["cost"]
-    for row in cost:
-        row[1] *= 0.3
-    cost[1] = [c * 0.3 for c in cost[1]]
-    for metric in (False, True):
-        doc["metric"] = metric
-        bad = os.path.join(src, f"cut-{metric}.json")
-        with open(bad, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        args = solve_args(src, str(tmp_path / "out"), "saa", **{"--instance": bad})
-        output = invoke_one_line_error(runner, args, 2)
-        assert "--mode heuristic" in output
 
 
 def test_evaluate_scores_a_drawn_sample_as_the_same_sample_from_a_file(runner, tmp_path):
@@ -970,6 +1074,7 @@ def sampled_inputs(tmp_path_factory):
         ("scen.json", ("scenarios", 0, "probability"), 0.5),
         ("scen.json", ("scenarios", 1, "id"), 0),
         ("scen.json", ("scenarios", 0, "fuel", 2), [0.0, 1.0]),
+        ("scen.json", ("scenarios",), []),
     ],
     ids=[
         "seed-not-int",
@@ -979,6 +1084,7 @@ def sampled_inputs(tmp_path_factory):
         "probabilities-not-summing-to-1",
         "duplicate-ids",
         "ragged-fuel",
+        "no-scenarios",
     ],
 )
 def test_malformed_quadrant_and_scenario_files_exit_3(
@@ -1010,7 +1116,7 @@ def test_malformed_quadrant_and_scenario_files_exit_3(
             "--scenarios", bad,
         ]
     output = invoke_one_line_error(runner, args, 3)
-    assert "malformed" in output
+    assert f"malformed {'quadrants' if name == 'quadrants.json' else 'scenario'} document: " in output
 
 
 def test_report_renders_both_formats(runner, tmp_path):
@@ -1396,7 +1502,9 @@ def test_every_public_name_runs_in_a_pipeline(runner, tmp_path):
     instance = os.path.join(src, "instance.json")
     inputs = ["--instance", instance, "--quadrants", os.path.join(src, "quadrants.json")]
     small = {"--n": "2", "--m": "2", "--lambda": "20", "--iterations": "5"}
-    runs = {mode: str(tmp_path / mode) for mode in ("evp", "saa", "heuristic")}
+    # --m 11, above SAA_SAMPLE_LIMIT: the heuristic run takes construction + tabu
+    sizes = {"evp": small, "saa": small, "heuristic": {**small, "--m": "11"}}
+    runs = {mode: str(tmp_path / mode) for mode in sizes}
     gamma = str(tmp_path / "gamma.json")
     results = [os.path.join(runs[mode], "result.json") for mode in ("saa", "heuristic")]
     session = [
@@ -1404,7 +1512,7 @@ def test_every_public_name_runs_in_a_pipeline(runner, tmp_path):
         ["scenarios", *inputs, "--count", "3", "--out", gamma],
         ["scenarios", *inputs, "--count", "1", "--distribution", "point-mass",
          "--out", str(tmp_path / "point.json")],
-        *(solve_args(src, out, mode, **small) for mode, out in runs.items()),
+        *(solve_args(src, out, mode, **sizes[mode]) for mode, out in runs.items()),
         ["evaluate", *inputs, "--solution", os.path.join(runs["heuristic"], "solution.json"),
          "--lambda", "20", "--result", results[1]],
         ["evaluate", "--instance", instance, "--solution",

@@ -192,6 +192,11 @@ def test_malformed_documents_raise_artifact_errors(case):
     del broken_scenarios["scenarios"][0]["fuel"]
     with pytest.raises(ArtifactError, match="scenario"):
         scenarios_from_doc(broken_scenarios)
+    # no scenarios: their probabilities sum to 0, not 1
+    empty_scenarios = scenarios_to_doc(delta)
+    empty_scenarios["scenarios"] = []
+    with pytest.raises(ArtifactError, match="malformed scenario document: .* sum to 0"):
+        scenarios_from_doc(empty_scenarios)
     broken_report = report_to_doc(sample_report())
     del broken_report["eev"]["values"]
     with pytest.raises(ArtifactError, match="estimate"):

@@ -124,8 +124,9 @@ def test_construct_falls_back_to_scenario_solutions_when_final_solve_fails():
 
 
 def test_construct_rejects_an_empty_scenario_set():
+    # the set itself is refused: its probabilities sum to 0, not 1
     inst = square_instance()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 0"):
         construct_detailed(inst, ScenarioSet((), label="empty"))
 
 

@@ -113,6 +113,8 @@ def test_scenario_set_validation():
         ScenarioSet((half(0),))
     with pytest.raises(ValueError):
         ScenarioSet((half(0), half(0)))
+    with pytest.raises(ValueError, match="sum to 0"):
+        ScenarioSet(())
     # tolerance admits float dust around one
     eps = Scenario(id=0, probability=1.0 - PROB_TOL / 2, fuel=fuel.copy())
     ScenarioSet((eps,))
